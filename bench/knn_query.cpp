@@ -99,7 +99,8 @@ int main() {
 
     // Blocked exact: same bits, tiled through the marker store.
     T0 = std::chrono::steady_clock::now();
-    auto Blocked1 = Exact.queryBatch(Qs.data(), NumQ, K, /*MaxWays=*/1);
+    auto Blocked1 = Exact.queryBatch(Qs.data(), NumQ, K, /*EfSearch=*/0,
+                                     /*MaxWays=*/1);
     double Blocked1Us = secondsSince(T0) / NumQ * 1e6;
     T0 = std::chrono::steady_clock::now();
     auto BlockedMt = Exact.queryBatch(Qs.data(), NumQ, K);

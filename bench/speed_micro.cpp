@@ -132,7 +132,8 @@ void BM_KnnQueryBatch(benchmark::State &State) {
   for (float &X : Qs)
     X = static_cast<float>(R.normal());
   for (auto _ : State) {
-    auto Results = Annoy.queryBatch(Qs.data(), NumQueries, 10, -1, Threads);
+    auto Results = Annoy.queryBatch(Qs.data(), NumQueries, 10,
+                                    /*EfSearch=*/0, Threads);
     benchmark::DoNotOptimize(Results.data());
   }
   State.SetItemsProcessed(State.iterations() * NumQueries);

@@ -12,30 +12,6 @@
 
 using namespace typilus;
 
-const char *typilus::knnIndexName(KnnIndexKind K) {
-  switch (K) {
-  case KnnIndexKind::Exact:
-    return "exact";
-  case KnnIndexKind::Annoy:
-    return "annoy";
-  case KnnIndexKind::Hnsw:
-    return "hnsw";
-  }
-  return "exact";
-}
-
-bool typilus::parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out) {
-  if (Name == "exact")
-    *Out = KnnIndexKind::Exact;
-  else if (Name == "annoy")
-    *Out = KnnIndexKind::Annoy;
-  else if (Name == "hnsw")
-    *Out = KnnIndexKind::Hnsw;
-  else
-    return false;
-  return true;
-}
-
 /// Microseconds elapsed since \p T0 (stats counters; never affects
 /// results).
 static uint64_t microsSince(std::chrono::steady_clock::time_point T0) {
@@ -64,46 +40,20 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
   constexpr size_t WindowFiles = 32;
   size_t N = MapFiles.size();
   for (size_t Lo = 0; Lo < N; Lo += WindowFiles) {
-    size_t Hi = std::min(N, Lo + WindowFiles);
-    size_t W = Hi - Lo;
+    size_t W = std::min(N, Lo + WindowFiles) - Lo;
     std::vector<ExamplePin> Pins(W);
     std::vector<const FileExample *> Window(W);
     for (size_t I = 0; I != W; ++I)
       Window[I] = &MapFiles.get(Lo + I, Pins[I]);
-
-    std::vector<Tensor> Embs(W);
-    std::vector<std::vector<const Target *>> Targets(W);
-    auto EmbedOne = [&](size_t I) {
-      nn::Value Emb = Model.embed({Window[I]}, &Targets[I]);
-      if (Emb.defined())
-        Embs[I] = Emb.val();
-    };
-    if (Model.supportsParallelEmbed()) {
-      parallelFor(
-          0, static_cast<int64_t>(W), 1,
-          [&](int64_t Lo2, int64_t Hi2) {
-            for (int64_t I = Lo2; I != Hi2; ++I)
-              EmbedOne(static_cast<size_t>(I));
-          },
-          Opts.NumThreads);
-    } else {
-      // Sequential encoders (Path) consume their sampling RNG in file
-      // order — identical to the unwindowed fill.
-      for (size_t I = 0; I != W; ++I)
-        EmbedOne(I);
-    }
-
-    P.EmbedCalls += W;
+    Embedded E = P.embedFiles(Window);
     for (size_t F = 0; F != W; ++F) {
-      const Tensor &E = Embs[F];
-      if (E.numel() == 0)
-        continue;
+      const Tensor &Emb = E.Embs[F];
       // Tag each marker with its source file so the editor loop can
       // retire a file's rows later. Tags are sidecar state: the marker
       // bytes and layout are unchanged.
-      for (size_t I = 0; I != Targets[F].size(); ++I)
-        P.Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-                   Targets[F][I]->Type, Window[F]->Path);
+      for (size_t I = 0; I != E.Targets[F].size(); ++I)
+        P.Map->add(Emb.data() + static_cast<int64_t>(I) * Emb.cols(),
+                   E.Targets[F][I]->Type, Window[F]->Path);
     }
   }
   // τmap compaction, in order: bound the marker count over the exact f32
@@ -134,7 +84,10 @@ Predictor Predictor::classifier(TypeModel &Model) {
 // Artifact save / load (train-once, serve-many)
 //===----------------------------------------------------------------------===//
 
-void Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const {
+bool Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
+                              std::string *Err) const {
+  if (IsKnn && !Index->isCompact(Err))
+    return false;
   W.beginChunk("tuni");
   std::map<TypeRef, int> TypeIds = U.save(W);
   W.endChunk();
@@ -159,34 +112,28 @@ void Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const {
                                                     : "tmq8");
     Map->save(W, TypeIds);
     W.endChunk();
-    if (Annoy) {
-      // The built forest ships with the markers, so serving processes
-      // skip the index rebuild entirely.
-      W.beginChunk("anny");
-      Annoy->save(W);
-      W.endChunk();
-    }
-    if (Hnsw) {
-      // Same deal for the HNSW graph (version-3 chunk).
-      W.beginChunk("hnsw");
-      Hnsw->save(W);
+    // The built index ships with the markers, so serving processes skip
+    // the rebuild entirely.
+    if (const char *Tag = Index->snapshotTag()) {
+      W.beginChunk(Tag);
+      Index->save(W);
       W.endChunk();
     }
   }
+  return true;
 }
 
 uint32_t Predictor::artifactVersion() const {
-  if (IsKnn && Hnsw)
-    return 3;
-  bool Quantized = IsKnn && Map && Map->store() != MarkerStore::F32;
-  return Quantized ? 2 : 1;
+  if (!IsKnn)
+    return 1;
+  return std::max(Map->store() != MarkerStore::F32 ? 2u : 1u,
+                  Index->snapshotVersion());
 }
 
 bool Predictor::save(const std::string &Path, const TypeUniverse &U,
                      std::string *Err) const {
   ArchiveWriter W(artifactVersion());
-  writeArtifact(W, U);
-  return W.writeFile(Path, Err);
+  return writeArtifact(W, U, Err) && W.writeFile(Path, Err);
 }
 
 std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
@@ -255,27 +202,9 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
       *Err = "type-map dimensionality does not match the model";
     return nullptr;
   }
-  if (R.hasChunk("anny")) {
-    ArchiveCursor AC = R.chunk("anny", Err);
-    P->Annoy = AnnoyIndex::load(AC, *P->Map, Err);
-    if (!P->Annoy)
-      return nullptr;
-  } else if (P->Knn.Index == KnnIndexKind::Annoy && P->Map->size() > 0) {
-    if (Err)
-      *Err = "invalid artifact: missing chunk 'anny'";
+  P->Index = loadKnnIndex(P->Knn.Index, R, *P->Map, Err);
+  if (!P->Index)
     return nullptr;
-  }
-  if (R.hasChunk("hnsw")) {
-    ArchiveCursor HC = R.chunk("hnsw", Err);
-    P->Hnsw = HnswIndex::load(HC, *P->Map, Err);
-    if (!P->Hnsw)
-      return nullptr;
-  } else if (P->Knn.Index == KnnIndexKind::Hnsw && P->Map->size() > 0) {
-    if (Err)
-      *Err = "invalid artifact: missing chunk 'hnsw'";
-    return nullptr;
-  }
-  P->Exact = std::make_unique<ExactIndex>(*P->Map);
   return P;
 }
 
@@ -292,20 +221,7 @@ std::unique_ptr<Predictor> Predictor::load(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 void Predictor::rebuildIndex() {
-  assert(Map && "kNN predictor without a type map");
-  if (Knn.Index == KnnIndexKind::Annoy && Map->size() > 0)
-    Annoy = std::make_unique<AnnoyIndex>(*Map, /*NumTrees=*/8,
-                                         /*LeafSize=*/16, /*Seed=*/0xA220,
-                                         Knn.NumThreads);
-  else
-    Annoy.reset(); // also drops a stale forest when switching away
-  if (Knn.Index == KnnIndexKind::Hnsw && Map->size() > 0)
-    Hnsw = std::make_unique<HnswIndex>(*Map, /*M=*/16,
-                                       /*EfConstruction=*/128,
-                                       /*Seed=*/0x45317, Knn.NumThreads);
-  else
-    Hnsw.reset();
-  Exact = std::make_unique<ExactIndex>(*Map);
+  Index = buildKnnIndex(Knn.Index, *Map, Knn.NumThreads);
 }
 
 void Predictor::setKnnOptions(const KnnOptions &O) {
@@ -341,24 +257,10 @@ bool Predictor::setMarkerStore(MarkerStore S, std::string *Err) {
 
 void Predictor::addMarker(const float *Embedding, TypeRef T) {
   assert(IsKnn && "markers only apply to kNN predictors");
-  // No index rebuild: rows appended after the forest was built are
-  // answered by queryNeighbors' exact delta scan until the next
-  // compaction (or explicit rebuild) folds them in.
+  // No index rebuild: rows appended after the index was built are
+  // answered by its exact delta scan until the next compaction (or
+  // explicit rebuild) folds them in.
   Map->add(Embedding, T);
-}
-
-void Predictor::addMarkersFrom(const FileExample &File) {
-  assert(IsKnn && "markers only apply to kNN predictors");
-  std::vector<const Target *> Targets;
-  nn::Value Emb = Model->embed({&File}, &Targets);
-  ++EmbedCalls;
-  if (!Emb.defined())
-    return;
-  const Tensor &E = Emb.val();
-  Map->reserve(Map->size() + Targets.size()); // reserve() takes a total
-  for (size_t I = 0; I != Targets.size(); ++I)
-    Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-             Targets[I]->Type, File.Path);
 }
 
 /// Copies the stable identity of target \p T (index \p I of \p File's
@@ -380,46 +282,6 @@ static void fillIdentity(PredictionResult &R, const FileExample &File,
 
 std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
   return std::move(predictBatch({&File}).front());
-}
-
-std::vector<NeighborList> Predictor::queryNeighbors(const float *Qs,
-                                                    int64_t NumQ) {
-  std::vector<NeighborList> Neigh;
-  size_t From = 0;
-  if (Knn.Index == KnnIndexKind::Annoy && Annoy) {
-    Neigh = Annoy->queryBatch(Qs, NumQ, Knn.K, /*SearchK=*/-1,
-                              Knn.NumThreads);
-    From = Annoy->indexedMarkers();
-  } else if (Knn.Index == KnnIndexKind::Hnsw && Hnsw) {
-    Neigh = Hnsw->queryBatch(Qs, NumQ, Knn.K,
-                             Knn.EfSearch > 0 ? Knn.EfSearch : -1,
-                             Knn.NumThreads);
-    From = Hnsw->indexedMarkers();
-  } else {
-    return Exact->queryBatch(Qs, NumQ, Knn.K, Knn.NumThreads);
-  }
-  // Rows appended after the index was built are invisible to it; an
-  // exact scan over that delta merges into each answer under the same
-  // (distance, index) order the indexes use, so folding the delta into a
-  // rebuilt index would change no bits.
-  if (From < Map->size()) {
-    const int64_t D = Map->dim();
-    for (int64_t Q = 0; Q != NumQ; ++Q) {
-      NeighborList &L = Neigh[static_cast<size_t>(Q)];
-      const float *Query = Qs + Q * D;
-      for (size_t I = From; I != Map->size(); ++I)
-        if (Map->isLive(I))
-          L.emplace_back(static_cast<int>(I), Map->l1DistanceTo(Query, I));
-      std::sort(L.begin(), L.end(), [](const auto &A, const auto &B) {
-        if (A.second != B.second)
-          return A.second < B.second;
-        return A.first < B.first;
-      });
-      if (L.size() > static_cast<size_t>(Knn.K))
-        L.resize(static_cast<size_t>(Knn.K));
-    }
-  }
-  return Neigh;
 }
 
 std::vector<std::vector<PredictionResult>>
@@ -459,39 +321,21 @@ Predictor::annotateIncremental(const std::string &Path,
   //    matches predictSource over the untouched artifact — CI pins this).
   Map->removeMarkersForFile(Path);
   // 2. Parse and embed only this file — exactly one encoder pass, which
-  //    embedCalls() lets tests pin.
+  //    embedCalls() lets tests pin — and answer its targets through
+  //    predictBatch's kNN path, against the updated index.
   FileExample Ex = buildExample(CorpusFile{Path, Source}, *U, {});
-  std::vector<const Target *> Targets;
-  auto EmbedT0 = std::chrono::steady_clock::now();
-  nn::Value Emb = Model->embed({&Ex}, &Targets);
-  ++EmbedCalls;
-  EmbedMicros += microsSince(EmbedT0);
-  std::vector<PredictionResult> Out;
-  if (Emb.defined() && !Targets.empty()) {
-    const Tensor &E = Emb.val();
-    // 3. kNN against the updated index, through the same merged query
-    //    kernel predictBatch uses.
-    auto KnnT0 = std::chrono::steady_clock::now();
-    std::vector<NeighborList> Neigh =
-        queryNeighbors(E.data(), static_cast<int64_t>(Targets.size()));
-    KnnMicros += microsSince(KnnT0);
-    Out.reserve(Targets.size());
-    for (size_t I = 0; I != Targets.size(); ++I) {
-      PredictionResult R;
-      fillIdentity(R, Ex, *Targets[I], I);
-      R.Candidates = scoreNeighbors(*Map, Neigh[I], Knn.P);
-      Out.push_back(std::move(R));
-    }
-    // 4. Swap in the file's current markers so other files' queries see
-    //    its content. Unchanged rows resurrect their tombstones in place
-    //    — the τmap is bit-identical to the pre-edit state.
-    for (size_t I = 0; I != Targets.size(); ++I)
-      if (Targets[I]->Type)
-        Map->add(E.data() + static_cast<int64_t>(I) * E.cols(),
-                 Targets[I]->Type, Path);
-  }
-  // 5. Amortized compaction: only past the policy ratio do tombstones get
-  //    dropped and the forest rebuilt (over the live rows only).
+  std::vector<const FileExample *> Files{&Ex};
+  Embedded E = embedFiles(Files);
+  std::vector<PredictionResult> Out = std::move(predictKnn(Files, E).front());
+  // 3. Swap in the file's current markers so other files' queries see
+  //    its content. Unchanged rows resurrect their tombstones in place
+  //    — the τmap is bit-identical to the pre-edit state.
+  const Tensor &Emb = E.Embs.front();
+  for (size_t I = 0; I != E.Targets.front().size(); ++I)
+    Map->add(Emb.data() + static_cast<int64_t>(I) * Emb.cols(),
+             E.Targets.front()[I]->Type, Path);
+  // 4. Amortized compaction: only past the policy ratio do tombstones get
+  //    dropped and the index rebuilt (over the live rows only).
   maybeCompact();
   return Out;
 }
@@ -506,8 +350,9 @@ size_t Predictor::removeMarkersForFile(const std::string &Path) {
 }
 
 bool Predictor::compactMarkers() {
-  if (!IsKnn || !Map || !Map->compact())
+  if (!IsKnn || Index->isCompact())
     return false;
+  Map->compact();
   rebuildIndex();
   return true;
 }
@@ -517,12 +362,8 @@ void Predictor::maybeCompact() {
     compactMarkers();
 }
 
-std::vector<std::vector<PredictionResult>>
-Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
-  std::vector<std::vector<PredictionResult>> Out(Files.size());
-  if (Files.empty())
-    return Out;
-
+Predictor::Embedded
+Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
   // File-level data parallelism: each file goes through the exact
   // single-file embed call predictFile would make — bit-identity with
   // single-shot prediction holds by construction — and thread-safe
@@ -531,12 +372,13 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
   // matrix blows the cache while the small per-request GEMMs were never
   // parallel to begin with. File granularity scales with cores instead.)
   size_t N = Files.size();
-  std::vector<Tensor> Embs(N);
-  std::vector<std::vector<const Target *>> Targets(N);
+  Embedded E;
+  E.Embs.resize(N);
+  E.Targets.resize(N);
   auto EmbedOne = [&](size_t I) {
-    nn::Value Emb = Model->embed({Files[I]}, &Targets[I]);
+    nn::Value Emb = Model->embed({Files[I]}, &E.Targets[I]);
     if (Emb.defined())
-      Embs[I] = Emb.val();
+      E.Embs[I] = Emb.val();
   };
   auto EmbedT0 = std::chrono::steady_clock::now();
   if (Model->supportsParallelEmbed()) {
@@ -555,44 +397,55 @@ Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
   }
   EmbedCalls += N;
   EmbedMicros += microsSince(EmbedT0);
+  return E;
+}
 
-  if (IsKnn) {
-    // One bulk index probe for every target of every file, answered
-    // through the pool against the already-loaded τmap.
-    int64_t D = Map->dim();
-    std::vector<float> Queries;
-    int64_t NumQ = 0;
-    for (size_t I = 0; I != N; ++I)
-      NumQ += static_cast<int64_t>(Targets[I].size());
-    Queries.reserve(static_cast<size_t>(NumQ * D));
-    for (size_t I = 0; I != N; ++I)
-      if (Embs[I].numel() > 0)
-        Queries.insert(Queries.end(), Embs[I].data(),
-                       Embs[I].data() + Embs[I].numel());
-    auto KnnT0 = std::chrono::steady_clock::now();
-    std::vector<NeighborList> Neigh = queryNeighbors(Queries.data(), NumQ);
-    KnnMicros += microsSince(KnnT0);
-    size_t Row = 0;
-    for (size_t F = 0; F != N; ++F)
-      for (size_t I = 0; I != Targets[F].size(); ++I) {
-        PredictionResult R;
-        fillIdentity(R, *Files[F], *Targets[F][I], I);
-        R.Candidates = scoreNeighbors(*Map, Neigh[Row++], Knn.P);
-        Out[F].push_back(std::move(R));
-      }
-    return Out;
-  }
+std::vector<std::vector<PredictionResult>>
+Predictor::predictKnn(const std::vector<const FileExample *> &Files,
+                      const Embedded &E) {
+  // One bulk index probe for every target of every file, answered
+  // through the pool against the already-loaded τmap.
+  std::vector<float> Queries;
+  int64_t NumQ = 0;
+  for (const std::vector<const Target *> &T : E.Targets)
+    NumQ += static_cast<int64_t>(T.size());
+  Queries.reserve(static_cast<size_t>(NumQ * Map->dim()));
+  for (const Tensor &Emb : E.Embs)
+    if (Emb.numel() > 0)
+      Queries.insert(Queries.end(), Emb.data(), Emb.data() + Emb.numel());
+  auto KnnT0 = std::chrono::steady_clock::now();
+  std::vector<NeighborList> Neigh = Index->queryBatch(
+      Queries.data(), NumQ, Knn.K, Knn.EfSearch, Knn.NumThreads);
+  KnnMicros += microsSince(KnnT0);
+  std::vector<std::vector<PredictionResult>> Out(Files.size());
+  size_t Row = 0;
+  for (size_t F = 0; F != Files.size(); ++F)
+    for (size_t I = 0; I != E.Targets[F].size(); ++I) {
+      PredictionResult R;
+      fillIdentity(R, *Files[F], *E.Targets[F][I], I);
+      R.Candidates = scoreNeighbors(*Map, Neigh[Row++], Knn.P);
+      Out[F].push_back(std::move(R));
+    }
+  return Out;
+}
+
+std::vector<std::vector<PredictionResult>>
+Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
+  Embedded E = embedFiles(Files);
+  if (IsKnn)
+    return predictKnn(Files, E);
 
   // Classification path: per-file softmax over the closed vocabulary
   // (row results are independent, so per-file equals one stacked pass).
+  std::vector<std::vector<PredictionResult>> Out(Files.size());
   const TypeIdMap &Full = Model->typeVocabs().Full;
-  for (size_t F = 0; F != N; ++F) {
-    if (Embs[F].numel() == 0)
+  for (size_t F = 0; F != Files.size(); ++F) {
+    if (E.Embs[F].numel() == 0)
       continue;
-    Tensor Probs = Model->classProbs(nn::Value::constant(Embs[F]));
-    for (size_t I = 0; I != Targets[F].size(); ++I) {
+    Tensor Probs = Model->classProbs(nn::Value::constant(E.Embs[F]));
+    for (size_t I = 0; I != E.Targets[F].size(); ++I) {
       PredictionResult R;
-      fillIdentity(R, *Files[F], *Targets[F][I], I);
+      fillIdentity(R, *Files[F], *E.Targets[F][I], I);
       // Keep the top few candidates for PR sweeps.
       std::vector<std::pair<float, int>> Ranked;
       for (int64_t C = 0; C != Probs.cols(); ++C)

@@ -79,17 +79,6 @@ struct PredictionResult {
   }
 };
 
-/// Which index answers τmap queries. The numeric values are the
-/// serialized pred-chunk encoding (the byte that historically held the
-/// UseAnnoy bool, so exact/Annoy artifacts keep identical bytes) —
-/// append only.
-enum class KnnIndexKind : uint8_t { Exact = 0, Annoy = 1, Hnsw = 2 };
-
-/// "exact" | "annoy" | "hnsw" (CLI flags, `inspect` output, bench labels).
-const char *knnIndexName(KnnIndexKind K);
-/// Parses knnIndexName()'s strings; \returns false on anything else.
-bool parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out);
-
 /// kNN settings for the type-map predictor (Eq. 5).
 struct KnnOptions {
   int K = 10;
@@ -120,7 +109,7 @@ struct KnnOptions {
   /// τmap's rows are tombstones (markers retired by annotateIncremental /
   /// removeMarkersForFile), the map is compacted and the index rebuilt
   /// over the live rows. Below the threshold mutation never touches the
-  /// forest — removals are tombstones the queries skip, additions are
+  /// index — removals are tombstones the queries skip, additions are
   /// covered by an exact delta scan. <= 0 disables automatic compaction.
   double CompactRatio = 0.25;
 };
@@ -164,12 +153,16 @@ public:
   uint32_t artifactVersion() const;
 
   /// Writes the complete serving artifact to \p Path. \p U must be the
-  /// universe the model's (and τmap's) types were interned in.
+  /// universe the model's (and τmap's) types were interned in. A kNN
+  /// predictor must be compact — no tombstones, no rows appended since
+  /// the index was built — or save fails and \p Err says to call
+  /// compactMarkers() first.
   bool save(const std::string &Path, const TypeUniverse &U,
             std::string *Err) const;
   /// Chunk-level variant of save() for callers composing an archive with
-  /// extra chunks of their own.
-  void writeArtifact(ArchiveWriter &W, const TypeUniverse &U) const;
+  /// extra chunks of their own; same contract.
+  bool writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
+                     std::string *Err = nullptr) const;
 
   /// Predicts candidates for every target of \p File.
   std::vector<PredictionResult> predictFile(const FileExample &File);
@@ -203,8 +196,9 @@ public:
   /// Tombstones \p Path's markers (the LSP's didClose) and applies the
   /// compaction policy. \returns the number of markers retired.
   size_t removeMarkersForFile(const std::string &Path);
-  /// Drops tombstoned rows and rebuilds the index over the live markers;
-  /// no-op without tombstones. \returns true when work was done.
+  /// Drops tombstoned rows and rebuilds the index over every live marker,
+  /// folding in rows appended since the last build; no-op when there are
+  /// neither. \returns true when work was done.
   bool compactMarkers();
 
   /// The batched serving entry point: every file goes through the exact
@@ -227,13 +221,9 @@ public:
 
   /// Adds a marker to the τmap without retraining — the open-vocabulary
   /// adaptation of Sec. 4.2. The row is appended without rebuilding the
-  /// forest; queries cover it through the exact delta scan until the next
+  /// index; queries cover it through the exact delta scan until the next
   /// compaction or rebuild.
   void addMarker(const float *Embedding, TypeRef T);
-
-  /// Embeds one file's targets and adds all of them as markers, tagged
-  /// with the file's path (so they participate in the mutation API).
-  void addMarkersFrom(const FileExample &File);
 
   bool isKnn() const { return IsKnn; }
   TypeModel &model() { return *Model; }
@@ -247,16 +237,15 @@ public:
   /// Encoder passes made so far (one per embedded file) — lets tests pin
   /// that the incremental path re-embeds exactly one file per edit.
   uint64_t embedCalls() const { return EmbedCalls; }
-  /// Cumulative wall time spent embedding queries / probing the kNN
-  /// index across predictBatch and annotateIncremental — the serve
-  /// daemon diffs these around each batch for its stats breakdown.
+  /// Cumulative wall time spent in encoder passes (the τmap fill
+  /// included) / in kNN index probes — the serve daemon diffs these
+  /// around each batch for its stats breakdown.
   /// Observability only: timing never influences results.
   uint64_t embedMicros() const { return EmbedMicros; }
   uint64_t knnMicros() const { return KnnMicros; }
   const TypeMap &typeMap() const { return *Map; }
-  /// The live HNSW graph, or nullptr when another index kind is active —
-  /// `inspect` reads the build parameters off it.
-  const HnswIndex *hnswIndex() const { return Hnsw.get(); }
+  /// The index answering τmap queries (null for classifier predictors).
+  const KnnIndex *knnIndex() const { return Index.get(); }
   const KnnOptions &knnOptions() const { return Knn; }
   void setKnnOptions(const KnnOptions &O);
 
@@ -272,11 +261,21 @@ private:
   explicit Predictor(TypeModel &Model) : Model(&Model) {}
   Predictor() = default;
   void rebuildIndex();
-  /// The one kNN probe every prediction path shares: the forest (or the
-  /// exact index), plus an exact scan over rows appended after the forest
-  /// was built, merged under the same (distance, index) order. Skips
-  /// tombstones throughout. \p Qs holds \p NumQ rows of dim() floats.
-  std::vector<NeighborList> queryNeighbors(const float *Qs, int64_t NumQ);
+  /// Per-file encoder outputs: target embeddings (one row per target) and
+  /// the targets themselves, index-aligned with the embedded files.
+  struct Embedded {
+    std::vector<Tensor> Embs;
+    std::vector<std::vector<const Target *>> Targets;
+  };
+  /// One encoder pass per file — data-parallel when the encoder allows
+  /// it — counted in embedCalls()/embedMicros().
+  Embedded embedFiles(const std::vector<const FileExample *> &Files);
+  /// The kNN prediction path predictBatch and annotateIncremental share:
+  /// one bulk index probe for every target (timed into knnMicros()), then
+  /// Eq. 5 scoring. \returns per-file results, index-aligned with \p Files.
+  std::vector<std::vector<PredictionResult>>
+  predictKnn(const std::vector<const FileExample *> &Files,
+             const Embedded &E);
   /// Applies KnnOptions::CompactRatio (compact + rebuild when exceeded).
   void maybeCompact();
 
@@ -289,9 +288,7 @@ private:
   bool IsKnn = false;
   KnnOptions Knn;
   std::unique_ptr<TypeMap> Map;
-  std::unique_ptr<AnnoyIndex> Annoy;
-  std::unique_ptr<HnswIndex> Hnsw;
-  std::unique_ptr<ExactIndex> Exact;
+  std::unique_ptr<KnnIndex> Index;
   uint64_t EmbedCalls = 0;
   uint64_t EmbedMicros = 0;
   uint64_t KnnMicros = 0;

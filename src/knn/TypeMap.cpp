@@ -4,6 +4,7 @@
 
 #include "nn/Simd.h"
 #include "support/Float16.h"
+#include "support/Str.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -34,6 +35,30 @@ bool typilus::parseMarkerStore(std::string_view Name, MarkerStore *Out) {
     *Out = MarkerStore::F16;
   else if (Name == "int8")
     *Out = MarkerStore::Int8;
+  else
+    return false;
+  return true;
+}
+
+const char *typilus::knnIndexName(KnnIndexKind K) {
+  switch (K) {
+  case KnnIndexKind::Exact:
+    return "exact";
+  case KnnIndexKind::Annoy:
+    return "annoy";
+  case KnnIndexKind::Hnsw:
+    return "hnsw";
+  }
+  return "exact";
+}
+
+bool typilus::parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out) {
+  if (Name == "exact")
+    *Out = KnnIndexKind::Exact;
+  else if (Name == "annoy")
+    *Out = KnnIndexKind::Annoy;
+  else if (Name == "hnsw")
+    *Out = KnnIndexKind::Hnsw;
   else
     return false;
   return true;
@@ -677,9 +702,12 @@ inline bool neighborLess(const std::pair<int, float> &A,
 /// while every query of the block scans it, so a query block reads the
 /// marker array once from memory instead of once per query.
 constexpr size_t kMarkerTile = 256;
-/// Queries per block — also queryBatch's parallelFor grain, so tiny
+/// Queries per block — also the exact index's parallelFor grain, so tiny
 /// batches form a handful of tile-sized tasks instead of one per query.
 constexpr int64_t kQueryTile = 16;
+/// Annoy's search_k heuristic: the forest walk inspects NumTrees * K * 4
+/// candidates before the exact re-rank.
+constexpr int kAnnoyCandidatesPerTreeAndK = 4;
 
 /// Bounded max-heap push: keeps the K smallest candidates under
 /// neighborLess, worst on top.
@@ -694,74 +722,145 @@ inline void pushBounded(NeighborList &H, int K, std::pair<int, float> Cand) {
   }
 }
 
-} // namespace
-
-void ExactIndex::queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd,
-                            int K, std::vector<NeighborList> &Heaps,
-                            std::vector<NeighborList> &Results) const {
+/// The blocked exact engine: answers queries [QBegin, QEnd) of \p Qs over
+/// the live rows in [RowBegin, RowEnd) into Out[0, QEnd - QBegin), each
+/// ascending under neighborLess. Queries go kQueryTile at a time, with
+/// one bounded heap per query of the tile reused across tiles.
+void scanRows(const TypeMap &Map, const float *Qs, int64_t QBegin,
+              int64_t QEnd, int K, size_t RowBegin, size_t RowEnd,
+              NeighborList *Out) {
+  if (K <= 0)
+    return; // Out entries stay empty, like the legacy Keep=0.
   const nn::simd::KernelTable &KT = nn::simd::active();
   const int64_t D = Map.dim();
-  const size_t N = Map.size();
-  const size_t NumQ = static_cast<size_t>(QEnd - QBegin);
-  if (K <= 0)
-    return; // Results entries stay default-empty, like the legacy Keep=0.
-  if (Heaps.size() < NumQ)
-    Heaps.resize(NumQ);
-  for (size_t Q = 0; Q != NumQ; ++Q) {
-    Heaps[Q].clear();
-    Heaps[Q].reserve(static_cast<size_t>(K));
-  }
   // Hoist the store dispatch out of the tile bodies: raw arrays + the
-  // active kernel table, fetched once per block.
+  // active kernel table, fetched once.
   const MarkerStore Store = Map.store();
   const float *F32 = Map.rawF32();
   const uint16_t *F16 = Map.rawF16();
   const int8_t *I8 = Map.rawI8();
   const float *Scales = Map.rawI8Scales();
-  for (size_t MB = 0; MB < N; MB += kMarkerTile) {
-    const size_t ME = std::min(N, MB + kMarkerTile);
+  std::vector<NeighborList> Heaps(static_cast<size_t>(kQueryTile));
+  for (int64_t QB = QBegin; QB < QEnd; QB += kQueryTile) {
+    const size_t NumQ =
+        static_cast<size_t>(std::min(QEnd, QB + kQueryTile) - QB);
     for (size_t Q = 0; Q != NumQ; ++Q) {
-      const float *Query = Qs + (QBegin + static_cast<int64_t>(Q)) * D;
-      NeighborList &H = Heaps[Q];
-      switch (Store) {
-      case MarkerStore::F32:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(H, K,
-                        {static_cast<int>(I),
-                         KT.L1(Query, F32 + I * static_cast<size_t>(D), D)});
-        break;
-      case MarkerStore::F16:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(
-                H, K,
-                {static_cast<int>(I),
-                 KT.L1F16(Query, F16 + I * static_cast<size_t>(D), D)});
-        break;
-      case MarkerStore::Int8:
-        for (size_t I = MB; I != ME; ++I)
-          if (Map.isLive(I))
-            pushBounded(H, K,
-                        {static_cast<int>(I),
-                         KT.L1I8(Query, I8 + I * static_cast<size_t>(D),
-                                 Scales[I], D)});
-        break;
+      Heaps[Q].clear();
+      Heaps[Q].reserve(static_cast<size_t>(K));
+    }
+    for (size_t MB = RowBegin; MB < RowEnd; MB += kMarkerTile) {
+      const size_t ME = std::min(RowEnd, MB + kMarkerTile);
+      for (size_t Q = 0; Q != NumQ; ++Q) {
+        const float *Query = Qs + (QB + static_cast<int64_t>(Q)) * D;
+        NeighborList &H = Heaps[Q];
+        switch (Store) {
+        case MarkerStore::F32:
+          for (size_t I = MB; I != ME; ++I)
+            if (Map.isLive(I))
+              pushBounded(H, K,
+                          {static_cast<int>(I),
+                           KT.L1(Query, F32 + I * static_cast<size_t>(D), D)});
+          break;
+        case MarkerStore::F16:
+          for (size_t I = MB; I != ME; ++I)
+            if (Map.isLive(I))
+              pushBounded(
+                  H, K,
+                  {static_cast<int>(I),
+                   KT.L1F16(Query, F16 + I * static_cast<size_t>(D), D)});
+          break;
+        case MarkerStore::Int8:
+          for (size_t I = MB; I != ME; ++I)
+            if (Map.isLive(I))
+              pushBounded(H, K,
+                          {static_cast<int>(I),
+                           KT.L1I8(Query, I8 + I * static_cast<size_t>(D),
+                                   Scales[I], D)});
+          break;
+        }
       }
     }
-  }
-  for (size_t Q = 0; Q != NumQ; ++Q) {
-    NeighborList &H = Heaps[Q];
-    std::sort_heap(H.begin(), H.end(), neighborLess);
-    Results[static_cast<size_t>(QBegin) + Q] = H;
+    for (size_t Q = 0; Q != NumQ; ++Q) {
+      std::sort_heap(Heaps[Q].begin(), Heaps[Q].end(), neighborLess);
+      Out[static_cast<size_t>(QB - QBegin) + Q] = Heaps[Q];
+    }
   }
 }
 
-NeighborList ExactIndex::query(const float *Q, int K) const {
-  std::vector<NeighborList> Results(1);
-  std::vector<NeighborList> Heaps;
-  queryBlock(Q, 0, 1, K, Heaps, Results);
-  return std::move(Results.front());
+} // namespace
+
+std::vector<NeighborList> KnnIndex::queryBatch(const float *Qs,
+                                               int64_t NumQueries, int K,
+                                               int EfSearch,
+                                               int MaxWays) const {
+  std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
+  parallelFor(
+      0, NumQueries, Grain,
+      [&](int64_t Lo, int64_t Hi) {
+        queryChunk(Qs, Lo, Hi, K, EfSearch, Results);
+        if (NumIndexed == Map.size())
+          return;
+        // The delta: rows appended since the build, scanned exactly and
+        // merged into each sorted answer under the same total order.
+        std::vector<NeighborList> Delta(static_cast<size_t>(Hi - Lo));
+        scanRows(Map, Qs, Lo, Hi, K, NumIndexed, Map.size(), Delta.data());
+        for (int64_t Q = Lo; Q != Hi; ++Q) {
+          NeighborList &L = Results[static_cast<size_t>(Q)];
+          const NeighborList &R = Delta[static_cast<size_t>(Q - Lo)];
+          auto Mid = static_cast<std::ptrdiff_t>(L.size());
+          L.insert(L.end(), R.begin(), R.end());
+          std::inplace_merge(L.begin(), L.begin() + Mid, L.end(),
+                             neighborLess);
+          if (L.size() > static_cast<size_t>(K))
+            L.resize(static_cast<size_t>(K));
+        }
+      },
+      MaxWays);
+  return Results;
+}
+
+bool KnnIndex::isCompact(std::string *Err) const {
+  if (Map.deadMarkers() == 0 && NumIndexed == Map.size())
+    return true;
+  if (Err)
+    *Err = strformat("the type map holds %zu tombstoned and %zu unindexed "
+                     "rows; call compactMarkers() before saving",
+                     Map.deadMarkers(), Map.size() - NumIndexed);
+  return false;
+}
+
+std::unique_ptr<KnnIndex> typilus::buildKnnIndex(KnnIndexKind Kind,
+                                                 const TypeMap &Map,
+                                                 int NumThreads) {
+  if (Kind == KnnIndexKind::Exact || Map.size() == 0)
+    return std::make_unique<ExactIndex>(Map);
+  if (Kind == KnnIndexKind::Annoy)
+    return std::make_unique<AnnoyIndex>(Map, /*NumTrees=*/8, /*LeafSize=*/16,
+                                        /*Seed=*/0xA220, NumThreads);
+  return std::make_unique<HnswIndex>(Map, /*M=*/16, /*EfConstruction=*/128,
+                                     /*Seed=*/0x45317, NumThreads);
+}
+
+std::unique_ptr<KnnIndex> typilus::loadKnnIndex(KnnIndexKind Kind,
+                                                const ArchiveReader &R,
+                                                const TypeMap &Map,
+                                                std::string *Err) {
+  // Mirrors buildKnnIndex: exact and empty maps have no snapshot chunk.
+  if (Kind == KnnIndexKind::Exact || Map.size() == 0)
+    return std::make_unique<ExactIndex>(Map);
+  // A missing chunk poisons the cursor; the chunk() error is the one kept.
+  ArchiveCursor C = R.chunk(Kind == KnnIndexKind::Annoy ? "anny" : "hnsw", Err);
+  if (Kind == KnnIndexKind::Annoy)
+    return AnnoyIndex::load(C, Map, Err);
+  return HnswIndex::load(C, Map, Err);
+}
+
+ExactIndex::ExactIndex(const TypeMap &Map) : KnnIndex(Map, kQueryTile) {}
+
+void ExactIndex::queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
+                            int, std::vector<NeighborList> &Out) const {
+  scanRows(Map, Qs, Lo, Hi, K, 0, NumIndexed,
+           Out.data() + static_cast<size_t>(Lo));
 }
 
 NeighborList ExactIndex::queryLegacy(const float *Q, int K) const {
@@ -772,36 +871,14 @@ NeighborList ExactIndex::queryLegacy(const float *Q, int K) const {
       All.emplace_back(static_cast<int>(I), Map.l1DistanceTo(Q, I));
   size_t Keep = std::min<size_t>(static_cast<size_t>(K), All.size());
   std::partial_sort(All.begin(), All.begin() + static_cast<long>(Keep),
-                    All.end(), [](const auto &A, const auto &B) {
-                      if (A.second != B.second)
-                        return A.second < B.second;
-                      return A.first < B.first;
-                    });
+                    All.end(), neighborLess);
   All.resize(Keep);
   return All;
 }
 
-std::vector<NeighborList> ExactIndex::queryBatch(const float *Qs,
-                                                 int64_t NumQueries, int K,
-                                                 int MaxWays) const {
-  std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
-  parallelFor(
-      0, NumQueries, kQueryTile,
-      [&](int64_t Lo, int64_t Hi) {
-        // Per-chunk scratch: the block heaps are reused across every
-        // query tile of this chunk — no per-query allocation at all.
-        std::vector<NeighborList> Heaps;
-        for (int64_t QB = Lo; QB < Hi; QB += kQueryTile)
-          queryBlock(Qs, QB, std::min(Hi, QB + kQueryTile), K, Heaps,
-                     Results);
-      },
-      MaxWays);
-  return Results;
-}
-
 AnnoyIndex::AnnoyIndex(const TypeMap &Map, int NumTrees, int LeafSize,
                        uint64_t Seed, int MaxWays)
-    : Map(Map), LeafSize(LeafSize), NumIndexed(Map.size()) {
+    : KnnIndex(Map, 1), LeafSize(LeafSize) {
   // Derive an independent stream per tree up front; tree T's shape is then
   // a function of (Map, Seed, T) alone, so building the forest one pool
   // task per tree yields exactly the serial forest.
@@ -879,7 +956,6 @@ std::unique_ptr<AnnoyIndex> AnnoyIndex::load(ArchiveCursor &C,
     return nullptr;
   };
   std::unique_ptr<AnnoyIndex> Idx(new AnnoyIndex(Map, LoadShellTag{}));
-  Idx->NumIndexed = Map.size();
   Idx->LeafSize = C.readI32();
   uint64_t NumNodes = C.readU64();
   if (!C.ok() || NumNodes > C.remaining())
@@ -980,72 +1056,56 @@ int AnnoyIndex::buildTree(std::vector<BuildNode> &Out, std::vector<int> Items,
   return Idx;
 }
 
-NeighborList AnnoyIndex::query(const float *Q, int K, int SearchK) const {
-  if (Map.size() == 0)
-    return {};
-  if (SearchK < 0)
-    SearchK = static_cast<int>(Roots.size()) * K * 4;
-  // Best-first traversal over all trees: priority = margin to the split
-  // plane (0 within the chosen side).
+void AnnoyIndex::queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
+                            int, std::vector<NeighborList> &Out) const {
+  const int SearchK =
+      static_cast<int>(Roots.size()) * K * kAnnoyCandidatesPerTreeAndK;
   using Entry = std::pair<float, int>; // (priority, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Queue;
-  for (int Root : Roots)
-    Queue.emplace(0.f, Root);
-  std::vector<char> Seen(Map.size(), 0);
+  std::vector<char> Seen;
   std::vector<int> Candidates;
-  while (!Queue.empty() &&
-         static_cast<int>(Candidates.size()) < SearchK) {
-    auto [Prio, NodeIdx] = Queue.top();
-    Queue.pop();
-    const BuildNode &N = Nodes[static_cast<size_t>(NodeIdx)];
-    if (N.SplitDim < 0) {
-      // Tombstoned rows stay in the leaves until compact(); skipping them
-      // here (a no-op on a tombstone-free map) is what makes removal
-      // effective without touching the forest.
-      for (int It : N.Items)
-        if (!Seen[static_cast<size_t>(It)]) {
-          Seen[static_cast<size_t>(It)] = 1;
-          if (Map.isLive(static_cast<size_t>(It)))
-            Candidates.push_back(It);
-        }
-      continue;
+  for (int64_t QI = Lo; QI != Hi; ++QI) {
+    const float *Q = Qs + QI * Map.dim();
+    // Best-first traversal over all trees: priority = margin to the split
+    // plane (0 within the chosen side).
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Queue;
+    for (int Root : Roots)
+      Queue.emplace(0.f, Root);
+    Seen.assign(NumIndexed, 0);
+    Candidates.clear();
+    while (!Queue.empty() &&
+           static_cast<int>(Candidates.size()) < SearchK) {
+      auto [Prio, NodeIdx] = Queue.top();
+      Queue.pop();
+      const BuildNode &N = Nodes[static_cast<size_t>(NodeIdx)];
+      if (N.SplitDim < 0) {
+        // Tombstoned rows stay in the leaves until compact(); skipping
+        // them here (a no-op on a tombstone-free map) is what makes
+        // removal effective without touching the forest.
+        for (int It : N.Items)
+          if (!Seen[static_cast<size_t>(It)]) {
+            Seen[static_cast<size_t>(It)] = 1;
+            if (Map.isLive(static_cast<size_t>(It)))
+              Candidates.push_back(It);
+          }
+        continue;
+      }
+      float Margin = Q[N.SplitDim] - N.Threshold;
+      int Near = Margin < 0 ? N.Left : N.Right;
+      int Far = Margin < 0 ? N.Right : N.Left;
+      Queue.emplace(Prio, Near);
+      Queue.emplace(Prio + std::fabs(Margin), Far);
     }
-    float Margin = Q[N.SplitDim] - N.Threshold;
-    int Near = Margin < 0 ? N.Left : N.Right;
-    int Far = Margin < 0 ? N.Right : N.Left;
-    Queue.emplace(Prio, Near);
-    Queue.emplace(Prio + std::fabs(Margin), Far);
+    // Exact re-rank of the candidate union (over the stored
+    // representation).
+    NeighborList &Result = Out[static_cast<size_t>(QI)];
+    Result.reserve(Candidates.size());
+    for (int It : Candidates)
+      Result.emplace_back(It, Map.l1DistanceTo(Q, static_cast<size_t>(It)));
+    size_t Keep = std::min<size_t>(static_cast<size_t>(K), Result.size());
+    std::partial_sort(Result.begin(), Result.begin() + static_cast<long>(Keep),
+                      Result.end(), neighborLess);
+    Result.resize(Keep);
   }
-  // Exact re-rank of the candidate union (over the stored representation).
-  NeighborList Result;
-  Result.reserve(Candidates.size());
-  for (int It : Candidates)
-    Result.emplace_back(It, Map.l1DistanceTo(Q, static_cast<size_t>(It)));
-  size_t Keep = std::min<size_t>(static_cast<size_t>(K), Result.size());
-  std::partial_sort(Result.begin(), Result.begin() + static_cast<long>(Keep),
-                    Result.end(), [](const auto &A, const auto &B) {
-                      if (A.second != B.second)
-                        return A.second < B.second;
-                      return A.first < B.first;
-                    });
-  Result.resize(Keep);
-  return Result;
-}
-
-std::vector<NeighborList> AnnoyIndex::queryBatch(const float *Qs,
-                                                 int64_t NumQueries, int K,
-                                                 int SearchK,
-                                                 int MaxWays) const {
-  std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
-  const int D = Map.dim();
-  parallelFor(
-      0, NumQueries, 1,
-      [&](int64_t Lo, int64_t Hi) {
-        for (int64_t I = Lo; I != Hi; ++I)
-          Results[static_cast<size_t>(I)] = query(Qs + I * D, K, SearchK);
-      },
-      MaxWays);
-  return Results;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1205,9 +1265,9 @@ void HnswIndex::insert(size_t I, const float *Coords, SearchScratch &S) {
 
 HnswIndex::HnswIndex(const TypeMap &Map, int M, int EfConstruction,
                      uint64_t Seed, int MaxWays)
-    : Map(Map), M(std::max(2, M)),
+    : KnnIndex(Map, 8), M(std::max(2, M)),
       EfConstruction(std::max(8, EfConstruction)), Seed(Seed),
-      MaxWays(MaxWays), NumIndexed(Map.size()) {
+      MaxWays(MaxWays) {
   size_t N = Map.size();
   Nodes.resize(N);
   // Levels first (a pure per-row function), then strict row-order
@@ -1224,54 +1284,41 @@ HnswIndex::HnswIndex(const TypeMap &Map, int M, int EfConstruction,
   }
 }
 
-NeighborList HnswIndex::queryWithScratch(const float *Q, int K, int EfSearch,
-                                         SearchScratch &S) const {
+void HnswIndex::queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
+                           int EfSearch,
+                           std::vector<NeighborList> &Out) const {
   if (EntryPoint < 0 || K <= 0)
-    return {};
-  int Ef = EfSearch < 0 ? std::max(4 * K, 64) : EfSearch;
-  Ef = std::max(Ef, K);
-  int Ep = EntryPoint;
-  float EpDist = Map.l1DistanceTo(Q, static_cast<size_t>(Ep));
-  for (int Layer = MaxLevel; Layer > 0; --Layer)
-    descendLayer(Q, Ep, EpDist, Layer);
+    return;
+  const int Ef = std::max(EfSearch > 0 ? EfSearch : std::max(4 * K, 64), K);
+  SearchScratch S; // reused across this chunk's queries
   std::vector<std::pair<float, int>> Found;
-  searchLayer(Q, Ep, EpDist, Ef, 0, S, Found);
-  // Found is already ascending under (distance, index) with exact
-  // distances; keep the first K live rows (tombstones route but never
-  // surface — same contract as the other indexes).
-  NeighborList Result;
-  Result.reserve(std::min<size_t>(static_cast<size_t>(K), Found.size()));
-  for (const auto &[Dist, Idx] : Found) {
-    if (!Map.isLive(static_cast<size_t>(Idx)))
-      continue;
-    Result.emplace_back(Idx, Dist);
-    if (static_cast<int>(Result.size()) == K)
-      break;
+  for (int64_t QI = Lo; QI != Hi; ++QI) {
+    const float *Q = Qs + QI * Map.dim();
+    int Ep = EntryPoint;
+    float EpDist = Map.l1DistanceTo(Q, static_cast<size_t>(Ep));
+    for (int Layer = MaxLevel; Layer > 0; --Layer)
+      descendLayer(Q, Ep, EpDist, Layer);
+    searchLayer(Q, Ep, EpDist, Ef, 0, S, Found);
+    // Found is already ascending under (distance, index) with exact
+    // distances; keep the first K live rows (tombstones route but never
+    // surface).
+    NeighborList &Result = Out[static_cast<size_t>(QI)];
+    for (const auto &[Dist, Idx] : Found) {
+      if (!Map.isLive(static_cast<size_t>(Idx)))
+        continue;
+      Result.emplace_back(Idx, Dist);
+      if (static_cast<int>(Result.size()) == K)
+        break;
+    }
   }
-  return Result;
 }
 
-NeighborList HnswIndex::query(const float *Q, int K, int EfSearch) const {
-  SearchScratch S;
-  return queryWithScratch(Q, K, EfSearch, S);
-}
-
-std::vector<NeighborList> HnswIndex::queryBatch(const float *Qs,
-                                                int64_t NumQueries, int K,
-                                                int EfSearch,
-                                                int MaxWays) const {
-  std::vector<NeighborList> Results(static_cast<size_t>(NumQueries));
-  const int64_t D = Map.dim();
-  parallelFor(
-      0, NumQueries, 8,
-      [&](int64_t Lo, int64_t Hi) {
-        SearchScratch S; // reused across this chunk's queries
-        for (int64_t I = Lo; I != Hi; ++I)
-          Results[static_cast<size_t>(I)] =
-              queryWithScratch(Qs + I * D, K, EfSearch, S);
-      },
-      MaxWays);
-  return Results;
+std::string HnswIndex::describe(int EfSearch) const {
+  return strformat("hnsw graph: %zu nodes, M=%d, efConstruction=%d, "
+                   "efSearch=%s",
+                   NumIndexed, M, EfConstruction,
+                   EfSearch > 0 ? std::to_string(EfSearch).c_str()
+                                : "default");
 }
 
 void HnswIndex::save(ArchiveWriter &W) const {
@@ -1300,7 +1347,6 @@ std::unique_ptr<HnswIndex> HnswIndex::load(ArchiveCursor &C,
     return nullptr;
   };
   std::unique_ptr<HnswIndex> Idx(new HnswIndex(Map, LoadShellTag{}));
-  Idx->NumIndexed = Map.size();
   Idx->M = C.readI32();
   Idx->EfConstruction = C.readI32();
   Idx->Seed = C.readU64();

@@ -18,6 +18,9 @@
 /// freshly built f32 map; `subsampleCoreset` bounds the marker count first
 /// while keeping every type represented.
 ///
+/// The three indexes (exact scan, Annoy forest, HNSW graph) share one
+/// KnnIndex interface: a `queryBatch` that also answers rows appended
+/// since the build, and one snapshot/save contract.
 /// Index construction and bulk queries dispatch through the process-wide
 /// ThreadPool: the forest is built one task per tree from per-tree derived
 /// seeds (so the parallel build is identical to the serial one), and
@@ -63,6 +66,17 @@ enum class MarkerStore : uint8_t { F32 = 0, F16 = 1, Int8 = 2 };
 const char *markerStoreName(MarkerStore S);
 /// Parses markerStoreName()'s strings; \returns false on anything else.
 bool parseMarkerStore(std::string_view Name, MarkerStore *Out);
+
+/// Which index answers τmap queries. The numeric values are the
+/// serialized pred-chunk encoding (the byte that historically held the
+/// UseAnnoy bool, so exact/Annoy artifacts keep identical bytes) —
+/// append only.
+enum class KnnIndexKind : uint8_t { Exact = 0, Annoy = 1, Hnsw = 2 };
+
+/// "exact" | "annoy" | "hnsw" (CLI flags, `inspect` output, bench labels).
+const char *knnIndexName(KnnIndexKind K);
+/// Parses knnIndexName()'s strings; \returns false on anything else.
+bool parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out);
 
 /// A store of D-dimensional type markers.
 class TypeMap {
@@ -269,6 +283,78 @@ std::vector<ScoredType> scoreNeighbors(const TypeMap &Map,
                                        const NeighborList &Neighbors,
                                        double P);
 
+/// The one interface every τmap index speaks. An index covers the rows
+/// the map held when it was built (or loaded): [0, indexedMarkers()).
+/// Rows appended afterwards — the *delta* — are answered by queryBatch
+/// itself: a blocked exact scan of [indexedMarkers(), size()) merged with
+/// the index's top-K under the (distance, index) order. That order is
+/// total, so the top-K of the two sorted top-K lists is the top-K of their
+/// union, and folding the delta into a rebuilt index changes no bits.
+/// Tombstoned rows never surface, on either side of the boundary.
+class KnnIndex {
+public:
+  virtual ~KnnIndex() = default;
+  KnnIndex(const KnnIndex &) = delete;
+  KnnIndex &operator=(const KnnIndex &) = delete;
+
+  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
+  /// the pool; \p MaxWays > 0 caps the parallelism. \p EfSearch is the
+  /// per-request budget: only HNSW reads it, <= 0 means its default.
+  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
+                                       int K, int EfSearch = 0,
+                                       int MaxWays = 0) const;
+  NeighborList query(const float *Q, int K, int EfSearch = 0) const {
+    return std::move(queryBatch(Q, 1, K, EfSearch).front());
+  }
+
+  /// Markers the index was built (or loaded) over.
+  size_t indexedMarkers() const { return NumIndexed; }
+  /// The save contract: a snapshot must cover exactly the map's rows, and
+  /// the map must hold no tombstones (session state, never serialized).
+  /// \returns false otherwise, with an error that says to compact first.
+  bool isCompact(std::string *Err = nullptr) const;
+
+  /// Chunk tag of the snapshot save() writes ("anny" | "hnsw"); null when
+  /// there is nothing to snapshot (the exact scan).
+  virtual const char *snapshotTag() const { return nullptr; }
+  /// The artifact format version that introduced the snapshot chunk.
+  virtual uint32_t snapshotVersion() const { return 1; }
+  /// Appends the built structure to the open chunk, so a serving process
+  /// skips the rebuild.
+  virtual void save(ArchiveWriter &) const {}
+  /// One `inspect` line on the built structure and the query budget;
+  /// empty when the kind says it all.
+  virtual std::string describe(int /*EfSearch*/) const { return {}; }
+
+protected:
+  /// \p Grain: queries per pool chunk.
+  KnnIndex(const TypeMap &Map, int64_t Grain)
+      : Map(Map), NumIndexed(Map.size()), Grain(Grain) {}
+  /// Answers queries [Lo, Hi) of \p Qs over rows [0, NumIndexed) into
+  /// \p Out. Called once per pool chunk, so scratch can live per chunk.
+  virtual void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
+                          int EfSearch,
+                          std::vector<NeighborList> &Out) const = 0;
+
+  const TypeMap &Map;
+  size_t NumIndexed;
+
+private:
+  int64_t Grain;
+};
+
+/// Builds a \p Kind index over \p Map (\p NumThreads > 0 caps the build
+/// parallelism). An empty map gets the exact scan: there is nothing to
+/// index, and every row added later is delta.
+std::unique_ptr<KnnIndex> buildKnnIndex(KnnIndexKind Kind, const TypeMap &Map,
+                                        int NumThreads = 0);
+/// Loads the \p Kind index saved alongside \p Map from its snapshot chunk
+/// of \p R — only that kind's chunk is read. \returns null and sets
+/// \p Err on a missing or malformed snapshot.
+std::unique_ptr<KnnIndex> loadKnnIndex(KnnIndexKind Kind,
+                                       const ArchiveReader &R,
+                                       const TypeMap &Map, std::string *Err);
+
 /// Exact L1 k-nearest-neighbour scan (the reference the approximate
 /// indexes are validated against). The engine is a cache-blocked
 /// query×marker tiled scan: each marker tile is streamed once through
@@ -277,64 +363,37 @@ std::vector<ScoredType> scoreNeighbors(const TypeMap &Map,
 /// and the tile bodies dispatch through the active SIMD kernel table
 /// with the store switch hoisted out of the inner loops. Ties break
 /// (distance, index) exactly like the historical partial_sort, so
-/// results are bit-identical to queryLegacy for every store.
-class ExactIndex {
+/// results are bit-identical to queryLegacy for every store. The same
+/// scan answers every index's delta rows.
+class ExactIndex : public KnnIndex {
 public:
-  explicit ExactIndex(const TypeMap &Map) : Map(Map) {}
-  NeighborList query(const float *Q, int K) const;
+  explicit ExactIndex(const TypeMap &Map);
 
   /// The historical scan — materialize an N-entry candidate list, then
   /// partial_sort. Kept as the bit-identity reference for tests and the
   /// knn_query bench baseline; production callers use query().
   NeighborList queryLegacy(const float *Q, int K) const;
 
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool, partitioned in tile-sized grains with per-chunk reusable
-  /// scratch; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int MaxWays = 0) const;
-
 private:
-  /// Blocked engine over queries [QBegin, QEnd) of \p Qs. \p Heaps is
-  /// caller-owned scratch (one bounded heap per query of the block),
-  /// reused across blocks by queryBatch.
-  void queryBlock(const float *Qs, int64_t QBegin, int64_t QEnd, int K,
-                  std::vector<NeighborList> &Heaps,
-                  std::vector<NeighborList> &Results) const;
-
-  const TypeMap &Map;
+  void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K, int,
+                  std::vector<NeighborList> &Out) const override;
 };
 
 /// An Annoy-style randomised kd-forest for L1 distance: each tree splits on
 /// the coordinate of largest spread between two random markers; queries
-/// descend all trees best-first and exactly re-rank the candidate union.
-/// Trees are seeded independently (derived from \p Seed per tree) and built
-/// one pool task per tree, so the forest does not depend on thread count.
-class AnnoyIndex {
+/// descend all trees best-first, inspect NumTrees * K * 4 candidates
+/// (Annoy's search_k heuristic) and exactly re-rank them. Trees are
+/// seeded independently (derived from \p Seed per tree) and built one
+/// pool task per tree, so the forest does not depend on thread count.
+class AnnoyIndex : public KnnIndex {
 public:
   /// \p MaxWays > 0 caps the build parallelism (1 = fully serial).
   AnnoyIndex(const TypeMap &Map, int NumTrees = 8, int LeafSize = 16,
              uint64_t Seed = 0xA220, int MaxWays = 0);
 
-  /// \p SearchK: number of candidates to inspect (defaults to
-  /// NumTrees * K * 4, Annoy's heuristic).
-  NeighborList query(const float *Q, int K, int SearchK = -1) const;
-
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int SearchK = -1,
-                                       int MaxWays = 0) const;
-
-  /// Markers the forest was built (or loaded) over. Rows appended to the
-  /// map afterwards are invisible to the forest; callers cover that delta
-  /// with an exact scan of [indexedMarkers(), Map.size()) and merge (see
-  /// Predictor::queryNeighbors) until the next rebuild.
-  size_t indexedMarkers() const { return NumIndexed; }
-
-  /// Appends the built forest (leaf size, nodes, roots) to the open
-  /// chunk so a serving process can skip the rebuild entirely.
-  void save(ArchiveWriter &W) const;
+  const char *snapshotTag() const override { return "anny"; }
+  /// Writes leaf size, nodes and roots.
+  void save(ArchiveWriter &W) const override;
   /// Reconstructs a forest written by save() over \p Map (which must be
   /// the snapshot saved alongside it). Queries on the loaded forest are
   /// bit-identical to queries on the original.
@@ -346,7 +405,8 @@ private:
   /// Deserialization shell; load() fills the trees in. (Tagged so it does
   /// not collide with the building constructor's defaulted arguments.)
   struct LoadShellTag {};
-  AnnoyIndex(const TypeMap &Map, LoadShellTag) : Map(Map), LeafSize(0) {}
+  AnnoyIndex(const TypeMap &Map, LoadShellTag)
+      : KnnIndex(Map, 1), LeafSize(0) {}
 
   struct BuildNode {
     int SplitDim = -1;
@@ -357,10 +417,10 @@ private:
   /// Builds one subtree into \p Out; returns its index therein.
   int buildTree(std::vector<BuildNode> &Out, std::vector<int> Items, Rng &R,
                 int Depth) const;
+  void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K, int,
+                  std::vector<NeighborList> &Out) const override;
 
-  const TypeMap &Map;
   int LeafSize;
-  size_t NumIndexed = 0;
   std::vector<BuildNode> Nodes;
   std::vector<int> Roots;
 };
@@ -373,12 +433,11 @@ private:
 /// parallel through the pool, but distances are bit-identical for any
 /// thread count, so the built graph and every query answer are a
 /// function of (Map, Seed) alone. Query cost is O(ef · M · log N)
-/// distance evaluations — sublinear in marker count — with EfSearch as
-/// the per-request latency/recall budget. Tombstoned rows keep routing
-/// through the graph but never surface as results (same contract as the
-/// other two indexes), and markers appended after the build are covered
-/// by the caller's exact delta scan via indexedMarkers().
-class HnswIndex {
+/// distance evaluations — sublinear in marker count — with EfSearch
+/// (layer-0 beam width, default max(4·K, 64), clamped to >= K) as the
+/// per-request latency/recall budget. Tombstoned rows keep routing
+/// through the graph but never surface as results.
+class HnswIndex : public KnnIndex {
 public:
   /// \p M: max links per node per upper layer (layer 0 keeps 2M);
   /// \p EfConstruction: insertion beam width; \p MaxWays > 0 caps the
@@ -386,26 +445,14 @@ public:
   HnswIndex(const TypeMap &Map, int M = 16, int EfConstruction = 128,
             uint64_t Seed = 0x45317, int MaxWays = 0);
 
-  /// \p EfSearch: layer-0 beam width, the query-time budget (candidates
-  /// inspected per request). Defaults to max(4·K, 64); clamped to >= K.
-  NeighborList query(const float *Q, int K, int EfSearch = -1) const;
-
-  /// Answers \p NumQueries queries (rows of \p Qs, stride dim()) through
-  /// the pool; \p MaxWays > 0 caps the parallelism.
-  std::vector<NeighborList> queryBatch(const float *Qs, int64_t NumQueries,
-                                       int K, int EfSearch = -1,
-                                       int MaxWays = 0) const;
-
-  /// Markers the graph was built (or loaded) over; rows appended later
-  /// are invisible until a rebuild (same contract as AnnoyIndex).
-  size_t indexedMarkers() const { return NumIndexed; }
-
   int m() const { return M; }
   int efConstruction() const { return EfConstruction; }
 
-  /// Appends the built graph (params, entry point, per-node levels and
-  /// adjacency) to the open chunk so serving processes skip the build.
-  void save(ArchiveWriter &W) const;
+  const char *snapshotTag() const override { return "hnsw"; }
+  uint32_t snapshotVersion() const override { return 3; }
+  /// Writes params, entry point, per-node levels and adjacency.
+  void save(ArchiveWriter &W) const override;
+  std::string describe(int EfSearch) const override;
   /// Reconstructs a graph written by save() over \p Map (which must be
   /// the snapshot saved alongside it). Queries on the loaded graph are
   /// bit-identical to queries on the original.
@@ -414,7 +461,7 @@ public:
 
 private:
   struct LoadShellTag {};
-  HnswIndex(const TypeMap &Map, LoadShellTag) : Map(Map) {}
+  HnswIndex(const TypeMap &Map, LoadShellTag) : KnnIndex(Map, 8) {}
 
   struct Node {
     int Level = 0;
@@ -447,18 +494,15 @@ private:
   /// the node's own coordinates.
   void shrinkLinks(int NodeId, int Layer, int MaxLinks,
                    std::vector<float> &Decode);
-  /// query() with caller-owned scratch (queryBatch reuses it per chunk).
-  NeighborList queryWithScratch(const float *Q, int K, int EfSearch,
-                                SearchScratch &S) const;
   /// Seeded geometric level for row \p I — pure in (Seed, I).
   int levelFor(size_t I) const;
+  void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
+                  int EfSearch, std::vector<NeighborList> &Out) const override;
 
-  const TypeMap &Map;
   int M = 16;
   int EfConstruction = 128;
   uint64_t Seed = 0x45317;
   int MaxWays = 0;
-  size_t NumIndexed = 0;
   int EntryPoint = -1;
   int MaxLevel = -1;
   std::vector<Node> Nodes;

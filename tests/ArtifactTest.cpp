@@ -665,7 +665,8 @@ TEST(ArtifactTest, HnswArtifactStampsVersionThreeAndRoundTrips) {
   std::unique_ptr<Predictor> L = Predictor::load(Path, &Err);
   ASSERT_NE(L, nullptr) << Err;
   EXPECT_EQ(L->knnOptions().Index, KnnIndexKind::Hnsw);
-  ASSERT_NE(L->hnswIndex(), nullptr);
+  ASSERT_NE(L->knnIndex(), nullptr);
+  EXPECT_STREQ(L->knnIndex()->snapshotTag(), "hnsw");
   expectBitIdentical(InProc, L->predictAll(WB.DS.Test));
   std::remove(Path.c_str());
 }
@@ -690,6 +691,54 @@ TEST(ArtifactTest, NonHnswArtifactsCarryNoGraphChunk) {
     ASSERT_TRUE(R.openBytes(readFileBytes(Path), &Err)) << Err;
     EXPECT_EQ(R.formatVersion(), 1u) << knnIndexName(Kind);
     EXPECT_FALSE(R.hasChunk("hnsw")) << knnIndexName(Kind);
+    std::remove(Path.c_str());
+  }
+}
+
+// The save contract: an artifact snapshots exactly the rows its index
+// covers. Rows appended since the build and tombstones are editor-session
+// state, so save refuses them until compactMarkers() folds them in; the
+// loaded predictor then answers exactly like the in-memory one.
+TEST(ArtifactTest, SaveRequiresCompactMarkersAfterEdits) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  const CorpusFile *Unseen = nullptr;
+  for (const CorpusFile &F : WB.Files)
+    if (F.Path == WB.DS.Test.front().Path)
+      Unseen = &F;
+  ASSERT_NE(Unseen, nullptr);
+
+  for (KnnIndexKind Kind :
+       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw}) {
+    SCOPED_TRACE(knnIndexName(Kind));
+    KnnOptions KO;
+    KO.Index = Kind;
+    KO.CompactRatio = 0; // compact by hand, not by policy
+    Predictor P = makePredictor(WB, *M, KO);
+    P.setUniverse(*WB.U);
+    std::string Path =
+        tempArtifactPath(std::string("edited_") + knnIndexName(Kind));
+    auto ExpectRejectThenRoundTrip = [&] {
+      std::string Err;
+      EXPECT_FALSE(P.save(Path, *WB.U, &Err));
+      EXPECT_NE(Err.find("compactMarkers()"), std::string::npos) << Err;
+      ASSERT_TRUE(P.compactMarkers());
+      ASSERT_TRUE(P.save(Path, *WB.U, &Err)) << Err;
+      std::unique_ptr<Predictor> L = Predictor::load(Path, &Err);
+      ASSERT_NE(L, nullptr) << Err;
+      EXPECT_EQ(L->typeMap().size(), P.typeMap().size());
+      EXPECT_EQ(predictionDigest(L->predictAll(WB.DS.Test)),
+                predictionDigest(P.predictAll(WB.DS.Test)));
+    };
+
+    size_t Before = P.typeMap().size();
+    P.annotateIncremental(Unseen->Path, Unseen->Source); // appends rows
+    ASSERT_GT(P.typeMap().size(), Before);
+    ExpectRejectThenRoundTrip();
+
+    ASSERT_GT(P.removeMarkersForFile(WB.DS.Train.front().Path), 0u);
+    ExpectRejectThenRoundTrip();
     std::remove(Path.c_str());
   }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -790,6 +791,93 @@ TEST(TypeMapMutationTest, TagsSurviveCoresetEviction) {
   size_t TaggedA = F.Map.markersForFile(F.Files[0]).size();
   EXPECT_EQ(F.Map.removeMarkersForFile(F.Files[0]), TaggedA);
   EXPECT_EQ(F.Map.liveSize(), F.Map.size() - TaggedA);
+}
+
+//===----------------------------------------------------------------------===//
+// KnnIndex delta rows: rows appended after the build merge into answers
+//===----------------------------------------------------------------------===//
+
+TEST(KnnIndexTest, DeltaMergeMatchesOracleForEveryKindAndStore) {
+  // Every index answers the rows appended after its build through the
+  // shared exact delta scan. The oracle: the same kind built over a copy
+  // of the map taken before the appends (same rows, same seed, so the same
+  // structure) answers the indexed rows; every live delta row is added,
+  // the union sorted under (distance, index) and truncated to K.
+  // Tombstones land on both sides of indexedMarkers().
+  const int D = 8;
+  for (MarkerStore S :
+       {MarkerStore::F32, MarkerStore::F16, MarkerStore::Int8}) {
+    TaggedMapFixture F(4, 60, 6, D, 41);
+    if (S != MarkerStore::F32)
+      F.Map.quantize(S);
+    TypeMap Base = F.Map;
+    const size_t NumIndexed = F.Map.size();
+    const KnnIndexKind Kinds[] = {KnnIndexKind::Exact, KnnIndexKind::Annoy,
+                                  KnnIndexKind::Hnsw};
+    std::vector<std::unique_ptr<KnnIndex>> Idx, BaseIdx;
+    for (KnnIndexKind Kind : Kinds) {
+      Idx.push_back(buildKnnIndex(Kind, F.Map));
+      BaseIdx.push_back(buildKnnIndex(Kind, Base));
+    }
+
+    // Delta rows: one group owned by an indexed file (its removal then
+    // tombstones rows on both sides), one doomed new file, one live one.
+    Rng R(42);
+    std::vector<float> Qs;
+    const std::string Groups[] = {F.Files[1], "proj/gone.py", "proj/new.py"};
+    for (const std::string &Tag : Groups)
+      for (int I = 0; I != 20; ++I) {
+        std::vector<float> P(static_cast<size_t>(D));
+        for (float &X : P)
+          X = static_cast<float>(R.normal());
+        ASSERT_TRUE(F.Map.add(P.data(), F.MarkTypes[static_cast<size_t>(I)],
+                              Tag));
+        if (I < 3) // self-queries: exact-zero distances on delta rows
+          Qs.insert(Qs.end(), P.begin(), P.end());
+      }
+    for (const std::string &Tag : {F.Files[1], F.Files[2]}) {
+      ASSERT_GT(F.Map.removeMarkersForFile(Tag), 0u);
+      ASSERT_GT(Base.removeMarkersForFile(Tag), 0u);
+    }
+    ASSERT_GT(F.Map.removeMarkersForFile("proj/gone.py"), 0u);
+    for (int Q = 0; Q != 20; ++Q)
+      for (int I = 0; I != D; ++I)
+        Qs.push_back(static_cast<float>(R.normal()));
+    const int64_t NumQ = static_cast<int64_t>(Qs.size()) / D;
+
+    for (size_t KI = 0; KI != Idx.size(); ++KI) {
+      ASSERT_EQ(Idx[KI]->indexedMarkers(), NumIndexed);
+      EXPECT_FALSE(Idx[KI]->isCompact());
+      for (int K : {1, 10}) {
+        auto Indexed = BaseIdx[KI]->queryBatch(Qs.data(), NumQ, K);
+        bool SawDelta = false;
+        for (int Threads : {1, 4}) {
+          setGlobalNumThreads(Threads);
+          auto Got = Idx[KI]->queryBatch(Qs.data(), NumQ, K);
+          setGlobalNumThreads(0);
+          for (int64_t Q = 0; Q != NumQ; ++Q) {
+            NeighborList Want = Indexed[static_cast<size_t>(Q)];
+            for (size_t I = NumIndexed; I != F.Map.size(); ++I)
+              if (F.Map.isLive(I))
+                Want.emplace_back(static_cast<int>(I),
+                                  F.Map.l1DistanceTo(Qs.data() + Q * D, I));
+            std::sort(Want.begin(), Want.end(),
+                      [](const auto &A, const auto &B) {
+                        return std::make_pair(A.second, A.first) <
+                               std::make_pair(B.second, B.first);
+                      });
+            Want.resize(std::min(Want.size(), static_cast<size_t>(K)));
+            ASSERT_EQ(Got[static_cast<size_t>(Q)], Want)
+                << markerStoreName(S) << " " << knnIndexName(Kinds[KI])
+                << " K=" << K << " query " << Q << " threads=" << Threads;
+            for (auto [I, Dist] : Want)
+              SawDelta |= static_cast<size_t>(I) >= NumIndexed;
+          }
+        }
+        EXPECT_TRUE(SawDelta) << "no delta row surfaced";
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

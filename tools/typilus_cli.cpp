@@ -543,7 +543,8 @@ int cmdTrain(const Options &O) {
 
   if (!O.Out.empty()) {
     ArchiveWriter W(P.artifactVersion());
-    P.writeArtifact(W, *U);
+    if (!P.writeArtifact(W, *U, &Err))
+      return fail(Err);
     if (HaveRecipe)
       writeCorpusRecipe(W, CC, DC);
     if (!W.writeFile(O.Out, &Err))
@@ -799,13 +800,9 @@ int cmdInspect(const Options &O) {
                 P->typeMap().size(), markerStoreName(P->typeMap().store()),
                 P->typeMap().storageBytes(), P->knnOptions().K,
                 P->knnOptions().P, knnIndexName(P->knnOptions().Index));
-    if (const HnswIndex *H = P->hnswIndex())
-      std::printf("hnsw graph: %zu nodes, M=%d, efConstruction=%d, "
-                  "efSearch=%s\n",
-                  H->indexedMarkers(), H->m(), H->efConstruction(),
-                  P->knnOptions().EfSearch > 0
-                      ? std::to_string(P->knnOptions().EfSearch).c_str()
-                      : "default");
+    std::string Desc = P->knnIndex()->describe(P->knnOptions().EfSearch);
+    if (!Desc.empty())
+      std::printf("%s\n", Desc.c_str());
   } else {
     std::printf("classifier over the closed type vocabulary\n");
   }
@@ -854,7 +851,8 @@ int cmdSave(const Options &O) {
   }
 
   ArchiveWriter W(P->artifactVersion());
-  P->writeArtifact(W, *P->universe());
+  if (!P->writeArtifact(W, *P->universe(), &Err))
+    return fail(Err);
   if (R.hasChunk("corp")) {
     CorpusConfig CC;
     DatasetConfig DC;
