@@ -197,6 +197,40 @@ BENCHMARK(BM_GemmSimd)
     ->ArgNames({"simd"})
     ->Unit(benchmark::kMicrosecond);
 
+/// The GGNN's GEMM shapes at the default D=32 on a 355-node file, single
+/// thread: the forward H x W (355x32 times 32x32) and the weight gradient
+/// dW += H^T x dC (TransA, 32x355 times 355x32, accumulating). Both run
+/// through the table's GemmRow. Arg0 = transA, Arg1 = simd.
+void BM_GgnnGemm(benchmark::State &State) {
+  const bool TransA = State.range(0) != 0;
+  SimdPin Pin(State.range(1) != 0);
+  setGlobalNumThreads(1);
+  const int64_t Nodes = 355, D = 32;
+  Rng R(9);
+  Tensor H = Tensor::randn(Nodes, D, R, 1.f);
+  Tensor W = Tensor::randn(D, D, R, 1.f);
+  Tensor DC = Tensor::randn(Nodes, D, R, 1.f);
+  Tensor Out = TransA ? Tensor(D, D) : Tensor(Nodes, D);
+  for (auto _ : State) {
+    if (TransA)
+      gemm(true, false, D, D, Nodes, 1.f, H.data(), DC.data(), 1.f,
+           Out.data());
+    else
+      gemm(false, false, Nodes, D, D, 1.f, H.data(), W.data(), 0.f,
+           Out.data());
+    benchmark::DoNotOptimize(Out.data());
+  }
+  setGlobalNumThreads(0);
+  State.SetItemsProcessed(State.iterations() * 2 * Nodes * D * D);
+}
+BENCHMARK(BM_GgnnGemm)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->ArgNames({"transA", "simd"})
+    ->Unit(benchmark::kMicrosecond);
+
 /// Shared body for the fused activation benches: refill from the same
 /// random source each iteration (both arms pay the same memcpy), then run
 /// the in-place kernel.
@@ -425,7 +459,8 @@ int main(int argc, char **argv) {
     Args.push_back(argv[I]);
   }
   std::string Filter = "--benchmark_filter=BM_(MatmulKernel|GgnnStep|"
-                       "KnnQueryBatch|AnnoyBuild|GemmSimd|SigmoidSimd|"
+                       "KnnQueryBatch|AnnoyBuild|GemmSimd|GgnnGemm|"
+                       "SigmoidSimd|"
                        "TanhSimd|SoftmaxSimd|PairwiseL1Simd|TmapScanSimd)";
   if (Quick)
     Args.push_back(Filter.data());

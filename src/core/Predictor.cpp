@@ -375,7 +375,10 @@ Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
   Embedded E;
   E.Embs.resize(N);
   E.Targets.resize(N);
+  // Inference records no autograd graph. The scope is entered here, per
+  // file, because it is thread-local and this lambda runs on pool workers.
   auto EmbedOne = [&](size_t I) {
+    nn::NoRecordScope NoRecord;
     nn::Value Emb = Model->embed({Files[I]}, &E.Targets[I]);
     if (Emb.defined())
       E.Embs[I] = Emb.val();

@@ -55,8 +55,9 @@ inline constexpr uint32_t kModelArtifactVersionMin = 1;
 /// Candidate predictions for one target symbol. Self-contained: results
 /// carry stable copies/ids (file path, target index, symbol facts)
 /// rather than pointers into the dataset, so they remain valid after the
-/// `FileExample`s they were predicted from are gone. The `TypeRef`s are
-/// owned by the universe the model predicts into.
+/// `FileExample`s they were predicted from are gone. The candidate
+/// `TypeRef`s are owned by the universe the model predicts into; Truth by
+/// the universe the example was built in.
 struct PredictionResult {
   std::string FilePath;  ///< Path of the predicted file.
   int TargetIdx = -1;    ///< Index into the file's `Targets` vector.
@@ -68,7 +69,9 @@ struct PredictionResult {
                          ///< of predictionDigest().
   std::string SymbolName;
   SymbolKind Kind = SymbolKind::Variable;
-  TypeRef Truth = nullptr; ///< Ground-truth type (null when unknown).
+  /// Ground-truth type (null when unknown), owned by the universe the
+  /// predicted example was built in — not necessarily the predictor's.
+  TypeRef Truth = nullptr;
   std::vector<ScoredType> Candidates; ///< Sorted by descending probability.
 
   TypeRef top() const {

@@ -76,6 +76,20 @@ private:
   std::shared_ptr<Node> N;
 };
 
+/// Inference mode for the current thread. While a scope is alive, every
+/// op below computes its value exactly as it would otherwise, but the
+/// result records nothing: no parents, no BackwardFn, NeedsGrad false.
+/// Intermediates are then freed as soon as they are consumed. Scopes
+/// nest; the flag is per thread, so a scope never changes what ops on
+/// other threads (pool workers included) record.
+class NoRecordScope {
+public:
+  NoRecordScope();
+  ~NoRecordScope();
+  NoRecordScope(const NoRecordScope &) = delete;
+  NoRecordScope &operator=(const NoRecordScope &) = delete;
+};
+
 //===----------------------------------------------------------------------===//
 // Ops. Unless noted, tensors are rank-2 [rows, cols].
 //===----------------------------------------------------------------------===//

@@ -18,37 +18,11 @@ using namespace typilus::nn;
 
 namespace {
 
-/// Column-tile width for the j-contiguous cases: one C-row tile plus the
-/// matching B columns stay cache-resident while p streams. Tiling j does
-/// not touch the per-element accumulation order (k stays ascending).
-constexpr int64_t GemmColTile = 512;
-
 /// Row grain so each parallel chunk carries at least ~GemmParallelFlops
 /// multiply-adds.
 int64_t gemmRowGrain(int64_t N, int64_t K) {
   int64_t FlopsPerRow = std::max<int64_t>(1, N * K);
   return std::max<int64_t>(1, kernels::GemmParallelFlops / FlopsPerRow);
-}
-
-/// Rows [RB, RE) of C for the non-transposed-B cases (A indexed by row i).
-/// ALoad(i, p) abstracts over TransA. The j-tile inner loop runs through
-/// \p KT (an axpy over the contiguous B row).
-template <typename ALoadFn>
-void gemmRowsKJ(const simd::KernelTable &KT, int64_t RB, int64_t RE,
-                int64_t N, int64_t K, float Alpha, ALoadFn ALoad,
-                const float *B, int64_t Ldb, float *C) {
-  for (int64_t I = RB; I != RE; ++I) {
-    float *CRow = C + I * N;
-    for (int64_t JB = 0; JB < N; JB += GemmColTile) {
-      int64_t JE = std::min(N, JB + GemmColTile);
-      for (int64_t P = 0; P != K; ++P) {
-        float AIP = Alpha * ALoad(I, P);
-        if (AIP == 0.f)
-          continue;
-        KT.AxpyRow(CRow + JB, AIP, B + P * Ldb + JB, JE - JB);
-      }
-    }
-  }
 }
 
 /// Rows [RB, RE) of C for the transposed-B, non-transposed-A case: both
@@ -100,18 +74,17 @@ void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
   // also bit-identical to the naive i-k-j kernel.
   const simd::KernelTable &KT = simd::active();
   const int64_t Grain = gemmRowGrain(N, K);
-  auto ANorm = [A, Lda](int64_t I, int64_t P) { return A[I * Lda + P]; };
-  auto ATrans = [A, Lda](int64_t I, int64_t P) { return A[P * Lda + I]; };
 
   if (!TransB) {
-    if (!TransA)
-      parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
-        gemmRowsKJ(KT, RB, RE, N, K, Alpha, ANorm, B, Ldb, C);
-      });
-    else
-      parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
-        gemmRowsKJ(KT, RB, RE, N, K, Alpha, ATrans, B, Ldb, C);
-      });
+    // The k-j cases: the table's GemmRow runs the i-k-j kernel's
+    // per-element sequence over the contiguous B rows; TransA only
+    // changes the strides A is read with.
+    const int64_t ARowStride = TransA ? 1 : Lda;
+    const int64_t AColStride = TransA ? Lda : 1;
+    parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
+      KT.GemmRow(C + RB * N, RE - RB, N, K, Alpha, A + RB * ARowStride,
+                 ARowStride, AColStride, B, Ldb);
+    });
     return;
   }
   if (!TransA)

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The raw float kernels the autograd ops (nn/Ops.cpp) are glued onto:
-/// cache-blocked GEMM plus fused elementwise / row-structured routines over
+/// register-blocked GEMM plus fused elementwise / row-structured routines over
 /// contiguous buffers. Each kernel dispatches through the process-wide
 /// ThreadPool above a size threshold.
 ///
@@ -26,9 +26,10 @@
 namespace typilus {
 
 /// C = alpha * op(A) * op(B) + beta * C, where op transposes when the flag
-/// is set. Shapes: op(A) is MxK, op(B) is KxN, C is MxN. Cache-blocked and
-/// row-parallel; per-element accumulation order (k ascending) is that of
-/// the naive i-k-j kernel, so the result is bit-identical to it.
+/// is set. Shapes: op(A) is MxK, op(B) is KxN, C is MxN. Row-parallel; the
+/// non-transposed-B cases run through the kernel table's GemmRow. The
+/// per-element accumulation order (k ascending) is that of the naive i-k-j
+/// kernel, so on the scalar table the result is bit-identical to it.
 void gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
           float Alpha, const float *A, const float *B, float Beta, float *C);
 

@@ -1,12 +1,12 @@
 //===- nn/Ops.cpp - Autograd op implementations ------------------------------===//
 //
-// Autograd glue only: each op wires the DAG (makeOut + backward closure)
-// and delegates the float work to the kernels in nn/Kernels.cpp, which
-// run blocked and pool-parallel above a size threshold. Ops whose natural
-// backward accumulation has write conflicts across rows (repeated gather
-// indices, scatter destinations, pairwise distances) keep their serial
-// loops — in the exact seed order — so every op is bit-reproducible for
-// any thread count.
+// Autograd glue only: each op wires the DAG (makeOut + backward closure,
+// neither under a NoRecordScope) and delegates the float work to the
+// kernels in nn/Kernels.cpp, which run blocked and pool-parallel above a
+// size threshold. Ops whose natural backward accumulation has write
+// conflicts across rows (repeated gather indices, scatter destinations,
+// pairwise distances) keep their serial loops — in the exact seed order —
+// so every op is bit-reproducible for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,21 +26,35 @@ using namespace typilus::nn::kernels;
 
 namespace {
 
+/// Depth of the NoRecordScopes alive on this thread.
+thread_local int NoRecordDepth = 0;
+
 /// Creates the output node for an op with the given parents; wires
-/// NeedsGrad. The backward closure is attached afterwards iff needed.
-std::shared_ptr<Node> makeOut(Tensor Val,
-                              std::initializer_list<Value> Parents) {
+/// NeedsGrad. The backward closure is attached afterwards iff needed —
+/// never under a NoRecordScope, where the node keeps no parents either.
+std::shared_ptr<Node> makeOut(Tensor Val, const Value *Parents,
+                              size_t NumParents) {
   auto Out = std::make_shared<Node>();
   Out->Val = std::move(Val);
-  for (const Value &P : Parents) {
-    assert(P.defined() && "op on undefined Value");
-    Out->Prev.push_back(P.node());
-    Out->NeedsGrad |= P.node()->NeedsGrad;
+  if (NoRecordDepth > 0)
+    return Out;
+  for (size_t I = 0; I != NumParents; ++I) {
+    assert(Parents[I].defined() && "op on undefined Value");
+    Out->Prev.push_back(Parents[I].node());
+    Out->NeedsGrad |= Parents[I].node()->NeedsGrad;
   }
   return Out;
 }
 
+std::shared_ptr<Node> makeOut(Tensor Val,
+                              std::initializer_list<Value> Parents) {
+  return makeOut(std::move(Val), Parents.begin(), Parents.size());
+}
+
 } // namespace
+
+NoRecordScope::NoRecordScope() { ++NoRecordDepth; }
+NoRecordScope::~NoRecordScope() { --NoRecordDepth; }
 
 Value nn::add(Value A, Value B) {
   const Tensor &TA = A.val(), &TB = B.val();
@@ -303,12 +317,7 @@ Value nn::concatRows(const std::vector<Value> &Parts) {
                 static_cast<size_t>(T.numel()) * sizeof(float));
     Row += T.rows();
   }
-  auto N = std::make_shared<Node>();
-  N->Val = std::move(Out);
-  for (const Value &P : Parts) {
-    N->Prev.push_back(P.node());
-    N->NeedsGrad |= P.node()->NeedsGrad;
-  }
+  auto N = makeOut(std::move(Out), Parts.data(), Parts.size());
   if (N->NeedsGrad) {
     Node *O = N.get();
     auto Parents = N->Prev;
@@ -415,18 +424,25 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
   int64_t D = TM.cols();
   Tensor Out(NumRows, D);
   // Argmax message per (row, dim); -1 = no message (output stays 0).
-  // Destination-conflicting writes: serial, in edge order.
+  // Destination-conflicting writes: serial, in edge order. The update is
+  // a select, not a branch (which would mispredict on every element): a
+  // message is taken when its slot is empty or it is strictly greater,
+  // so ties and NaNs keep the first maximum, and the backward routes the
+  // gradient to it.
   std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
   for (size_t E = 0; E != Dst.size(); ++E) {
-    int Nd = Dst[E];
+    int64_t Nd = Dst[E];
     assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
+    const float *Src = TM.data() + static_cast<int64_t>(E) * D;
+    float *OutRow = Out.data() + Nd * D;
+    int *ArgRow = Arg.data() + Nd * D;
+    const int Msg = static_cast<int>(E);
     for (int64_t J = 0; J != D; ++J) {
-      float V = TM.at(static_cast<int64_t>(E), J);
-      int &Slot = Arg[static_cast<size_t>(Nd * D + J)];
-      if (Slot < 0 || V > Out.at(Nd, J)) {
-        Out.at(Nd, J) = V;
-        Slot = static_cast<int>(E);
-      }
+      float V = Src[J], Cur = OutRow[J];
+      int Slot = ArgRow[J];
+      bool Take = (Slot < 0) | (V > Cur);
+      OutRow[J] = Take ? V : Cur;
+      ArgRow[J] = Take ? Msg : Slot;
     }
   }
   auto N = makeOut(std::move(Out), {Msgs});

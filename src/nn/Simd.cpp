@@ -124,11 +124,16 @@ void scalarSoftmaxRow(float *Row, int64_t Cols) {
 }
 
 constexpr simd::KernelTable ScalarTable = {
-    scalarAxpyRow, scalarDot,        scalarL1,   scalarL1F16,
-    scalarL1I8,    scalarAdd,        scalarSub,  scalarMul,
-    scalarScale,   scalarMulAcc,     scalarSigmoid, scalarSigmoidBwd,
-    scalarTanh,    scalarTanhBwd,    scalarRelu, scalarReluBwd,
-    scalarSoftmaxRow, simd::Isa::Scalar,
+    scalarAxpyRow,    simd::gemmRowOverAxpy<scalarAxpyRow>,
+    scalarDot,        scalarL1,
+    scalarL1F16,      scalarL1I8,
+    scalarAdd,        scalarSub,
+    scalarMul,        scalarScale,
+    scalarMulAcc,     scalarSigmoid,
+    scalarSigmoidBwd, scalarTanh,
+    scalarTanhBwd,    scalarRelu,
+    scalarReluBwd,    scalarSoftmaxRow,
+    simd::Isa::Scalar,
 };
 
 } // namespace

@@ -42,8 +42,21 @@ enum class Isa { Scalar, Avx2, Neon };
 
 /// The per-ISA entry points. All pointers are always non-null.
 struct KernelTable {
-  /// dst[i] += a * x[i] — the GEMM k-j inner tile and axpyAcc.
+  /// dst[i] += a * x[i] — axpyAcc, and the step GemmRow is defined by.
   void (*AxpyRow)(float *Dst, float A, const float *X, int64_t N);
+  /// The non-transposed-B GEMM body over \p Rows consecutive rows of C
+  /// (row r at C + r * N), all of K per row:
+  ///
+  ///   for p in [0, K):
+  ///     AIP = Alpha * A[r * ARowStride + p * AColStride]
+  ///     if (AIP != 0) AxpyRow(C + r * N, AIP, B + p * Ldb, N)
+  ///
+  /// Every table's entry is bit-identical to that loop over its own
+  /// AxpyRow (NnTest pins it). The zero skip is part of the contract: an
+  /// fma(0, b, c) would differ for c == -0 and for infinite or NaN b.
+  void (*GemmRow)(float *C, int64_t Rows, int64_t N, int64_t K, float Alpha,
+                  const float *A, int64_t ARowStride, int64_t AColStride,
+                  const float *B, int64_t Ldb);
   /// Contiguous dot product — the transposed-B GEMM inner loop.
   float (*Dot)(const float *A, const float *B, int64_t N);
 
@@ -90,6 +103,23 @@ bool simdEnabled();
 
 Isa activeIsa();
 const char *isaName(Isa I);
+
+/// The GemmRow loop composed over an AxpyRow entry, verbatim: the scalar
+/// and NEON tables' GemmRow, and the definition the AVX2 kernel matches.
+template <void (*AxpyRow)(float *, float, const float *, int64_t)>
+void gemmRowOverAxpy(float *C, int64_t Rows, int64_t N, int64_t K,
+                     float Alpha, const float *A, int64_t ARowStride,
+                     int64_t AColStride, const float *B, int64_t Ldb) {
+  for (int64_t R = 0; R != Rows; ++R) {
+    const float *ARow = A + R * ARowStride;
+    for (int64_t P = 0; P != K; ++P) {
+      float AIP = Alpha * ARow[P * AColStride];
+      if (AIP == 0.f)
+        continue;
+      AxpyRow(C + R * N, AIP, B + P * Ldb, N);
+    }
+  }
+}
 
 // Per-ISA table factories. Only defined when the matching translation
 // unit is in the build (TYPILUS_SIMD_AVX2 / TYPILUS_SIMD_NEON); resolved

@@ -134,6 +134,104 @@ float dot(const float *A, const float *B, int64_t N) {
   return Sum;
 }
 
+/// Lanes [0, Cols) of a maskload/maskstore mask; Cols in [1, 8].
+inline __m256i laneMask(int64_t Cols) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(Cols)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One R x (8 * V) tile of C held in registers across all of K. Each
+/// element runs axpyRow's sequence — AIP = Alpha * a, skipped when zero,
+/// then c = fma(AIP, b, c) for p ascending — so the tile is bit-identical
+/// to gemmRowOverAxpy<axpyRow>. With \p Masked the last vector covers
+/// only the \p Tail lanes (masked-off lanes are never stored).
+template <int R, int V, bool Masked>
+void gemmTile(float *C, int64_t N, int64_t K, float Alpha, const float *A,
+              int64_t ARowStride, int64_t AColStride, const float *B,
+              int64_t Ldb, __m256i Tail) {
+  // The fixed-trip loops are unrolled so Acc and BV stay in registers.
+  auto Load = [Tail](const float *P, int Vi) {
+    return Masked && Vi == V - 1 ? _mm256_maskload_ps(P, Tail)
+                                 : _mm256_loadu_ps(P);
+  };
+  __m256 Acc[R][V];
+#pragma GCC unroll 4
+  for (int Ri = 0; Ri != R; ++Ri)
+#pragma GCC unroll 4
+    for (int Vi = 0; Vi != V; ++Vi)
+      Acc[Ri][Vi] = Load(C + Ri * N + 8 * Vi, Vi);
+  for (int64_t P = 0; P != K; ++P) {
+    __m256 BV[V];
+#pragma GCC unroll 4
+    for (int Vi = 0; Vi != V; ++Vi)
+      BV[Vi] = Load(B + P * Ldb + 8 * Vi, Vi);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri) {
+      float AIP = Alpha * A[Ri * ARowStride + P * AColStride];
+      if (AIP == 0.f)
+        continue;
+      __m256 VA = _mm256_set1_ps(AIP);
+#pragma GCC unroll 4
+      for (int Vi = 0; Vi != V; ++Vi)
+        Acc[Ri][Vi] = _mm256_fmadd_ps(VA, BV[Vi], Acc[Ri][Vi]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int Ri = 0; Ri != R; ++Ri)
+#pragma GCC unroll 4
+    for (int Vi = 0; Vi != V; ++Vi) {
+      float *Dst = C + Ri * N + 8 * Vi;
+      if (Masked && Vi == V - 1)
+        _mm256_maskstore_ps(Dst, Tail, Acc[Ri][Vi]);
+      else
+        _mm256_storeu_ps(Dst, Acc[Ri][Vi]);
+    }
+}
+
+/// R rows of C: 32-column tiles, then one masked tile for the rest.
+template <int R>
+void gemmRowBlock(float *C, int64_t N, int64_t K, float Alpha, const float *A,
+                  int64_t ARowStride, int64_t AColStride, const float *B,
+                  int64_t Ldb) {
+  int64_t J = 0;
+  for (; J + 32 <= N; J += 32)
+    gemmTile<R, 4, false>(C + J, N, K, Alpha, A, ARowStride, AColStride,
+                          B + J, Ldb, __m256i());
+  int64_t Rem = N - J;
+  if (Rem == 0)
+    return;
+  __m256i Tail = laneMask((Rem - 1) % 8 + 1); // lanes of the last vector
+  switch ((Rem + 7) / 8) {
+  case 1:
+    return gemmTile<R, 1, true>(C + J, N, K, Alpha, A, ARowStride, AColStride,
+                                B + J, Ldb, Tail);
+  case 2:
+    return gemmTile<R, 2, true>(C + J, N, K, Alpha, A, ARowStride, AColStride,
+                                B + J, Ldb, Tail);
+  case 3:
+    return gemmTile<R, 3, true>(C + J, N, K, Alpha, A, ARowStride, AColStride,
+                                B + J, Ldb, Tail);
+  default:
+    return gemmTile<R, 4, true>(C + J, N, K, Alpha, A, ARowStride, AColStride,
+                                B + J, Ldb, Tail);
+  }
+}
+
+/// Rows are blocked in pairs: two rows share every B load and give eight
+/// independent FMA chains, which covers the FMA latency a single row's
+/// four chains leave exposed.
+void gemmRow(float *C, int64_t Rows, int64_t N, int64_t K, float Alpha,
+             const float *A, int64_t ARowStride, int64_t AColStride,
+             const float *B, int64_t Ldb) {
+  int64_t R = 0;
+  for (; R + 2 <= Rows; R += 2)
+    gemmRowBlock<2>(C + R * N, N, K, Alpha, A + R * ARowStride, ARowStride,
+                    AColStride, B, Ldb);
+  if (R != Rows)
+    gemmRowBlock<1>(C + R * N, N, K, Alpha, A + R * ARowStride, ARowStride,
+                    AColStride, B, Ldb);
+}
+
 //===----------------------------------------------------------------------===//
 // L1 distance against the three marker encodings
 //===----------------------------------------------------------------------===//
@@ -364,9 +462,9 @@ void softmaxRow(float *Row, int64_t Cols) {
 }
 
 constexpr simd::KernelTable Avx2Table = {
-    axpyRow, dot,     l1,         l1F16,   l1I8,    add,
-    sub,     mul,     scale,      mulAcc,  sigmoid, sigmoidBwd,
-    tanhFwd, tanhBwd, relu,       reluBwd, softmaxRow,
+    axpyRow,    gemmRow, dot,     l1,    l1F16,   l1I8,
+    add,        sub,     mul,     scale, mulAcc,  sigmoid,
+    sigmoidBwd, tanhFwd, tanhBwd, relu,  reluBwd, softmaxRow,
     simd::Isa::Avx2,
 };
 

@@ -150,6 +150,7 @@ const simd::KernelTable &simd::neonTable() {
   static const KernelTable T = [] {
     KernelTable N = scalarTable();
     N.AxpyRow = axpyRow;
+    N.GemmRow = gemmRowOverAxpy<axpyRow>;
     N.Dot = dot;
     N.L1 = l1;
     N.Add = add;

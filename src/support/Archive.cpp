@@ -210,6 +210,10 @@ bool ArchiveWriter::writeFile(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 bool ArchiveCursor::take(void *Out, size_t N) {
+  // An empty array read (an empty HNSW link list, an Annoy leaf) passes
+  // the null data() of an empty vector: no bytes, so no memcpy/memset.
+  if (N == 0)
+    return !Failed;
   if (Failed || End - Pos < N) {
     Failed = true;
     std::memset(Out, 0, N);

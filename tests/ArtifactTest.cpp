@@ -201,10 +201,21 @@ TEST(ArtifactTest, PredictionResultsOutliveTheDataset) {
   }
   std::unique_ptr<Predictor> L = Predictor::load(Path, &Err);
   ASSERT_NE(L, nullptr) << Err;
-  Preds = L->predictAll(WB->DS.Test);
+  // Build the test files into the loaded predictor's universe, as the
+  // serving path does: a result's Truth lives in the universe its example
+  // was built in, and that one must outlive the training world.
+  std::vector<FileExample> Test;
+  for (const FileExample &F : WB->DS.Test)
+    for (const CorpusFile &CF : WB->Files)
+      if (CF.Path == F.Path)
+        Test.push_back(buildExample(CF, *L->universe(), GraphBuildOptions()));
+  ASSERT_EQ(Test.size(), WB->DS.Test.size());
+  Preds = L->predictAll(Test);
   ASSERT_FALSE(Preds.empty());
 
-  // Tear down the whole training world: corpus, dataset, model, universe.
+  // Tear down the whole training world: corpus, dataset, model, universe,
+  // and the test examples themselves.
+  Test.clear();
   M.reset();
   WB.reset();
 

@@ -7,10 +7,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "core/Trainer.h"
+#include "knn/TypeMap.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace typilus;
 
@@ -412,5 +415,54 @@ TEST_F(CoreTest, ParallelKnnPredictorMatchesSerial) {
   for (size_t I = 0; I != RS.size(); ++I) {
     EXPECT_EQ(RS[I].top(), RP[I].top());
     EXPECT_EQ(RS[I].confidence(), RP[I].confidence());
+  }
+}
+
+TEST(NoRecordPredictorTest, KnnMarkersMatchRecordedEmbedForEveryEncoder) {
+  // Predictor::embedFiles embeds under nn::NoRecordScope, on pool
+  // workers; the τmap it fills must hold exactly the rows a recorded
+  // Model->embed produces, deduplicated the same way.
+  CorpusConfig CC;
+  CC.NumFiles = 14;
+  Workbench WB = Workbench::make(CC, DatasetConfig());
+  std::vector<const FileExample *> MapFiles;
+  for (const FileExample &F : WB.DS.Train)
+    MapFiles.push_back(&F);
+  for (EncoderKind E : {EncoderKind::Graph, EncoderKind::Seq,
+                        EncoderKind::Path}) {
+    SCOPED_TRACE(encoderKindName(E));
+    ModelConfig MC;
+    MC.Encoder = E;
+    MC.HiddenDim = 8;
+    MC.TimeSteps = 2;
+    // Two identical models: the Path encoder advances its sampling RNG
+    // on every embed, so each side replays its own copy of the stream.
+    std::unique_ptr<TypeModel> Served = makeModel(MC, WB.DS, *WB.U);
+    std::unique_ptr<TypeModel> Recorded = makeModel(MC, WB.DS, *WB.U);
+    KnnOptions KO;
+    KO.NumThreads = 4;
+    Predictor P = Predictor::knn(*Served, MapFiles, KO);
+
+    TypeMap Want(MC.HiddenDim);
+    for (const FileExample *F : MapFiles) {
+      std::vector<const Target *> Targets;
+      nn::Value Emb = Recorded->embed({F}, &Targets);
+      if (!Emb.defined())
+        continue;
+      ASSERT_FALSE(Emb.node()->Prev.empty()) << "reference must record";
+      for (size_t I = 0; I != Targets.size(); ++I)
+        Want.add(Emb.val().data() + static_cast<int64_t>(I) * MC.HiddenDim,
+                 Targets[I]->Type);
+    }
+    const TypeMap &Got = P.typeMap();
+    ASSERT_GT(Want.size(), 0u);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      EXPECT_EQ(Got.type(I), Want.type(I)) << "marker " << I;
+      EXPECT_EQ(std::memcmp(Got.embedding(I), Want.embedding(I),
+                            sizeof(float) * static_cast<size_t>(MC.HiddenDim)),
+                0)
+          << "marker " << I;
+    }
   }
 }

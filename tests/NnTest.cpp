@@ -14,10 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 using namespace typilus;
@@ -900,4 +904,354 @@ TEST_F(SimdTest, SimdPathIsThreadCountDeterministic) {
   for (int64_t I = 0; I != N; ++I)
     ASSERT_EQ(One[static_cast<size_t>(I)], Four[static_cast<size_t>(I)])
         << "elem " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// The register-blocked GEMM row kernel and the branch-free max aggregation
+// must reproduce the loops they replaced bit for bit, on every kernel
+// table this CPU offers.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The scalar reference plus, when the CPU has one, the SIMD table.
+std::vector<const simd::KernelTable *> offeredTables() {
+  std::vector<const simd::KernelTable *> Tables{&simd::scalarTable()};
+  if (simd::simdAvailable()) {
+    SimdGuard On(true);
+    Tables.push_back(&simd::active());
+  }
+  return Tables;
+}
+
+/// Index of the first element whose bits differ (so -0 != +0 and NaN
+/// payloads count), or -1.
+int64_t firstBitMismatch(const float *X, const float *Y, int64_t N) {
+  for (int64_t I = 0; I != N; ++I)
+    if (std::memcmp(X + I, Y + I, sizeof(float)) != 0)
+      return I;
+  return -1;
+}
+
+/// gemm as it was before the GemmRow entry: the k-j cases made one
+/// KT.AxpyRow call per (row, k) over 512-column tiles; the transposed-B
+/// cases are the Dot and strided loops gemm still runs.
+void axpyLoopGemm(const simd::KernelTable &KT, bool TransA, bool TransB,
+                  int64_t M, int64_t N, int64_t K, float Alpha, const float *A,
+                  const float *B, float Beta, float *C) {
+  if (Beta == 0.f)
+    std::fill(C, C + M * N, 0.f);
+  else if (Beta != 1.f)
+    for (int64_t I = 0; I != M * N; ++I)
+      C[I] *= Beta;
+  const int64_t Lda = TransA ? M : K;
+  const int64_t Ldb = TransB ? K : N;
+  for (int64_t I = 0; I != M; ++I) {
+    if (!TransB) {
+      for (int64_t JB = 0; JB < N; JB += 512) {
+        int64_t JE = std::min<int64_t>(N, JB + 512);
+        for (int64_t P = 0; P != K; ++P) {
+          float AIP = Alpha * (TransA ? A[P * Lda + I] : A[I * Lda + P]);
+          if (AIP == 0.f)
+            continue;
+          KT.AxpyRow(C + I * N + JB, AIP, B + P * Ldb + JB, JE - JB);
+        }
+      }
+    } else if (!TransA) {
+      for (int64_t J = 0; J != N; ++J)
+        C[I * N + J] += Alpha * KT.Dot(A + I * Lda, B + J * Ldb, K);
+    } else {
+      for (int64_t J = 0; J != N; ++J) {
+        float Sum = 0.f;
+        for (int64_t P = 0; P != K; ++P)
+          Sum += A[P * Lda + I] * B[J * Ldb + P];
+        C[I * N + J] += Alpha * Sum;
+      }
+    }
+  }
+}
+
+const std::vector<int64_t> &gemmRowWidths() {
+  static const std::vector<int64_t> W{1, 7, 8, 9, 31, 32, 33, 64, 100};
+  return W;
+}
+
+} // namespace
+
+TEST(GemmRowTest, GemmBitIdenticalToAxpyLoopOnEveryTable) {
+  // M and K are odd so row pairs leave a single-row remainder; at N=100
+  // the product crosses GemmParallelFlops, so 4 threads really split rows.
+  const int64_t M = 67, K = 37;
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    ASSERT_EQ(&simd::active(), KT);
+    Rng R(81);
+    for (bool TA : {false, true})
+      for (bool TB : {false, true})
+        for (int64_t N : gemmRowWidths()) {
+          // op(A) has a fully zero row and scattered exact zeros; C has
+          // -0 entries, which an fma(0, b, c) would turn into +0.
+          Tensor OpA = randomTensor(M, K, R);
+          for (int64_t P = 0; P != K; ++P)
+            OpA.at(3, P) = 0.f;
+          for (int64_t I = 0; I < OpA.numel(); I += 5)
+            OpA[I] = 0.f;
+          Tensor A = OpA;
+          if (TA) {
+            A = Tensor(K, M);
+            for (int64_t I = 0; I != M; ++I)
+              for (int64_t P = 0; P != K; ++P)
+                A.at(P, I) = OpA.at(I, P);
+          }
+          Tensor B = TB ? randomTensor(N, K, R) : randomTensor(K, N, R);
+          Tensor C0 = randomTensor(M, N, R);
+          for (int64_t I = 0; I < C0.numel(); I += 7)
+            C0[I] = -0.0f;
+          for (float Alpha : {1.f, 1.5f})
+            for (float Beta : {0.f, 1.f, 0.5f}) {
+              Tensor Want = C0;
+              axpyLoopGemm(*KT, TA, TB, M, N, K, Alpha, A.data(), B.data(),
+                           Beta, Want.data());
+              for (int Threads : {1, 4}) {
+                setGlobalNumThreads(Threads);
+                Tensor Got = C0;
+                gemm(TA, TB, M, N, K, Alpha, A.data(), B.data(), Beta,
+                     Got.data());
+                int64_t Bad =
+                    firstBitMismatch(Got.data(), Want.data(), Got.numel());
+                EXPECT_EQ(Bad, -1)
+                    << simd::isaName(KT->WhichIsa) << " TA=" << TA
+                    << " TB=" << TB << " N=" << N << " alpha=" << Alpha
+                    << " beta=" << Beta << " threads=" << Threads;
+              }
+            }
+        }
+  }
+  setGlobalNumThreads(0);
+}
+
+TEST(GemmRowTest, EntrySkipsZeroCoefficientsLikeTheAxpyComposition) {
+  // Row 4 of B is +inf and column 4 of A is zero: the skip leaves C
+  // alone, where fma(0, inf, c) would write NaN. Row 1 of A is all zero,
+  // so its -0 entries in C must survive untouched.
+  const int64_t K = 9;
+  for (const simd::KernelTable *KT : offeredTables())
+    for (int64_t Rows : {1, 2, 3, 5})
+      for (int64_t N : gemmRowWidths())
+        for (bool Strided : {false, true}) {
+          Rng R(82);
+          Tensor A = randomTensor(Rows, K, R); // [r, p] at r*K + p
+          for (int64_t I = 0; I != Rows; ++I)
+            A.at(I, 4) = 0.f;
+          if (Rows > 1)
+            for (int64_t P = 0; P != K; ++P)
+              A.at(1, P) = 0.f;
+          // The strided case reads the same coefficients from A^T.
+          Tensor AT(K, Rows);
+          for (int64_t I = 0; I != Rows; ++I)
+            for (int64_t P = 0; P != K; ++P)
+              AT.at(P, I) = A.at(I, P);
+          const float *AData = Strided ? AT.data() : A.data();
+          int64_t RowStride = Strided ? 1 : K, ColStride = Strided ? Rows : 1;
+          Tensor B = randomTensor(K, N, R);
+          for (int64_t J = 0; J != N; ++J)
+            B.at(4, J) = std::numeric_limits<float>::infinity();
+          Tensor Want = randomTensor(Rows, N, R);
+          for (int64_t I = 0; I < Want.numel(); I += 3)
+            Want[I] = -0.0f;
+          Tensor Got = Want;
+          for (int64_t I = 0; I != Rows; ++I)
+            for (int64_t P = 0; P != K; ++P) {
+              float AIP = 1.5f * A.at(I, P);
+              if (AIP != 0.f)
+                KT->AxpyRow(Want.data() + I * N, AIP, B.data() + P * N, N);
+            }
+          KT->GemmRow(Got.data(), Rows, N, K, 1.5f, AData, RowStride,
+                      ColStride, B.data(), N);
+          EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Got.numel()), -1)
+              << simd::isaName(KT->WhichIsa) << " rows=" << Rows
+              << " N=" << N << " strided=" << Strided;
+          for (int64_t I = 0; I != Got.numel(); ++I)
+            ASSERT_FALSE(std::isnan(Got[I])) << "zero coefficient not skipped";
+        }
+}
+
+namespace {
+
+/// scatterMax's forward as it was: a data-dependent branch per element.
+void branchyScatterMax(const Tensor &Msgs, const std::vector<int> &Dst,
+                       int64_t NumRows, Tensor &Out, std::vector<int> &Arg) {
+  int64_t D = Msgs.cols();
+  Out = Tensor(NumRows, D);
+  Arg.assign(static_cast<size_t>(NumRows * D), -1);
+  for (size_t E = 0; E != Dst.size(); ++E) {
+    int Nd = Dst[E];
+    for (int64_t J = 0; J != D; ++J) {
+      float V = Msgs.at(static_cast<int64_t>(E), J);
+      int &Slot = Arg[static_cast<size_t>(Nd * D + J)];
+      if (Slot < 0 || V > Out.at(Nd, J)) {
+        Out.at(Nd, J) = V;
+        Slot = static_cast<int>(E);
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(ScatterMaxTest, MatchesTheBranchyLoopForwardAndBackward) {
+  // Values from a small pool give ties (including -0 vs +0), negatives
+  // and NaN messages; rows 0, 5 and 11 receive no message at all.
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const float Pool[] = {-3.f, -1.f, -1.f, -0.5f, 0.f, -0.0f, 2.f, 2.f, NaN};
+  const std::vector<int> Rows{1, 2, 3, 4, 6, 7, 8, 9, 10};
+  const int64_t NumRows = 12, NumMsgs = 60, D = 9;
+  Rng R(83);
+  Tensor Msgs(NumMsgs, D);
+  for (int64_t I = 0; I != Msgs.numel(); ++I)
+    Msgs[I] = Pool[R.uniformInt(sizeof(Pool) / sizeof(Pool[0]))];
+  std::vector<int> Dst;
+  for (int64_t E = 0; E != NumMsgs; ++E)
+    Dst.push_back(Rows[R.uniformInt(Rows.size())]);
+  Dst[0] = Dst[1] = Dst[2] = 4; // a NaN first message, then repeats
+  for (int64_t J = 0; J != D; ++J)
+    Msgs.at(0, J) = NaN;
+
+  Tensor WantOut;
+  std::vector<int> WantArg;
+  branchyScatterMax(Msgs, Dst, NumRows, WantOut, WantArg);
+
+  Value P = Value::param(Msgs);
+  Value Out = scatterMax(P, Dst, NumRows);
+  ASSERT_TRUE(Out.val().sameShape(WantOut));
+  EXPECT_EQ(firstBitMismatch(Out.val().data(), WantOut.data(),
+                             WantOut.numel()),
+            -1);
+
+  // Backward: each output cell's gradient lands on exactly the message
+  // the branchy loop chose.
+  Tensor W = randomTensor(NumRows, D, R);
+  backward(meanAll(mul(Out, Value::constant(W))));
+  float Inv = 1.f / static_cast<float>(NumRows * D);
+  Tensor WantGrad(NumMsgs, D);
+  for (int64_t Row = 0; Row != NumRows; ++Row)
+    for (int64_t J = 0; J != D; ++J) {
+      int E = WantArg[static_cast<size_t>(Row * D + J)];
+      if (E >= 0)
+        WantGrad.at(E, J) += Inv * W.at(Row, J);
+    }
+  EXPECT_EQ(firstBitMismatch(P.grad().data(), WantGrad.data(),
+                             WantGrad.numel()),
+            -1);
+}
+
+//===----------------------------------------------------------------------===//
+// No-record inference
+//===----------------------------------------------------------------------===//
+
+TEST(NoRecordTest, OpsComputeIdenticalValuesAndRecordNothing) {
+  Rng R(84);
+  Value A = Value::param(randomTensor(6, 5, R));
+  Value B = Value::param(randomTensor(6, 5, R));
+  Value Rows3 = Value::param(randomTensor(3, 5, R));
+  Value W = Value::param(randomTensor(5, 4, R));
+  Value WT = Value::param(randomTensor(4, 5, R));
+  Value Scores = Value::param(randomTensor(6, 1, R));
+  Tensor BiasT(5);
+  for (int64_t I = 0; I != 5; ++I)
+    BiasT[I] = static_cast<float>(R.normal());
+  Value Bias = Value::param(BiasT);
+  const std::vector<int> Dst{1, 0, 1, 3, 3, 1};
+  const std::vector<std::pair<const char *, std::function<Value()>>> Ops{
+      {"add", [&] { return add(A, B); }},
+      {"addBias", [&] { return add(A, Bias); }},
+      {"sub", [&] { return sub(A, B); }},
+      {"mul", [&] { return mul(A, B); }},
+      {"scale", [&] { return scale(A, 1.5f); }},
+      {"matmul", [&] { return matmul(A, W); }},
+      {"matmulNT", [&] { return matmulNT(A, WT); }},
+      {"sigmoid", [&] { return sigmoid(A); }},
+      {"tanh", [&] { return tanhOp(A); }},
+      {"relu", [&] { return relu(A); }},
+      {"concatCols", [&] { return concatCols(A, B); }},
+      {"concatRows", [&] { return concatRows({A, B, Rows3}); }},
+      {"attentionPool", [&] { return attentionPool(Scores, A); }},
+      {"gatherRows", [&] { return gatherRows(A, {0, 2, 2, 5}); }},
+      {"scatterMax", [&] { return scatterMax(A, Dst, 4); }},
+      {"scatterMean", [&] { return scatterMean(A, Dst, 4); }},
+      {"indexAddRows", [&] { return indexAddRows(A, {0, 2, 2}, Rows3); }},
+      {"reduceMaxRows", [&] { return reduceMaxRows(A); }},
+      {"meanAll", [&] { return meanAll(A); }},
+      {"softmaxCrossEntropy",
+       [&] { return softmaxCrossEntropy(A, {0, 4, -1, 2, 1, 3}); }},
+      {"pairwiseL1", [&] { return pairwiseL1(A); }},
+      {"spaceLoss",
+       [&] { return spaceLoss(pairwiseL1(A), {0, 1, 0, 1, -1, 2}, 1.f); }},
+  };
+  for (const auto &[Name, Op] : Ops) {
+    Value Recorded = Op();
+    ASSERT_FALSE(Recorded.node()->Prev.empty()) << Name;
+    ASSERT_TRUE(static_cast<bool>(Recorded.node()->BackwardFn)) << Name;
+    Value Bare;
+    {
+      NoRecordScope NoRecord;
+      Bare = Op();
+    }
+    ASSERT_TRUE(Bare.val().sameShape(Recorded.val())) << Name;
+    EXPECT_EQ(firstBitMismatch(Bare.val().data(), Recorded.val().data(),
+                               Bare.val().numel()),
+              -1)
+        << Name;
+    EXPECT_TRUE(Bare.node()->Prev.empty()) << Name;
+    EXPECT_FALSE(static_cast<bool>(Bare.node()->BackwardFn)) << Name;
+    EXPECT_FALSE(Bare.needsGrad()) << Name;
+  }
+}
+
+TEST(NoRecordTest, ScopeIsPerThreadNestedAndRestoredOnExit) {
+  Rng R(85);
+  Value P = Value::param(randomTensor(2, 3, R));
+  auto Records = [&] { return !relu(P).node()->Prev.empty(); };
+  EXPECT_TRUE(Records());
+  {
+    NoRecordScope Outer;
+    {
+      NoRecordScope Inner;
+      EXPECT_FALSE(Records());
+    }
+    EXPECT_FALSE(Records()) << "inner exit closed the outer scope";
+    // Another thread records as usual.
+    bool OtherRecords = false;
+    std::thread T([&] { OtherRecords = Records(); });
+    T.join();
+    EXPECT_TRUE(OtherRecords);
+  }
+  EXPECT_TRUE(Records());
+
+  // Unwinding through an exception closes the scope.
+  try {
+    NoRecordScope NoRecord;
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error &) {
+  }
+  EXPECT_TRUE(Records());
+
+  // Scopes entered inside pool chunks (as Predictor::embedFiles does)
+  // leave no worker in no-record mode afterwards.
+  setGlobalNumThreads(4);
+  parallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    NoRecordScope NoRecord;
+    EXPECT_FALSE(Records());
+  });
+  std::atomic<int> Leaked{0};
+  parallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    if (!Records())
+      ++Leaked;
+  });
+  setGlobalNumThreads(0);
+  EXPECT_EQ(Leaked.load(), 0);
+
+  // Training after all of that still gets its gradients.
+  backward(meanAll(mul(P, P)));
+  EXPECT_NE(P.grad()[0], 0.f);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -466,6 +467,38 @@ TEST(ArchiveTest, CursorOverrunIsStickyNotUndefined) {
   EXPECT_EQ(C.readU64(), 0u); // past the end: zero, and...
   EXPECT_FALSE(C.ok());       // ...the cursor is marked failed
   EXPECT_FALSE(C.atEnd());
+}
+
+TEST(ArchiveTest, ZeroLengthArrayReadsCopyNothing) {
+  ArchiveWriter W(1);
+  W.beginChunk("zero");
+  W.writeU32(7);
+  W.endChunk();
+  ArchiveReader R;
+  std::string Err;
+  ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+  // Empty vectors hand out a null data(): a zero-length read must not
+  // touch the destination at all, on a live cursor or a failed one.
+  std::vector<int32_t> I32;
+  std::vector<float> F32;
+  std::vector<uint16_t> U16;
+  ArchiveCursor Live = R.chunk("zero", &Err);
+  Live.readI32Array(I32.data(), 0);
+  Live.readF32Array(F32.data(), 0);
+  Live.readU16Array(U16.data(), 0);
+  Live.readBytes(I32.data(), 0);
+  EXPECT_TRUE(Live.ok());
+  EXPECT_EQ(Live.readU32(), 7u);
+  EXPECT_TRUE(Live.atEnd());
+
+  ArchiveCursor Failed = R.chunk("zero", &Err);
+  EXPECT_EQ(Failed.readU64(), 0u);
+  ASSERT_FALSE(Failed.ok());
+  Failed.readI32Array(I32.data(), 0);
+  Failed.readF32Array(F32.data(), 0);
+  Failed.readU16Array(U16.data(), 0);
+  Failed.readBytes(I32.data(), 0);
+  EXPECT_FALSE(Failed.ok()); // still failed: empty reads do not reset it
 }
 
 TEST(ArchiveTest, CorruptPayloadIsRejectedByChecksum) {
