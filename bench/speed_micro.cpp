@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "nn/Autograd.h"
 #include "nn/Kernels.h"
 #include "nn/Simd.h"
 #include "pyfront/Parser.h"
@@ -231,6 +232,31 @@ BENCHMARK(BM_GgnnGemm)
     ->ArgNames({"transA", "simd"})
     ->Unit(benchmark::kMicrosecond);
 
+/// The GGNN backward's input-gradient shape: dA += dC x W^T for a
+/// 1500-node minibatch at D=32 (1500x32 times 32x32, TransB, accumulating),
+/// single thread. It runs through the table's GemmDotRow. Arg0 = simd.
+void BM_GgnnGemmInputGrad(benchmark::State &State) {
+  SimdPin Pin(State.range(0) != 0);
+  setGlobalNumThreads(1);
+  const int64_t Nodes = 1500, D = 32;
+  Rng R(9);
+  Tensor DC = Tensor::randn(Nodes, D, R, 1.f);
+  Tensor W = Tensor::randn(D, D, R, 1.f);
+  Tensor DA(Nodes, D);
+  for (auto _ : State) {
+    gemm(false, true, Nodes, D, D, 1.f, DC.data(), W.data(), 1.f, DA.data());
+    benchmark::DoNotOptimize(DA.data());
+    benchmark::ClobberMemory();
+  }
+  setGlobalNumThreads(0);
+  State.SetItemsProcessed(State.iterations() * 2 * Nodes * D * D);
+}
+BENCHMARK(BM_GgnnGemmInputGrad)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgNames({"simd"})
+    ->Unit(benchmark::kMicrosecond);
+
 /// Shared body for the fused activation benches: refill from the same
 /// random source each iteration (both arms pay the same memcpy), then run
 /// the in-place kernel.
@@ -314,6 +340,26 @@ BENCHMARK(BM_PairwiseL1Simd)
     ->Arg(1)
     ->ArgNames({"simd"})
     ->Unit(benchmark::kMicrosecond);
+
+/// The backward of the TypeSpace's pairwise L1 distance matrix (the input
+/// of Eq. 3) over one minibatch: 128 target embeddings at D=32, single
+/// thread. The row loop is table-free, so there is no simd arm.
+void BM_PairwiseL1Backward(benchmark::State &State) {
+  setGlobalNumThreads(1);
+  const int64_t Rows = 128, D = 32;
+  Rng R(14);
+  nn::Value A = nn::Value::param(Tensor::randn(Rows, D, R, 1.f));
+  nn::Value Out = nn::pairwiseL1(A);
+  Out.grad() = Tensor::randn(Rows, Rows, R, 1.f);
+  for (auto _ : State) {
+    Out.node()->BackwardFn();
+    benchmark::DoNotOptimize(A.grad().data());
+    benchmark::ClobberMemory();
+  }
+  setGlobalNumThreads(0);
+  State.SetItemsProcessed(State.iterations() * Rows * Rows);
+}
+BENCHMARK(BM_PairwiseL1Backward)->Unit(benchmark::kMicrosecond);
 
 /// Full-τmap L1 scan against one query, per marker store. Arg0 = store
 /// (0 = f32, 1 = f16, 2 = int8), Arg1 = simd. The f16/int8 rows measure
@@ -460,8 +506,9 @@ int main(int argc, char **argv) {
   }
   std::string Filter = "--benchmark_filter=BM_(MatmulKernel|GgnnStep|"
                        "KnnQueryBatch|AnnoyBuild|GemmSimd|GgnnGemm|"
-                       "SigmoidSimd|"
-                       "TanhSimd|SoftmaxSimd|PairwiseL1Simd|TmapScanSimd)";
+                       "GgnnGemmInputGrad|SigmoidSimd|"
+                       "TanhSimd|SoftmaxSimd|PairwiseL1Simd|"
+                       "PairwiseL1Backward|TmapScanSimd)";
   if (Quick)
     Args.push_back(Filter.data());
   int ArgC = static_cast<int>(Args.size());

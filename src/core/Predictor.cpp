@@ -316,14 +316,16 @@ Predictor::annotateIncremental(const std::string &Path,
     throw std::runtime_error(
         "annotateIncremental needs a type universe: load an artifact or "
         "call setUniverse first");
-  // 1. Retire the file's previous markers: its own stale rows must never
+  // 1. Parse first: a file buildExample rejects (nested too deep) throws
+  //    here and leaves the τmap as it was.
+  FileExample Ex = buildExample(CorpusFile{Path, Source}, *U, {});
+  // 2. Retire the file's previous markers: its own stale rows must never
   //    answer its queries (and a single-file session's digest therefore
   //    matches predictSource over the untouched artifact — CI pins this).
-  Map->removeMarkersForFile(Path);
-  // 2. Parse and embed only this file — exactly one encoder pass, which
+  //    Then embed only this file — exactly one encoder pass, which
   //    embedCalls() lets tests pin — and answer its targets through
   //    predictBatch's kNN path, against the updated index.
-  FileExample Ex = buildExample(CorpusFile{Path, Source}, *U, {});
+  Map->removeMarkersForFile(Path);
   std::vector<const FileExample *> Files{&Ex};
   Embedded E = embedFiles(Files);
   std::vector<PredictionResult> Out = std::move(predictKnn(Files, E).front());
@@ -398,8 +400,8 @@ Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
     for (size_t I = 0; I != N; ++I)
       EmbedOne(I);
   }
-  EmbedCalls += N;
-  EmbedMicros += microsSince(EmbedT0);
+  EmbedCalls.add(N);
+  EmbedMicros.add(microsSince(EmbedT0));
   return E;
 }
 
@@ -419,7 +421,7 @@ Predictor::predictKnn(const std::vector<const FileExample *> &Files,
   auto KnnT0 = std::chrono::steady_clock::now();
   std::vector<NeighborList> Neigh = Index->queryBatch(
       Queries.data(), NumQ, Knn.K, Knn.EfSearch, Knn.NumThreads);
-  KnnMicros += microsSince(KnnT0);
+  KnnMicros.add(microsSince(KnnT0));
   std::vector<std::vector<PredictionResult>> Out(Files.size());
   size_t Row = 0;
   for (size_t F = 0; F != Files.size(); ++F)

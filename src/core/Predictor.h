@@ -28,6 +28,7 @@
 #include "models/Model.h"
 #include "support/Archive.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -175,8 +176,8 @@ public:
   /// CLI's `predict --source`, the serve daemon and the LSP all route
   /// through this, so their digests agree by construction. Requires a
   /// universe (loaded predictors own one; live-model predictors get one
-  /// via setUniverse). Propagates pyfront parse errors as exceptions,
-  /// like buildExample does.
+  /// via setUniverse). A file buildExample rejects (nesting deeper than
+  /// MaxNestingDepth) throws std::runtime_error with its diagnostic.
   std::vector<PredictionResult> predictSource(const std::string &Path,
                                               const std::string &Source);
   /// Batched predictSource: builds every example, then answers all of
@@ -239,13 +240,14 @@ public:
   void setUniverse(TypeUniverse &U) { ExternU = &U; }
   /// Encoder passes made so far (one per embedded file) — lets tests pin
   /// that the incremental path re-embeds exactly one file per edit.
-  uint64_t embedCalls() const { return EmbedCalls; }
+  uint64_t embedCalls() const { return EmbedCalls.load(); }
   /// Cumulative wall time spent in encoder passes (the τmap fill
   /// included) / in kNN index probes — the serve daemon diffs these
   /// around each batch for its stats breakdown.
-  /// Observability only: timing never influences results.
-  uint64_t embedMicros() const { return EmbedMicros; }
-  uint64_t knnMicros() const { return KnnMicros; }
+  /// Observability only: timing never influences results. Safe to read
+  /// while another thread predicts.
+  uint64_t embedMicros() const { return EmbedMicros.load(); }
+  uint64_t knnMicros() const { return KnnMicros.load(); }
   const TypeMap &typeMap() const { return *Map; }
   /// The index answering τmap queries (null for classifier predictors).
   const KnnIndex *knnIndex() const { return Index.get(); }
@@ -292,9 +294,27 @@ private:
   KnnOptions Knn;
   std::unique_ptr<TypeMap> Map;
   std::unique_ptr<KnnIndex> Index;
-  uint64_t EmbedCalls = 0;
-  uint64_t EmbedMicros = 0;
-  uint64_t KnnMicros = 0;
+
+  /// An observability counter: relaxed atomic adds and loads, so a
+  /// reader on another thread (the serve dispatcher's stats) never races
+  /// a prediction. Moves with its predictor.
+  class Counter {
+  public:
+    Counter() = default;
+    Counter(Counter &&O) noexcept : V(O.load()) {}
+    Counter &operator=(Counter &&O) noexcept {
+      V.store(O.load(), std::memory_order_relaxed);
+      return *this;
+    }
+    void add(uint64_t N) { V.fetch_add(N, std::memory_order_relaxed); }
+    uint64_t load() const { return V.load(std::memory_order_relaxed); }
+
+  private:
+    std::atomic<uint64_t> V{0};
+  };
+  Counter EmbedCalls;
+  Counter EmbedMicros;
+  Counter KnnMicros;
 };
 
 /// FNV-1a over the full prediction set: file paths, target indexes, and

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 using namespace typilus;
 
@@ -34,6 +35,8 @@ FileExample typilus::buildExample(const CorpusFile &File, TypeUniverse &U,
   FileExample Ex;
   Ex.Path = File.Path;
   ParsedFile PF = parseFile(File.Path, File.Source);
+  if (PF.TooDeep)
+    throw std::runtime_error(formatDiagnostic(File.Path, PF.Diags.back()));
   SymbolTable ST;
   buildSymbolTable(PF, ST);
   Ex.Graph = buildGraph(PF, ST, Opts);

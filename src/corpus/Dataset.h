@@ -91,6 +91,9 @@ void registerUdts(const std::vector<UdtSpec> &Udts, TypeHierarchy &Hierarchy);
 /// Parses and graph-izes a single file into a FileExample (shared with the
 /// examples and the qualitative tooling). Targets get ground truths from
 /// the in-source annotations; Any/None/malformed annotations are skipped.
+/// Other parse errors are recovered from, but a file nesting deeper than
+/// MaxNestingDepth throws std::runtime_error carrying the parser's
+/// "path:line: message" diagnostic.
 FileExample buildExample(const CorpusFile &File, TypeUniverse &U,
                          const GraphBuildOptions &Opts);
 

@@ -207,8 +207,9 @@ void LspServer::annotate(const std::string &Uri, const std::string &Text) {
   try {
     Preds = P.annotateIncremental(Path, Text);
   } catch (const std::exception &E) {
-    // Misconfiguration (no universe / non-kNN), not a per-edit state:
-    // surface it as one Error diagnostic so the editor shows something.
+    // Misconfiguration (no universe / non-kNN) or a document the parser
+    // rejects (nested too deep): surface it as one Error diagnostic so
+    // the editor shows something.
     std::string D = "{\"uri\":";
     json::appendQuoted(D, Uri);
     D += ",\"diagnostics\":[{\"range\":";

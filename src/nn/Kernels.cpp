@@ -25,17 +25,6 @@ int64_t gemmRowGrain(int64_t N, int64_t K) {
   return std::max<int64_t>(1, kernels::GemmParallelFlops / FlopsPerRow);
 }
 
-/// Rows [RB, RE) of C for the transposed-B, non-transposed-A case: both
-/// the A row and the B row are contiguous, so the inner loop is \p KT's
-/// dot product.
-void gemmRowsDotContig(const simd::KernelTable &KT, int64_t RB, int64_t RE,
-                       int64_t N, int64_t K, float Alpha, const float *A,
-                       int64_t Lda, const float *B, int64_t Ldb, float *C) {
-  for (int64_t I = RB; I != RE; ++I)
-    for (int64_t J = 0; J != N; ++J)
-      C[I * N + J] += Alpha * KT.Dot(A + I * Lda, B + J * Ldb, K);
-}
-
 /// Rows [RB, RE) of C for the transposed-A, transposed-B case. The A
 /// access is strided, so this stays a scalar loop on every ISA (it is
 /// bit-identical to the historical kernel by construction).
@@ -88,8 +77,11 @@ void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
     return;
   }
   if (!TransA)
+    // Both the A row and the B row are contiguous: the table's GemmDotRow
+    // runs its own Dot sequence per element.
     parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
-      gemmRowsDotContig(KT, RB, RE, N, K, Alpha, A, Lda, B, Ldb, C);
+      KT.GemmDotRow(C + RB * N, RE - RB, N, K, Alpha, A + RB * Lda, Lda, B,
+                    Ldb);
     });
   else
     parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {

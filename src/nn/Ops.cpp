@@ -4,13 +4,16 @@
 // neither under a NoRecordScope) and delegates the float work to the
 // kernels in nn/Kernels.cpp, which run blocked and pool-parallel above a
 // size threshold. Ops whose natural backward accumulation has write
-// conflicts across rows (repeated gather indices, scatter destinations,
-// pairwise distances) keep their serial loops — in the exact seed order —
-// so every op is bit-reproducible for any thread count.
+// conflicts across rows (repeated gather indices, scatter destinations)
+// keep their serial loops — in the exact seed order — and pairwiseL1's
+// backward regroups the seed order per destination row, so every op is
+// bit-reproducible for any thread count.
 //
 //===----------------------------------------------------------------------===//
 
 #include "nn/Autograd.h"
+
+#include "nn/Simd.h"
 
 #include "support/ThreadPool.h"
 
@@ -86,13 +89,12 @@ Value nn::add(Value A, Value B) {
         if (!Broadcast) {
           addInPlace(NB->Grad.data(), O->Grad.data(), O->Grad.numel());
         } else {
-          // Column sums; each column's contributions stay row-ascending.
+          // Column sums, one whole row at a time: each column's
+          // contributions still arrive row-ascending.
+          const simd::KernelTable &KT = simd::active();
           int64_t Rows = O->Grad.rows(), Cols = O->Grad.cols();
-          parallelFor(0, Cols, 8, [&](int64_t Lo, int64_t Hi) {
-            for (int64_t C = Lo; C != Hi; ++C)
-              for (int64_t R = 0; R != Rows; ++R)
-                NB->Grad[C] += O->Grad.at(R, C);
-          });
+          for (int64_t R = 0; R != Rows; ++R)
+            KT.Add(NB->Grad.data(), O->Grad.data() + R * Cols, Cols);
         }
       }
     };
@@ -405,12 +407,14 @@ Value nn::gatherRows(Value A, std::vector<int> Idx) {
   if (N->NeedsGrad) {
     Node *O = N.get();
     auto NA = A.node();
-    // Backward scatters with possibly repeated indices: serial.
+    // Backward scatters with possibly repeated indices: serial, one row
+    // add per index in Idx order.
     N->BackwardFn = [O, NA, Idx = std::move(Idx), D] {
       NA->ensureGrad();
+      const simd::KernelTable &KT = simd::active();
       for (size_t I = 0; I != Idx.size(); ++I)
-        for (int64_t J = 0; J != D; ++J)
-          NA->Grad.at(Idx[I], J) += O->Grad.at(static_cast<int64_t>(I), J);
+        KT.Add(NA->Grad.data() + static_cast<int64_t>(Idx[I]) * D,
+               O->Grad.data() + static_cast<int64_t>(I) * D, D);
     };
   }
   return Value(std::move(N));
@@ -655,24 +659,49 @@ Value nn::pairwiseL1(Value A) {
   if (N->NeedsGrad) {
     Node *O = N.get();
     auto NA = A.node();
-    // Each ordered pair updates two rows: conflicting writes, kept serial
-    // in the seed's order.
+    // Each ordered pair (I, J) adds G(I,J)·sign(V_I − V_J) to row I and
+    // subtracts it from row J. Row X gathers its own updates in the order
+    // the serial pair loop (I, J ascending) applied them: the pairs (I, X)
+    // with I < X, then (X, J) for every J, then (I, X) with I > X. Rows
+    // are then independent, so they run in parallel and the loop over K
+    // vectorizes.
     N->BackwardFn = [O, NA, R, D] {
       NA->ensureGrad();
-      for (int64_t I = 0; I != R; ++I)
-        for (int64_t J = 0; J != R; ++J) {
-          if (I == J)
-            continue;
-          float G = O->Grad.at(I, J);
-          if (G == 0.f)
-            continue;
-          for (int64_t K = 0; K != D; ++K) {
-            float Diff = NA->Val.at(I, K) - NA->Val.at(J, K);
-            float Sign = Diff > 0.f ? 1.f : (Diff < 0.f ? -1.f : 0.f);
-            NA->Grad.at(I, K) += G * Sign;
-            NA->Grad.at(J, K) -= G * Sign;
+      const float *V = NA->Val.data(), *G = O->Grad.data();
+      float *DV = NA->Grad.data();
+      // The seed's sign(Diff) values (+0 for ties and NaN) as an integer
+      // difference: branch-free, and G * Sign stays a real multiply.
+      auto Sign = [](float Diff) {
+        return static_cast<float>((Diff > 0.f) - (Diff < 0.f));
+      };
+      int64_t Grain = std::max<int64_t>(
+          1, GemmParallelFlops / std::max<int64_t>(1, 2 * R * D));
+      parallelFor(0, R, Grain, [&](int64_t Lo, int64_t Hi) {
+        for (int64_t X = Lo; X != Hi; ++X) {
+          float *DX = DV + X * D;
+          const float *VX = V + X * D;
+          auto AsSecond = [&](int64_t I) { // the pair (I, X)
+            float GI = G[I * R + X];
+            if (GI == 0.f)
+              return;
+            const float *VI = V + I * D;
+            for (int64_t K = 0; K != D; ++K)
+              DX[K] -= GI * Sign(VI[K] - VX[K]);
+          };
+          for (int64_t I = 0; I != X; ++I)
+            AsSecond(I);
+          for (int64_t J = 0; J != R; ++J) { // the pairs (X, J)
+            float GJ = G[X * R + J];
+            if (J == X || GJ == 0.f)
+              continue;
+            const float *VJ = V + J * D;
+            for (int64_t K = 0; K != D; ++K)
+              DX[K] += GJ * Sign(VX[K] - VJ[K]);
           }
+          for (int64_t I = X + 1; I != R; ++I)
+            AsSecond(I);
         }
+      });
     };
   }
   return Value(std::move(N));

@@ -125,15 +125,15 @@ void scalarSoftmaxRow(float *Row, int64_t Cols) {
 
 constexpr simd::KernelTable ScalarTable = {
     scalarAxpyRow,    simd::gemmRowOverAxpy<scalarAxpyRow>,
-    scalarDot,        scalarL1,
-    scalarL1F16,      scalarL1I8,
-    scalarAdd,        scalarSub,
-    scalarMul,        scalarScale,
-    scalarMulAcc,     scalarSigmoid,
-    scalarSigmoidBwd, scalarTanh,
-    scalarTanhBwd,    scalarRelu,
-    scalarReluBwd,    scalarSoftmaxRow,
-    simd::Isa::Scalar,
+    scalarDot,        simd::gemmDotRowOverDot<scalarDot>,
+    scalarL1,         scalarL1F16,
+    scalarL1I8,       scalarAdd,
+    scalarSub,        scalarMul,
+    scalarScale,      scalarMulAcc,
+    scalarSigmoid,    scalarSigmoidBwd,
+    scalarTanh,       scalarTanhBwd,
+    scalarRelu,       scalarReluBwd,
+    scalarSoftmaxRow, simd::Isa::Scalar,
 };
 
 } // namespace

@@ -57,8 +57,18 @@ struct KernelTable {
   void (*GemmRow)(float *C, int64_t Rows, int64_t N, int64_t K, float Alpha,
                   const float *A, int64_t ARowStride, int64_t AColStride,
                   const float *B, int64_t Ldb);
-  /// Contiguous dot product — the transposed-B GEMM inner loop.
+  /// Contiguous dot product.
   float (*Dot)(const float *A, const float *B, int64_t N);
+  /// The transposed-B GEMM body over \p Rows consecutive rows of C (row r
+  /// at C + r * N) and all N columns:
+  ///
+  ///   C[r * N + j] += Alpha * Dot(A + r * Lda, B + j * Ldb, K)
+  ///
+  /// with this table's own Dot, the product rounded before the add. Every
+  /// table's entry is bit-identical to that loop (NnTest pins it).
+  void (*GemmDotRow)(float *C, int64_t Rows, int64_t N, int64_t K,
+                     float Alpha, const float *A, int64_t Lda, const float *B,
+                     int64_t Ldb);
 
   /// L1 distances against the three τmap marker encodings. The f16 row is
   /// raw binary16 bit patterns; the int8 row decodes as scale * v.
@@ -119,6 +129,17 @@ void gemmRowOverAxpy(float *C, int64_t Rows, int64_t N, int64_t K,
       AxpyRow(C + R * N, AIP, B + P * Ldb, N);
     }
   }
+}
+
+/// The GemmDotRow loop composed over a Dot entry, verbatim: the scalar and
+/// NEON tables' GemmDotRow, and the definition the AVX2 kernel matches.
+template <float (*Dot)(const float *, const float *, int64_t)>
+void gemmDotRowOverDot(float *C, int64_t Rows, int64_t N, int64_t K,
+                       float Alpha, const float *A, int64_t Lda,
+                       const float *B, int64_t Ldb) {
+  for (int64_t R = 0; R != Rows; ++R)
+    for (int64_t J = 0; J != N; ++J)
+      C[R * N + J] += Alpha * Dot(A + R * Lda, B + J * Ldb, K);
 }
 
 // Per-ISA table factories. Only defined when the matching translation

@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
+#include <vector>
 
 using namespace typilus;
 using namespace typilus::nn;
@@ -230,6 +231,124 @@ void gemmRow(float *C, int64_t Rows, int64_t N, int64_t K, float Alpha,
   if (R != Rows)
     gemmRowBlock<1>(C + R * N, N, K, Alpha, A + R * ARowStride, ARowStride,
                     AColStride, B, Ldb);
+}
+
+// The transposed-B GEMM, GemmDotRow: dot()'s exact sequence for eight
+// output columns at once, with only vertical operations. B is copied
+// transposed (Bt row p holds B[j * Ldb + p] for every j, zero-padded to a
+// multiple of 8 columns), so lane c of a Bt load belongs to output column
+// j + c and one broadcast A element feeds eight dot products.
+//
+// Per output element this is dot() verbatim: lane l of dot()'s Acc0 and
+// Acc1 (p = l mod 16 and l + 8 mod 16 over the 16-float chunks, one
+// 8-float chunk into Acc0) becomes a pair of accumulators here; hsum's
+// tree ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)) over s = Acc0 + Acc1 is
+// spelled out with the same operand order; the tail is the same fmaf
+// chain; and the result is scaled by Alpha and added to C unfused, like
+// gemmDotRowOverDot<dot>.
+
+/// s_Lane = (Acc0 + Acc1)[Lane] of dot() for R rows of A and the eight
+/// output columns whose transposed B starts at \p BtJ. Always inlined so
+/// the accumulators stay in registers.
+template <int R>
+__attribute__((always_inline)) inline void
+laneSum(__m256 (&S)[R], int Lane, const float *A, int64_t Lda,
+        const float *BtJ, int64_t Ldt, int64_t K16, bool Has8) {
+  __m256 Acc0[R], Acc1[R];
+#pragma GCC unroll 4
+  for (int Ri = 0; Ri != R; ++Ri)
+    Acc0[Ri] = Acc1[Ri] = _mm256_setzero_ps();
+  for (int64_t P = 0; P != K16; P += 16) {
+    __m256 B0 = _mm256_loadu_ps(BtJ + (P + Lane) * Ldt);
+    __m256 B1 = _mm256_loadu_ps(BtJ + (P + 8 + Lane) * Ldt);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri) {
+      const float *ARow = A + Ri * Lda + P + Lane;
+      Acc0[Ri] = _mm256_fmadd_ps(_mm256_set1_ps(ARow[0]), B0, Acc0[Ri]);
+      Acc1[Ri] = _mm256_fmadd_ps(_mm256_set1_ps(ARow[8]), B1, Acc1[Ri]);
+    }
+  }
+  if (Has8) {
+    __m256 B0 = _mm256_loadu_ps(BtJ + (K16 + Lane) * Ldt);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri)
+      Acc0[Ri] = _mm256_fmadd_ps(_mm256_set1_ps(A[Ri * Lda + K16 + Lane]),
+                                 B0, Acc0[Ri]);
+  }
+#pragma GCC unroll 4
+  for (int Ri = 0; Ri != R; ++Ri)
+    S[Ri] = _mm256_add_ps(Acc0[Ri], Acc1[Ri]);
+}
+
+/// R rows of C, all N columns, eight at a time (masked at the end).
+template <int R>
+void gemmDotBlock(float *C, int64_t N, int64_t K, float Alpha, const float *A,
+                  int64_t Lda, const float *Bt, int64_t Ldt) {
+  const int64_t K16 = K / 16 * 16;
+  const bool Has8 = K - K16 >= 8;
+  const int64_t KTail = Has8 ? K16 + 8 : K16;
+  const __m256 VAlpha = _mm256_set1_ps(Alpha);
+  for (int64_t J = 0; J < N; J += 8) {
+    const float *BtJ = Bt + J;
+    // hsum's tree: U = (s0+s4)+(s2+s6), V = (s1+s5)+(s3+s7), Sum = U+V.
+    __m256 U[R], V[R], S0[R], S1[R];
+    laneSum<R>(S0, 0, A, Lda, BtJ, Ldt, K16, Has8);
+    laneSum<R>(S1, 4, A, Lda, BtJ, Ldt, K16, Has8);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri)
+      U[Ri] = _mm256_add_ps(S0[Ri], S1[Ri]);
+    laneSum<R>(S0, 2, A, Lda, BtJ, Ldt, K16, Has8);
+    laneSum<R>(S1, 6, A, Lda, BtJ, Ldt, K16, Has8);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri)
+      U[Ri] = _mm256_add_ps(U[Ri], _mm256_add_ps(S0[Ri], S1[Ri]));
+    laneSum<R>(S0, 1, A, Lda, BtJ, Ldt, K16, Has8);
+    laneSum<R>(S1, 5, A, Lda, BtJ, Ldt, K16, Has8);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri)
+      V[Ri] = _mm256_add_ps(S0[Ri], S1[Ri]);
+    laneSum<R>(S0, 3, A, Lda, BtJ, Ldt, K16, Has8);
+    laneSum<R>(S1, 7, A, Lda, BtJ, Ldt, K16, Has8);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri)
+      V[Ri] = _mm256_add_ps(V[Ri], _mm256_add_ps(S0[Ri], S1[Ri]));
+    const bool Full = J + 8 <= N;
+    const __m256i Tail = Full ? __m256i() : laneMask(N - J);
+#pragma GCC unroll 4
+    for (int Ri = 0; Ri != R; ++Ri) {
+      __m256 Sum = _mm256_add_ps(U[Ri], V[Ri]);
+      for (int64_t P = KTail; P != K; ++P)
+        Sum = _mm256_fmadd_ps(_mm256_set1_ps(A[Ri * Lda + P]),
+                              _mm256_loadu_ps(BtJ + P * Ldt), Sum);
+      float *Dst = C + Ri * N + J;
+      __m256 Prod = _mm256_mul_ps(VAlpha, Sum);
+      if (Full)
+        _mm256_storeu_ps(Dst, _mm256_add_ps(_mm256_loadu_ps(Dst), Prod));
+      else
+        _mm256_maskstore_ps(
+            Dst, Tail, _mm256_add_ps(_mm256_maskload_ps(Dst, Tail), Prod));
+    }
+  }
+}
+
+void gemmDotRow(float *C, int64_t Rows, int64_t N, int64_t K, float Alpha,
+                const float *A, int64_t Lda, const float *B, int64_t Ldb) {
+  if (Rows == 0 || N == 0)
+    return;
+  // The transposed copy is made once per call (one parallel chunk of
+  // rows); its buffer is reused across calls on the same thread. Rows are
+  // blocked in pairs that share every Bt load.
+  thread_local std::vector<float> Bt;
+  const int64_t Ldt = (N + 7) / 8 * 8;
+  Bt.assign(static_cast<size_t>(K * Ldt), 0.f);
+  for (int64_t J = 0; J != N; ++J)
+    for (int64_t P = 0; P != K; ++P)
+      Bt[static_cast<size_t>(P * Ldt + J)] = B[J * Ldb + P];
+  int64_t R = 0;
+  for (; R + 2 <= Rows; R += 2)
+    gemmDotBlock<2>(C + R * N, N, K, Alpha, A + R * Lda, Lda, Bt.data(), Ldt);
+  if (R != Rows)
+    gemmDotBlock<1>(C + R * N, N, K, Alpha, A + R * Lda, Lda, Bt.data(), Ldt);
 }
 
 //===----------------------------------------------------------------------===//
@@ -462,10 +581,10 @@ void softmaxRow(float *Row, int64_t Cols) {
 }
 
 constexpr simd::KernelTable Avx2Table = {
-    axpyRow,    gemmRow, dot,     l1,    l1F16,   l1I8,
-    add,        sub,     mul,     scale, mulAcc,  sigmoid,
-    sigmoidBwd, tanhFwd, tanhBwd, relu,  reluBwd, softmaxRow,
-    simd::Isa::Avx2,
+    axpyRow,    gemmRow,    dot,     gemmDotRow, l1,    l1F16,
+    l1I8,       add,        sub,     mul,        scale, mulAcc,
+    sigmoid,    sigmoidBwd, tanhFwd, tanhBwd,    relu,  reluBwd,
+    softmaxRow, simd::Isa::Avx2,
 };
 
 } // namespace

@@ -152,6 +152,7 @@ const simd::KernelTable &simd::neonTable() {
     N.AxpyRow = axpyRow;
     N.GemmRow = gemmRowOverAxpy<axpyRow>;
     N.Dot = dot;
+    N.GemmDotRow = gemmDotRowOverDot<dot>;
     N.L1 = l1;
     N.Add = add;
     N.Sub = sub;

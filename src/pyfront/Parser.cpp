@@ -4,6 +4,7 @@
 
 #include "support/Str.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -54,7 +55,42 @@ private:
   template <typename T> T *finish(T *N, int FirstTok) {
     N->FirstTok = FirstTok;
     N->LastTok = static_cast<int>(Pos) - 1;
+    noteHeight(N);
     return N;
+  }
+
+  /// Thrown past MaxNestingDepth; run() turns it into the diagnostic.
+  struct TooDeep {};
+  /// One level of parser recursion, held for the scope of the construct.
+  class Nest {
+  public:
+    explicit Nest(ParserImpl &P) : P(P) {
+      if (++P.Depth > MaxNestingDepth)
+        throw TooDeep{};
+    }
+    ~Nest() { --P.Depth; }
+    Nest(const Nest &) = delete;
+    Nest &operator=(const Nest &) = delete;
+
+  private:
+    ParserImpl &P;
+  };
+  /// Records \p N's height (1 + its tallest child's; every node is
+  /// finished after its children) and enforces the cap on it.
+  void noteHeight(const AstNode *N) {
+    int H = 0;
+    Module::forEachChild(
+        N, [&](const AstNode *C) { H = std::max(H, heightOf(C)); });
+    if (++H > MaxNestingDepth)
+      throw TooDeep{};
+    size_t Id = static_cast<size_t>(N->id());
+    if (Heights.size() <= Id)
+      Heights.resize(Id + 1, 1);
+    Heights[Id] = H;
+  }
+  int heightOf(const AstNode *N) const {
+    size_t Id = static_cast<size_t>(N->id());
+    return Id < Heights.size() ? Heights[Id] : 1;
   }
 
   // Statements.
@@ -72,17 +108,27 @@ private:
   std::string parseAnnotationText();
   std::string parseAnnotationTerm();
 
-  // Expressions (by descending precedence level).
+  // Expressions. The binary operators and `not` are parsed by precedence
+  // climbing rather than one function per level, which keeps the parser's
+  // stack per nesting level (e.g. per bracket) to seven frames.
+  enum : int {
+    OrPrec = 1,
+    AndPrec,
+    NotPrec, ///< The prefix `not`, between `and` and the comparisons.
+    ComparePrec,
+    BitOrPrec,
+    BitAndPrec,
+    ArithPrec,
+    TermPrec,
+  };
   Expr *parseTestlist();
-  Expr *parseExpr() { return parseOr(); }
-  Expr *parseOr();
-  Expr *parseAnd();
-  Expr *parseNot();
-  Expr *parseComparison();
-  Expr *parseBitOr();
-  Expr *parseBitAnd();
-  Expr *parseArith();
-  Expr *parseTerm();
+  Expr *parseExpr() { return parseBinary(OrPrec); }
+  /// An operand followed by every binary operator binding at least as
+  /// tightly as \p MinPrec.
+  Expr *parseBinary(int MinPrec);
+  /// The binary operator at the cursor: its kind, precedence and token
+  /// count (`not in` and `is not` take two). Consumes nothing.
+  bool binaryOpAt(BinOpKind &Op, int &Prec, int &Width) const;
   Expr *parseUnary();
   Expr *parsePower();
   Expr *parsePostfix();
@@ -93,6 +139,8 @@ private:
   ParsedFile &PF;
   std::vector<Token> &Toks;
   size_t Pos = 0;
+  int Depth = 0;            ///< Active Nest levels.
+  std::vector<int> Heights; ///< Node height by node id.
 };
 
 } // namespace
@@ -100,14 +148,24 @@ private:
 void ParserImpl::run() {
   PF.Mod = std::make_unique<Module>();
   PF.Mod->FirstTok = 0;
-  while (!check(TokKind::Eof)) {
-    if (accept(TokKind::Newline) || accept(TokKind::Indent) ||
-        accept(TokKind::Dedent) || accept(TokKind::Error))
-      continue;
-    size_t Before = Pos;
-    parseStmtInto(PF.Mod->Body);
-    if (Pos == Before)
-      ++Pos; // Ensure forward progress on malformed input.
+  try {
+    while (!check(TokKind::Eof)) {
+      if (accept(TokKind::Newline) || accept(TokKind::Indent) ||
+          accept(TokKind::Dedent) || accept(TokKind::Error))
+        continue;
+      size_t Before = Pos;
+      parseStmtInto(PF.Mod->Body);
+      if (Pos == Before)
+        ++Pos; // Ensure forward progress on malformed input.
+    }
+  } catch (const TooDeep &) {
+    // A statement is attached to its parent only once complete, so the
+    // module keeps exactly the statements finished before this point;
+    // the abandoned nodes stay unreachable in the arena.
+    error(strformat("nesting deeper than %d levels; the rest of the file "
+                    "is not parsed",
+                    MaxNestingDepth));
+    PF.TooDeep = true;
   }
   PF.Mod->LastTok = static_cast<int>(Pos);
 }
@@ -211,6 +269,7 @@ void ParserImpl::parseStmtInto(std::vector<Stmt *> &Out) {
 }
 
 void ParserImpl::parseSuite(std::vector<Stmt *> &Out) {
+  Nest N(*this);
   if (!expect(TokKind::Colon, "before suite")) {
     syncToNewline();
     return;
@@ -307,6 +366,7 @@ Stmt *ParserImpl::parseIf() {
   auto *I = make<IfStmt>(parseExpr());
   parseSuite(I->Then);
   if (check(TokKind::KwElif)) {
+    Nest N(*this);
     int First = static_cast<int>(Pos);
     I->Else.push_back(cast<Stmt>(finish(parseIf(), First)));
   } else if (accept(TokKind::KwElse)) {
@@ -474,6 +534,7 @@ std::string ParserImpl::parseAnnotationTerm() {
       Text = Raw.substr(1, Raw.size() - 2);
   } else if (check(TokKind::LBracket)) {
     // Bracketed parameter list, e.g. Callable[[int, str], bool].
+    Nest N(*this);
     MarkAndAdvance();
     Text = "[";
     bool First = true;
@@ -495,6 +556,7 @@ std::string ParserImpl::parseAnnotationTerm() {
     return "Any";
   }
   if (check(TokKind::LBracket)) {
+    Nest N(*this);
     MarkAndAdvance();
     Text += "[";
     bool First = true;
@@ -537,126 +599,84 @@ Expr *ParserImpl::parseTestlist() {
   return finish(T, First);
 }
 
-Expr *ParserImpl::parseOr() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseAnd();
-  while (accept(TokKind::KwOr))
-    L = finish(make<BinaryExpr>(BinOpKind::Or, L, parseAnd()), First);
-  return L;
-}
-
-Expr *ParserImpl::parseAnd() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseNot();
-  while (accept(TokKind::KwAnd))
-    L = finish(make<BinaryExpr>(BinOpKind::And, L, parseNot()), First);
-  return L;
-}
-
-Expr *ParserImpl::parseNot() {
-  int First = static_cast<int>(Pos);
-  if (accept(TokKind::KwNot))
-    return finish(make<UnaryExpr>(UnaryOpKind::Not, parseNot()), First);
-  return parseComparison();
-}
-
-Expr *ParserImpl::parseComparison() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseBitOr();
-  while (true) {
-    BinOpKind Op;
-    if (accept(TokKind::EqEq))
-      Op = BinOpKind::Eq;
-    else if (accept(TokKind::NotEq))
-      Op = BinOpKind::NotEq;
-    else if (accept(TokKind::Lt))
-      Op = BinOpKind::Lt;
-    else if (accept(TokKind::Le))
-      Op = BinOpKind::LtE;
-    else if (accept(TokKind::Gt))
-      Op = BinOpKind::Gt;
-    else if (accept(TokKind::Ge))
-      Op = BinOpKind::GtE;
-    else if (accept(TokKind::KwIn))
-      Op = BinOpKind::In;
-    else if (check(TokKind::KwNot) && peek().Kind == TokKind::KwIn) {
-      Pos += 2;
-      Op = BinOpKind::NotIn;
-    } else if (check(TokKind::KwIs) && peek().Kind == TokKind::KwNot) {
-      Pos += 2;
-      Op = BinOpKind::IsNot;
-    } else if (accept(TokKind::KwIs)) {
-      Op = BinOpKind::Is;
-    } else {
-      break;
-    }
-    L = finish(make<BinaryExpr>(Op, L, parseBitOr()), First);
-  }
-  return L;
-}
-
-Expr *ParserImpl::parseBitOr() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseBitAnd();
-  while (accept(TokKind::Pipe))
-    L = finish(make<BinaryExpr>(BinOpKind::BitOr, L, parseBitAnd()), First);
-  return L;
-}
-
-Expr *ParserImpl::parseBitAnd() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseArith();
-  while (accept(TokKind::Amp))
-    L = finish(make<BinaryExpr>(BinOpKind::BitAnd, L, parseArith()), First);
-  return L;
-}
-
-Expr *ParserImpl::parseArith() {
-  int First = static_cast<int>(Pos);
-  Expr *L = parseTerm();
-  while (true) {
-    if (accept(TokKind::Plus))
-      L = finish(make<BinaryExpr>(BinOpKind::Add, L, parseTerm()), First);
-    else if (accept(TokKind::Minus))
-      L = finish(make<BinaryExpr>(BinOpKind::Sub, L, parseTerm()), First);
-    else
-      return L;
+bool ParserImpl::binaryOpAt(BinOpKind &Op, int &Prec, int &Width) const {
+  auto Is = [&](BinOpKind O, int P, int W = 1) {
+    Op = O;
+    Prec = P;
+    Width = W;
+    return true;
+  };
+  switch (cur().Kind) {
+  case TokKind::KwOr: return Is(BinOpKind::Or, OrPrec);
+  case TokKind::KwAnd: return Is(BinOpKind::And, AndPrec);
+  case TokKind::EqEq: return Is(BinOpKind::Eq, ComparePrec);
+  case TokKind::NotEq: return Is(BinOpKind::NotEq, ComparePrec);
+  case TokKind::Lt: return Is(BinOpKind::Lt, ComparePrec);
+  case TokKind::Le: return Is(BinOpKind::LtE, ComparePrec);
+  case TokKind::Gt: return Is(BinOpKind::Gt, ComparePrec);
+  case TokKind::Ge: return Is(BinOpKind::GtE, ComparePrec);
+  case TokKind::KwIn: return Is(BinOpKind::In, ComparePrec);
+  case TokKind::KwNot:
+    return peek().Kind == TokKind::KwIn && Is(BinOpKind::NotIn, ComparePrec, 2);
+  case TokKind::KwIs:
+    if (peek().Kind == TokKind::KwNot)
+      return Is(BinOpKind::IsNot, ComparePrec, 2);
+    return Is(BinOpKind::Is, ComparePrec);
+  case TokKind::Pipe: return Is(BinOpKind::BitOr, BitOrPrec);
+  case TokKind::Amp: return Is(BinOpKind::BitAnd, BitAndPrec);
+  case TokKind::Plus: return Is(BinOpKind::Add, ArithPrec);
+  case TokKind::Minus: return Is(BinOpKind::Sub, ArithPrec);
+  case TokKind::Star: return Is(BinOpKind::Mult, TermPrec);
+  case TokKind::Slash: return Is(BinOpKind::Div, TermPrec);
+  case TokKind::DoubleSlash: return Is(BinOpKind::FloorDiv, TermPrec);
+  case TokKind::Percent: return Is(BinOpKind::Mod, TermPrec);
+  default: return false;
   }
 }
 
-Expr *ParserImpl::parseTerm() {
+Expr *ParserImpl::parseBinary(int MinPrec) {
   int First = static_cast<int>(Pos);
-  Expr *L = parseUnary();
-  while (true) {
-    BinOpKind Op;
-    if (accept(TokKind::Star))
-      Op = BinOpKind::Mult;
-    else if (accept(TokKind::Slash))
-      Op = BinOpKind::Div;
-    else if (accept(TokKind::DoubleSlash))
-      Op = BinOpKind::FloorDiv;
-    else if (accept(TokKind::Percent))
-      Op = BinOpKind::Mod;
-    else
-      return L;
-    L = finish(make<BinaryExpr>(Op, L, parseUnary()), First);
+  Expr *L;
+  if (MinPrec <= NotPrec && accept(TokKind::KwNot)) {
+    Nest N(*this);
+    L = finish(make<UnaryExpr>(UnaryOpKind::Not, parseBinary(NotPrec)),
+               First);
+  } else {
+    L = parseUnary();
   }
+  // Operators of one level fold left; a tighter operator on the right is
+  // taken by the recursive call, a looser one ends this level.
+  BinOpKind Op;
+  int Prec, Width;
+  while (binaryOpAt(Op, Prec, Width) && Prec >= MinPrec) {
+    Pos += static_cast<size_t>(Width);
+    Nest N(*this);
+    Expr *R = parseBinary(Prec + 1);
+    L = finish(make<BinaryExpr>(Op, L, R), First);
+  }
+  return L;
 }
 
 Expr *ParserImpl::parseUnary() {
   int First = static_cast<int>(Pos);
+  UnaryOpKind Op;
   if (accept(TokKind::Minus))
-    return finish(make<UnaryExpr>(UnaryOpKind::Neg, parseUnary()), First);
-  if (accept(TokKind::Plus))
-    return finish(make<UnaryExpr>(UnaryOpKind::Pos, parseUnary()), First);
-  return parsePower();
+    Op = UnaryOpKind::Neg;
+  else if (accept(TokKind::Plus))
+    Op = UnaryOpKind::Pos;
+  else
+    return parsePower();
+  Nest N(*this);
+  return finish(make<UnaryExpr>(Op, parseUnary()), First);
 }
 
 Expr *ParserImpl::parsePower() {
   int First = static_cast<int>(Pos);
   Expr *L = parsePostfix();
-  if (accept(TokKind::DoubleStar))
+  if (accept(TokKind::DoubleStar)) {
+    Nest N(*this);
     return finish(make<BinaryExpr>(BinOpKind::Pow, L, parseUnary()), First);
+  }
   return L;
 }
 
@@ -665,6 +685,7 @@ Expr *ParserImpl::parsePostfix() {
   Expr *E = parseAtom();
   while (true) {
     if (accept(TokKind::LParen)) {
+      Nest N(*this);
       auto *C = make<CallExpr>(E);
       while (!check(TokKind::RParen) && !check(TokKind::Eof)) {
         if (check(TokKind::Identifier) && peek().Kind == TokKind::Assign) {
@@ -692,6 +713,7 @@ Expr *ParserImpl::parsePostfix() {
       continue;
     }
     if (accept(TokKind::LBracket)) {
+      Nest N(*this);
       Expr *Index = parseTestlist();
       expect(TokKind::RBracket, "to close subscript");
       E = finish(make<SubscriptExpr>(E, Index), First);
@@ -742,6 +764,7 @@ Expr *ParserImpl::parseAtom() {
     ++Pos;
     return finish(make<EllipsisLit>(), First);
   case TokKind::KwYield: {
+    Nest N(*this);
     ++Pos;
     Expr *V = nullptr;
     if (!check(TokKind::Newline) && !check(TokKind::RParen) &&
@@ -750,6 +773,7 @@ Expr *ParserImpl::parseAtom() {
     return finish(make<YieldExpr>(V), First);
   }
   case TokKind::LParen: {
+    Nest N(*this);
     ++Pos;
     if (accept(TokKind::RParen))
       return finish(make<TupleExpr>(), First);
@@ -759,6 +783,7 @@ Expr *ParserImpl::parseAtom() {
     return Inner;
   }
   case TokKind::LBracket: {
+    Nest N(*this);
     ++Pos;
     auto *L = make<ListExpr>();
     while (!check(TokKind::RBracket) && !check(TokKind::Eof)) {
@@ -770,6 +795,7 @@ Expr *ParserImpl::parseAtom() {
     return finish(L, First);
   }
   case TokKind::LBrace: {
+    Nest N(*this);
     ++Pos;
     if (accept(TokKind::RBrace))
       return finish(make<DictExpr>(), First);

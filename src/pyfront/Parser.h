@@ -10,6 +10,10 @@
 /// so the graph builder skips them); the parser recovers from errors at
 /// statement granularity.
 ///
+/// Nesting is capped at MaxNestingDepth: past it the parser reports one
+/// diagnostic and stops, so no input can exhaust the stack of the parser
+/// or of the recursive passes over its AST.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPILUS_PYFRONT_PARSER_H
@@ -25,6 +29,16 @@
 
 namespace typilus {
 
+/// The deepest nesting a file may have. Two measures are held to it: the
+/// parser's own recursion (brackets, binary operands, unary and `not`
+/// operators, `**`, call arguments and subscripts, `elif`s, blocks,
+/// annotation brackets) and the height of every AST node, which also
+/// grows with the length of left-nested binary, comparison, bool, call,
+/// subscript and attribute chains. Both bound stack depth: at most seven
+/// parser frames per recursion level, and one level of every recursive
+/// walk per unit of height.
+constexpr int MaxNestingDepth = 2500;
+
 /// A parsed source file: source text, token stream, AST and diagnostics.
 struct ParsedFile {
   std::string Path;
@@ -32,6 +46,10 @@ struct ParsedFile {
   std::vector<Token> Tokens;
   std::unique_ptr<Module> Mod;
   std::vector<Diagnostic> Diags;
+  /// The file nests deeper than MaxNestingDepth: parsing stopped there
+  /// (the last diagnostic says where) and `Mod` holds only the statements
+  /// completed before that point.
+  bool TooDeep = false;
 
   bool hasErrors() const { return !Diags.empty(); }
 };

@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 using namespace typilus;
 
@@ -301,6 +302,50 @@ TEST_F(CoreTest, PredictSourceMatchesPredictFile) {
   auto ViaSource = P.predictSource(CF->Path, CF->Source);
   ASSERT_FALSE(ViaFile.empty());
   EXPECT_EQ(predictionDigest(ViaFile), predictionDigest(ViaSource));
+}
+
+TEST_F(CoreTest, PredictSourceRejectsDeepNestingWithADiagnostic) {
+  // Hostile request bodies: a 20k-term sum, 20k nested parens and a 20k
+  // attribute chain. Each must come back as the parser's diagnostic, not
+  // a stack overflow, and leave the predictor serving.
+  Predictor P = makeEditorPredictor(*WB, *Run);
+  auto Repeat = [](const std::string &S, int N) {
+    std::string Out;
+    for (int I = 0; I != N; ++I)
+      Out += S;
+    return Out;
+  };
+  const int N = 20000;
+  const std::string Hostile[] = {
+      "x = 1" + Repeat("+1", N) + "\n",
+      "x = " + Repeat("(", N) + "1" + Repeat(")", N) + "\n",
+      "x = a" + Repeat(".b", N) + "\n",
+  };
+  const CorpusFile *CF = sourceOf(*WB, WB->DS.Test.front().Path);
+  ASSERT_NE(CF, nullptr);
+  uint64_t Before = predictionDigest(P.predictSource(CF->Path, CF->Source));
+  P.annotateIncremental(CF->Path, CF->Source);
+  size_t Live = P.typeMap().liveSize();
+  for (const std::string &Src : Hostile) {
+    try {
+      P.predictSource("deep.py", Src);
+      ADD_FAILURE() << "no diagnostic for " << Src.substr(0, 12);
+    } catch (const std::runtime_error &E) {
+      EXPECT_EQ(std::string(E.what()).rfind("deep.py:1: nesting deeper than",
+                                            0),
+                0u)
+          << E.what();
+    }
+    // A rejected edit leaves the file's τmap markers in place.
+    EXPECT_THROW(P.annotateIncremental(CF->Path, Src), std::runtime_error);
+    EXPECT_EQ(P.typeMap().liveSize(), Live);
+  }
+  P.removeMarkersForFile(CF->Path);
+  EXPECT_EQ(predictionDigest(P.predictSource(CF->Path, CF->Source)), Before);
+  // The deepest nesting the cap admits runs through every pass.
+  std::string Legal = "def f(a):\n    x = 1" + Repeat("+1", 2000) +
+                      "\n    return x\n";
+  EXPECT_NO_THROW(P.predictSource("legal.py", Legal));
 }
 
 TEST_F(CoreTest, AnnotateIncrementalReEmbedsExactlyOneFile) {

@@ -370,6 +370,36 @@ TEST_F(LspSessionTest, FullSessionPublishesMatchingDigests) {
   EXPECT_EQ(H.finish(), 0);
 }
 
+TEST_F(LspSessionTest, DeeplyNestedDocumentPublishesADiagnostic) {
+  // Every keystroke runs the parser: a document nesting past the cap
+  // gets one Error diagnostic, and the session keeps answering.
+  Predictor P = makePredictor();
+  SessionHarness H(P);
+  std::string Deep = "x = ";
+  for (int I = 0; I != 20000; ++I)
+    Deep += "(";
+  Deep += "1" + std::string(20000, ')') + "\n";
+  std::string Uri = pathToUri("/tmp/deep.py");
+  H.request(didOpenBody(Uri, Deep));
+  json::Value Diags = H.readUntil("textDocument/publishDiagnostics");
+  const json::Value *List = Diags.find("params")->find("diagnostics");
+  ASSERT_NE(List, nullptr);
+  ASSERT_EQ(List->array().size(), 1u);
+  EXPECT_EQ(List->array()[0].getInt("severity", -1), 1);
+  EXPECT_NE(List->array()[0].getString("message", "").find(
+                "nesting deeper than"),
+            std::string::npos);
+  // The same document fixed: predictions flow again.
+  const CorpusFile &Doc = WB->Files.front();
+  H.request(didChangeBody(Uri, Doc.Source));
+  json::Value Types = H.readUntil("typilus/types");
+  EXPECT_FALSE(Types.find("params")->getString("digest", "").empty());
+  H.request("{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"shutdown\"}");
+  EXPECT_EQ(H.read().getInt("id", -1), 2);
+  H.request("{\"jsonrpc\":\"2.0\",\"method\":\"exit\"}");
+  EXPECT_EQ(H.finish(), 0);
+}
+
 TEST_F(LspSessionTest, UnknownMethodGetsMethodNotFound) {
   Predictor P = makePredictor();
   SessionHarness H(P);

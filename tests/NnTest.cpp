@@ -1146,6 +1146,207 @@ TEST(ScatterMaxTest, MatchesTheBranchyLoopForwardAndBackward) {
 }
 
 //===----------------------------------------------------------------------===//
+// The transposed-B GEMM row kernel and the row-ordered backward loops
+// must reproduce the loops they replaced bit for bit, on every kernel
+// table this CPU offers and for any thread count.
+//===----------------------------------------------------------------------===//
+
+TEST(GemmDotRowTest, BitIdenticalToTheDotLoopOnEveryTable) {
+  // M is odd so row pairs leave a single-row remainder; the largest
+  // shapes cross GemmParallelFlops, so 4 threads really split rows.
+  const int64_t M = 131;
+  const float Inf = std::numeric_limits<float>::infinity();
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    ASSERT_EQ(&simd::active(), KT);
+    Rng R(84);
+    for (int64_t N : {1, 7, 8, 9, 31, 32, 33, 50, 64})
+      for (int64_t K : {1, 7, 8, 15, 16, 17, 32, 33, 50}) {
+        // A has a zero row, scattered zeros and infinities; C has -0.
+        Tensor A = randomTensor(M, K, R);
+        for (int64_t P = 0; P != K; ++P)
+          A.at(2, P) = 0.f;
+        for (int64_t I = 0; I < A.numel(); I += 5)
+          A[I] = 0.f;
+        A.at(5, 0) = Inf;
+        A.at(6, K - 1) = -Inf;
+        Tensor B = randomTensor(N, K, R); // stored [N, K]: op(B) = B^T
+        Tensor C0 = randomTensor(M, N, R);
+        for (int64_t I = 0; I < C0.numel(); I += 3)
+          C0[I] = -0.0f;
+        for (float Alpha : {1.f, 1.5f})
+          for (float Beta : {0.f, 1.f, 0.5f}) {
+            // gemm's Beta step, then the loop GemmDotRow replaced.
+            Tensor Want = C0;
+            if (Beta != 1.f)
+              for (int64_t I = 0; I != Want.numel(); ++I)
+                Want[I] = Beta == 0.f ? 0.f : Want[I] * Beta;
+            for (int64_t I = 0; I != M; ++I)
+              for (int64_t J = 0; J != N; ++J)
+                Want.at(I, J) +=
+                    Alpha * KT->Dot(A.data() + I * K, B.data() + J * K, K);
+            for (int Threads : {1, 4}) {
+              setGlobalNumThreads(Threads);
+              Tensor Got = C0;
+              gemm(false, true, M, N, K, Alpha, A.data(), B.data(), Beta,
+                   Got.data());
+              EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Got.numel()),
+                        -1)
+                  << simd::isaName(KT->WhichIsa) << " N=" << N << " K=" << K
+                  << " alpha=" << Alpha << " beta=" << Beta
+                  << " threads=" << Threads;
+            }
+          }
+        // The entry itself, with row strides wider than K.
+        const int64_t Rows = 5, Lda = K + 3, Ldb = K + 5;
+        Tensor AS = randomTensor(Rows, Lda, R), BS = randomTensor(N, Ldb, R);
+        AS.at(1, 0) = Inf;
+        Tensor Want = randomTensor(Rows, N, R);
+        Want[0] = -0.0f;
+        Tensor Got = Want;
+        for (int64_t I = 0; I != Rows; ++I)
+          for (int64_t J = 0; J != N; ++J)
+            Want.at(I, J) += 1.5f * KT->Dot(AS.data() + I * Lda,
+                                            BS.data() + J * Ldb, K);
+        KT->GemmDotRow(Got.data(), Rows, N, K, 1.5f, AS.data(), Lda,
+                       BS.data(), Ldb);
+        EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Got.numel()), -1)
+            << simd::isaName(KT->WhichIsa) << " strided N=" << N
+            << " K=" << K;
+      }
+  }
+  setGlobalNumThreads(0);
+}
+
+namespace {
+
+/// Values that expose any change of per-element order: large and tiny
+/// magnitudes (so sums round differently when reassociated), repeats
+/// (ties), signed zeros and NaN.
+Tensor trickyTensor(int64_t Rows, int64_t Cols, Rng &R) {
+  const float Pool[] = {-1.5f, -1.f, -0.0f, 0.f,   0.25f, 1.f,
+                        1.f,   3.f,  1e-8f, 7e7f, -7e7f,
+                        std::numeric_limits<float>::quiet_NaN()};
+  Tensor T(Rows, Cols);
+  for (int64_t I = 0; I != T.numel(); ++I)
+    T[I] = Pool[R.uniformInt(sizeof(Pool) / sizeof(Pool[0]))];
+  return T;
+}
+
+/// Runs only \p Out's backward closure, with upstream gradient \p G, onto
+/// \p In's gradient preset to \p Init. \returns In's gradient.
+Tensor backwardStep(const Value &Out, const Value &In, const Tensor &G,
+                    const Tensor &Init) {
+  In.grad() = Init;
+  Out.node()->Grad = G;
+  Out.node()->BackwardFn();
+  return In.grad();
+}
+
+} // namespace
+
+TEST(RowOrderedBackwardTest, AddBroadcastMatchesTheColumnLoop) {
+  const int64_t Rows = 257, Cols = 37;
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    Rng R(85);
+    Tensor G = trickyTensor(Rows, Cols, R);
+    Tensor Tricky = trickyTensor(1, Cols, R);
+    Tensor Init(Cols);
+    for (int64_t C = 0; C != Cols; ++C)
+      Init[C] = Tricky[C];
+    // The loop the bias backward ran before: column by column.
+    Tensor Want = Init;
+    for (int64_t C = 0; C != Cols; ++C)
+      for (int64_t Row = 0; Row != Rows; ++Row)
+        Want[C] += G.at(Row, C);
+    for (int Threads : {1, 4}) {
+      setGlobalNumThreads(Threads);
+      Value A = Value::param(randomTensor(Rows, Cols, R));
+      Value B = Value::param(Tensor(Cols));
+      Value Out = add(A, B);
+      Tensor Got = backwardStep(Out, B, G, Init);
+      EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Want.numel()), -1)
+          << simd::isaName(KT->WhichIsa) << " threads=" << Threads;
+    }
+  }
+  setGlobalNumThreads(0);
+}
+
+TEST(RowOrderedBackwardTest, GatherRowsMatchesTheElementLoop) {
+  const int64_t NumRows = 23, NumIdx = 300, D = 19;
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    Rng R(86);
+    std::vector<int> Idx;
+    for (int64_t I = 0; I != NumIdx; ++I)
+      Idx.push_back(static_cast<int>(R.uniformInt(NumRows)));
+    Idx[1] = Idx[2] = Idx[3] = Idx[0]; // back-to-back repeats
+    Tensor G = trickyTensor(NumIdx, D, R);
+    Tensor Init = trickyTensor(NumRows, D, R);
+    Tensor Want = Init;
+    for (size_t I = 0; I != Idx.size(); ++I)
+      for (int64_t J = 0; J != D; ++J)
+        Want.at(Idx[I], J) += G.at(static_cast<int64_t>(I), J);
+    for (int Threads : {1, 4}) {
+      setGlobalNumThreads(Threads);
+      Value A = Value::param(randomTensor(NumRows, D, R));
+      Value Out = gatherRows(A, Idx);
+      Tensor Got = backwardStep(Out, A, G, Init);
+      EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Want.numel()), -1)
+          << simd::isaName(KT->WhichIsa) << " threads=" << Threads;
+    }
+  }
+  setGlobalNumThreads(0);
+}
+
+TEST(RowOrderedBackwardTest, PairwiseL1MatchesThePairLoop) {
+  // Tied coordinates (Diff == 0), ±0 and NaN coordinates, NaN in the
+  // accumulated gradient, and G == 0 pairs (both signs of zero) alongside
+  // large gradients. G itself stays finite: for a NaN G the loop below
+  // leaves the NaN's sign bit to the compiler, which may fold G * -1 into
+  // -G. At R = 70 the rows split into several parallel chunks.
+  const int64_t R = 70, D = 33;
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    Rng Rand(87);
+    Tensor V = trickyTensor(R, D, Rand);
+    for (int64_t K = 0; K != D; ++K)
+      V.at(4, K) = V.at(3, K); // two identical rows
+    Tensor G = trickyTensor(R, R, Rand);
+    for (int64_t I = 0; I != G.numel(); ++I)
+      if (std::isnan(G[I]) || I % 4 == 0)
+        G[I] = I % 8 ? 0.f : -0.0f;
+    Tensor Init = trickyTensor(R, D, Rand);
+    // The loop the backward ran before: every ordered pair in turn.
+    Tensor Want = Init;
+    for (int64_t I = 0; I != R; ++I)
+      for (int64_t J = 0; J != R; ++J) {
+        if (I == J)
+          continue;
+        float GIJ = G.at(I, J);
+        if (GIJ == 0.f)
+          continue;
+        for (int64_t K = 0; K != D; ++K) {
+          float Diff = V.at(I, K) - V.at(J, K);
+          float Sign = Diff > 0.f ? 1.f : (Diff < 0.f ? -1.f : 0.f);
+          Want.at(I, K) += GIJ * Sign;
+          Want.at(J, K) -= GIJ * Sign;
+        }
+      }
+    for (int Threads : {1, 4}) {
+      setGlobalNumThreads(Threads);
+      Value A = Value::param(V);
+      Value Out = pairwiseL1(A);
+      Tensor Got = backwardStep(Out, A, G, Init);
+      EXPECT_EQ(firstBitMismatch(Got.data(), Want.data(), Want.numel()), -1)
+          << simd::isaName(KT->WhichIsa) << " threads=" << Threads;
+    }
+  }
+  setGlobalNumThreads(0);
+}
+
+//===----------------------------------------------------------------------===//
 // No-record inference
 //===----------------------------------------------------------------------===//
 

@@ -568,3 +568,77 @@ TEST(DiagnosticTest, DecoratorRejectPointsAtTheOffendingLine) {
                 .rfind("vendored.py:3: ", 0),
             0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Nesting cap: no input can exhaust the stack
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string repeat(const std::string &S, int N) {
+  std::string Out;
+  Out.reserve(S.size() * static_cast<size_t>(N));
+  for (int I = 0; I != N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// One statement nesting \p N levels deep per construct the cap counts.
+std::vector<std::string> deepStatements(int N) {
+  return {
+      "x = 1" + repeat("+1", N),                           // binary chain
+      "x = 1" + repeat(" < 1", N),                         // compare chain
+      "x = a" + repeat(" or a", N),                        // bool chain
+      "x = " + repeat("(", N) + "1" + repeat(")", N),      // parens
+      "x = " + repeat("[", N) + repeat("]", N),            // brackets
+      "x = " + repeat("-", N) + "1",                       // unary chain
+      "x = " + repeat("not ", N) + "a",                    // not chain
+      "x = f" + repeat("(1)", N),                          // call chain
+      "x = " + repeat("f(", N) + "1" + repeat(")", N),     // nested calls
+      "x = a" + repeat("[0]", N),                          // subscripts
+      "x = a" + repeat(".b", N),                           // attributes
+      repeat("if a: ", N) + "pass",                        // blocks
+      "x: " + repeat("List[", N) + "int" + repeat("]", N), // annotation
+  };
+}
+
+} // namespace
+
+TEST(NestingCapTest, DeepInputsGetOneDiagnosticInsteadOfACrash) {
+  const int N = 20000;
+  std::vector<std::string> Inputs = deepStatements(N);
+  // Right-nested operands, and a climb through every precedence level
+  // per bracket: the parser's recursion, not the AST, goes deep first.
+  Inputs.push_back("x = " + repeat("1 + (", N) + "1" + repeat(")", N));
+  Inputs.push_back("x = " +
+                   repeat("a or b and not c == d | e & f + g * (", N) + "1" +
+                   repeat(")", N));
+  for (const std::string &Deep : Inputs) {
+    ParsedFile PF = parseFile("deep.py", "y = 0\n" + Deep + "\nz = 1\n");
+    std::string Head = Deep.substr(0, 12);
+    EXPECT_TRUE(PF.TooDeep) << Head;
+    ASSERT_FALSE(PF.Diags.empty()) << Head;
+    EXPECT_EQ(formatDiagnostic("deep.py", PF.Diags.back())
+                  .rfind("deep.py:2: nesting deeper than 2500 levels", 0),
+              0u)
+        << Head;
+    // Only the statement completed before the deep one survives.
+    EXPECT_EQ(PF.Mod->Body.size(), 1u) << Head;
+  }
+}
+
+TEST(NestingCapTest, DepthTwoThousandStillParsesAndWalks) {
+  // Inside a function body, so the block level counts too.
+  for (const std::string &Deep : deepStatements(2000)) {
+    ParsedFile PF = parseFile("ok.py", "def f(a):\n    " + Deep + "\n");
+    std::string Head = Deep.substr(0, 12);
+    EXPECT_FALSE(PF.TooDeep) << Head;
+    if (!PF.Diags.empty())
+      ADD_FAILURE() << Head << ": " << PF.Diags.front().Message;
+    ASSERT_EQ(PF.Mod->Body.size(), 1u) << Head;
+    // The recursive passes over the AST cope with the deepest legal file.
+    SymbolTable ST;
+    buildSymbolTable(PF, ST);
+    EXPECT_GT(ST.size(), 0u) << Head;
+  }
+}

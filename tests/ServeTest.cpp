@@ -11,6 +11,7 @@
 
 #include "core/Experiments.h"
 #include "serve/Server.h"
+#include "support/Json.h"
 #include "support/Socket.h"
 #include "support/ThreadPool.h"
 
@@ -369,6 +370,46 @@ TEST_F(ServeTest, MidRequestDisconnectLeavesServerServing) {
     H2.send("{\"id\":2,\"method\":\"ping\"}\n");
     EXPECT_NE(H2.readLine().find("\"pong\":true"), std::string::npos);
   }
+  S.stop();
+}
+
+TEST_F(ServeTest, DeeplyNestedSourceGetsErrorAndStreamServesOn) {
+  // 20k-term sums and 20k nested parens used to overflow the stack of
+  // the daemon's dispatcher; now each is one error response, and the
+  // next request on the same connection is served.
+  Server S(*Pred, *WB->U);
+  StreamHarness H(S, /*MaxRequestBytes=*/1 << 20);
+  std::string Sum = "x = 1", Parens = "x = ";
+  for (int I = 0; I != 20000; ++I) {
+    Sum += "+1";
+    Parens += "(";
+  }
+  Parens += "1" + std::string(20000, ')');
+  int64_t Id = 1;
+  for (const std::string &Src : {Sum, Parens}) {
+    std::string Req = "{\"id\":" + std::to_string(Id) +
+                      ",\"method\":\"predict\",\"path\":\"deep.py\","
+                      "\"source\":";
+    json::appendQuoted(Req, Src + "\n");
+    H.send(Req + "}\n");
+    std::string Resp = H.readLine();
+    EXPECT_NE(Resp.find("\"id\":" + std::to_string(Id)), std::string::npos)
+        << Resp.substr(0, 200);
+    EXPECT_NE(Resp.find("\"ok\":false"), std::string::npos)
+        << Resp.substr(0, 200);
+    EXPECT_NE(Resp.find("deep.py:1: nesting deeper than"), std::string::npos)
+        << Resp.substr(0, 200);
+    ++Id;
+  }
+  const CorpusFile &F = WB->Files[0];
+  std::string Req = "{\"id\":9,\"method\":\"predict\",\"path\":";
+  json::appendQuoted(Req, F.Path);
+  Req += ",\"source\":";
+  json::appendQuoted(Req, F.Source);
+  H.send(Req + "}\n");
+  std::string Resp = H.readLine();
+  EXPECT_NE(Resp.find("\"id\":9"), std::string::npos) << Resp;
+  EXPECT_NE(Resp.find("\"ok\":true"), std::string::npos) << Resp;
   S.stop();
 }
 

@@ -699,8 +699,12 @@ int cmdPredict(const Options &O) {
         return fail("cannot read '" + Src + "'");
       std::ostringstream SS;
       SS << In.rdbuf();
-      FileExample Ex =
-          buildExample(CorpusFile{Src, SS.str()}, U, GraphBuildOptions{});
+      FileExample Ex;
+      try {
+        Ex = buildExample(CorpusFile{Src, SS.str()}, U, GraphBuildOptions{});
+      } catch (const std::exception &E) {
+        return fail(E.what());
+      }
       auto Preds = P->predictFile(Ex);
       std::printf("%s: %zu annotatable symbols\n", Src.c_str(), Preds.size());
       printPredictions(Preds, O.Limit);
