@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 
 using namespace typilus;
@@ -84,8 +85,18 @@ Predictor Predictor::classifier(TypeModel &Model) {
 // Artifact save / load (train-once, serve-many)
 //===----------------------------------------------------------------------===//
 
+bool typilus::validKnnSettings(const KnnOptions &O) {
+  return O.K >= 1 && std::isfinite(O.P);
+}
+
 bool Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
                               std::string *Err) const {
+  if (!validKnnSettings(Knn)) {
+    if (Err)
+      *Err = "kNN settings need k >= 1 and a finite p; got k=" +
+             std::to_string(Knn.K) + ", p=" + std::to_string(Knn.P);
+    return false;
+  }
   if (IsKnn && !Index->isCompact(Err))
     return false;
   W.beginChunk("tuni");
@@ -169,7 +180,7 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
   P->Knn.K = MC.readI32();
   P->Knn.P = MC.readF64();
   uint8_t IndexKind = MC.readU8();
-  if (!MC.ok() || Kind > 1 || P->Knn.K <= 0 ||
+  if (!MC.ok() || Kind > 1 || !validKnnSettings(P->Knn) ||
       IndexKind > static_cast<uint8_t>(KnnIndexKind::Hnsw)) {
     if (Err && Err->empty())
       *Err = "malformed predictor chunk";

@@ -118,6 +118,11 @@ struct KnnOptions {
   double CompactRatio = 0.25;
 };
 
+/// The kNN settings an artifact may carry: K >= 1 and a finite P.
+/// writeArtifact refuses anything else and load rejects it, so every
+/// artifact that saves also loads.
+bool validKnnSettings(const KnnOptions &O);
+
 /// Inference engine for one trained model.
 class Predictor {
 public:

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -752,6 +753,43 @@ TEST(ArtifactTest, SaveRequiresCompactMarkersAfterEdits) {
     ExpectRejectThenRoundTrip();
     std::remove(Path.c_str());
   }
+}
+
+// Saving and loading accept the same kNN settings: a predictor whose k or
+// p the loader would reject refuses to save, instead of writing an
+// artifact that cannot load. Valid settings write the same bytes as ever.
+TEST(ArtifactTest, UnloadableKnnSettingsDoNotSave) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  Predictor P = makePredictor(WB, *M);
+  std::string Err;
+  ArchiveWriter Clean(P.artifactVersion());
+  ASSERT_TRUE(P.writeArtifact(Clean, *WB.U, &Err)) << Err;
+
+  const KnnOptions Good = P.knnOptions();
+  const std::pair<int, double> Bad[] = {
+      {0, 1.0}, {-5, 1.0}, {10, std::nan("")}, {10, HUGE_VAL}};
+  for (auto [K, Temp] : Bad) {
+    SCOPED_TRACE(std::to_string(K) + " " + std::to_string(Temp));
+    KnnOptions KO = Good;
+    KO.K = K;
+    KO.P = Temp;
+    EXPECT_FALSE(validKnnSettings(KO));
+    P.setKnnOptions(KO);
+    ArchiveWriter W(P.artifactVersion());
+    Err.clear();
+    EXPECT_FALSE(P.writeArtifact(W, *WB.U, &Err));
+    EXPECT_NE(Err.find("k >= 1 and a finite p"), std::string::npos) << Err;
+  }
+
+  P.setKnnOptions(Good);
+  ArchiveWriter Again(P.artifactVersion());
+  ASSERT_TRUE(P.writeArtifact(Again, *WB.U, &Err)) << Err;
+  EXPECT_EQ(Again.bytes(), Clean.bytes());
+  ArchiveReader R;
+  ASSERT_TRUE(R.openBytes(Again.bytes(), &Err)) << Err;
+  EXPECT_NE(Predictor::load(R, &Err), nullptr) << Err;
 }
 
 // Quantization is one-way: re-encoding an already-lossy store compounds

@@ -1,6 +1,7 @@
 //===- tests/SupportTest.cpp - support/ unit tests --------------------------===//
 
 #include "support/Archive.h"
+#include "support/Flags.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Socket.h"
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <vector>
 
 #include <sys/socket.h>
@@ -720,4 +722,163 @@ TEST(LineReaderTest, OversizedLineTruncatedByEofReportsOnce) {
   std::string L;
   EXPECT_EQ(R.next(L), LineReader::Status::TooLong);
   EXPECT_EQ(R.next(L), LineReader::Status::Eof);
+}
+
+//===----------------------------------------------------------------------===//
+// Flags: one strict, declarative flag table
+//===----------------------------------------------------------------------===//
+
+/// A small tool's options and flag table, shaped like the real tools'.
+class FlagsTest : public ::testing::Test {
+protected:
+  bool parse(const std::vector<std::string> &Args) {
+    Err.clear();
+    return parseFlags(Table, Args, &Err);
+  }
+
+  bool Verbose = false;
+  int Count = 7;
+  int Port = -1;
+  int64_t Big = 0;
+  uint64_t Seed = 1;
+  double Temp = 1.0;
+  std::string Index;
+  std::vector<std::string> Sources;
+  std::vector<Flag> Table{
+      {"--verbose", &Verbose, "", "talk more"},
+      {"--count", &Count, "N", "a count", 0},
+      {"--port", &Port, "N", "a port", 0, 65535},
+      {"--big", &Big, "N", "a wide count"},
+      {"--seed", &Seed, "S", "a seed"},
+      {"--temp", &Temp, "F", "a temperature"},
+      {"--index", &Index, "KIND", "exact, annoy or hnsw"},
+      {"--exact", FlagAlias{&Index, "exact"}, "", "same as --index exact"},
+      {"--annoy", FlagAlias{&Index, "annoy"}, "", "same as --index annoy"},
+      {"--source", &Sources, "FILE",
+       "a file to read; the flag repeats and every occurrence is kept, in "
+       "order, so the help text has to wrap"},
+  };
+  std::string Err;
+};
+
+TEST_F(FlagsTest, ValidLineFillsEveryKind) {
+  ASSERT_TRUE(parse({"--verbose", "--count", "3", "--big", "-9000000000",
+                     "--seed", "18446744073709551615", "--temp", "-0.25",
+                     "--index", "hnsw"}))
+      << Err;
+  EXPECT_TRUE(Verbose);
+  EXPECT_EQ(Count, 3);
+  EXPECT_EQ(Big, -9000000000LL);
+  EXPECT_EQ(Seed, UINT64_MAX);
+  EXPECT_EQ(Temp, -0.25);
+  EXPECT_EQ(Index, "hnsw");
+  EXPECT_TRUE(parse({})) << Err;
+}
+
+TEST_F(FlagsTest, RepeatedSourceAccumulates) {
+  ASSERT_TRUE(parse({"--source", "a.py", "--count", "1", "--source", "b.py",
+                     "--source", "a.py"}))
+      << Err;
+  EXPECT_EQ(Sources, (std::vector<std::string>{"a.py", "b.py", "a.py"}));
+}
+
+TEST_F(FlagsTest, MalformedIntegersNameTheFlagAndValue) {
+  // abc and 2x are not numbers, "" is empty, 99999999999 overflows an int
+  // and -1 is outside the flag's >= 0 range.
+  for (const char *V : {"abc", "2x", "", "99999999999", "-1", " 5", "0x10"}) {
+    SCOPED_TRACE(V);
+    EXPECT_FALSE(parse({"--count", V}));
+    EXPECT_EQ(Err, std::string("--count expects an integer >= 0, got '") + V +
+                       "'");
+    EXPECT_EQ(Count, 7); // a rejected value never lands
+  }
+  EXPECT_FALSE(parse({"--port", "70000"}));
+  EXPECT_EQ(Err, "--port expects an integer in 0..65535, got '70000'");
+  EXPECT_FALSE(parse({"--seed", "-1"}));
+  EXPECT_EQ(Err, "--seed expects a non-negative integer, got '-1'");
+  EXPECT_FALSE(parse({"--big", "9223372036854775808"}));
+  EXPECT_TRUE(parse({"--count", "0", "--port", "65535"})) << Err;
+  EXPECT_EQ(Count, 0);
+  EXPECT_EQ(Port, 65535);
+}
+
+TEST_F(FlagsTest, NonFiniteAndMalformedDoublesAreRejected) {
+  for (const char *V : {"nan", "inf", "-inf", "1.5x", "1e999", ""}) {
+    SCOPED_TRACE(V);
+    EXPECT_FALSE(parse({"--temp", V}));
+    EXPECT_EQ(Err, std::string("--temp expects a finite number, got '") + V +
+                       "'");
+    EXPECT_EQ(Temp, 1.0);
+  }
+  ASSERT_TRUE(parse({"--temp", "1e-3"})) << Err;
+  EXPECT_EQ(Temp, 1e-3);
+}
+
+TEST_F(FlagsTest, MissingTrailingValueAndUnknownFlagAreErrors) {
+  EXPECT_FALSE(parse({"--verbose", "--count"}));
+  EXPECT_EQ(Err, "--count expects a value");
+  EXPECT_FALSE(parse({"--source"}));
+  EXPECT_EQ(Err, "--source expects a value");
+  EXPECT_FALSE(parse({"--count", "1", "--nope"}));
+  EXPECT_EQ(Err, "unknown option '--nope'");
+  EXPECT_FALSE(parse({"stray"}));
+  EXPECT_EQ(Err, "unknown option 'stray'");
+}
+
+TEST_F(FlagsTest, SwitchGivenAValueIsAnError) {
+  EXPECT_FALSE(parse({"--verbose", "yes"}));
+  EXPECT_EQ(Err, "--verbose takes no value, got 'yes'");
+  EXPECT_FALSE(parse({"--exact", "1"}));
+  EXPECT_EQ(Err, "--exact takes no value, got '1'");
+  // A value-taking flag consumes whatever follows, switches included.
+  ASSERT_TRUE(parse({"--index", "--verbose"})) << Err;
+  EXPECT_EQ(Index, "--verbose");
+}
+
+TEST_F(FlagsTest, AliasAndCanonicalFlagAreMutuallyExclusive) {
+  const std::vector<std::string> Conflicts[] = {
+      {"--index", "hnsw", "--exact"},
+      {"--exact", "--index", "annoy"},
+      {"--exact", "--annoy"},
+  };
+  for (const std::vector<std::string> &Args : Conflicts) {
+    EXPECT_FALSE(parse(Args));
+    EXPECT_EQ(Err, "--index, --exact and --annoy are mutually exclusive");
+  }
+  // One spelling, repeated: the last value wins, as it always did.
+  ASSERT_TRUE(parse({"--exact", "--exact"})) << Err;
+  EXPECT_EQ(Index, "exact");
+  ASSERT_TRUE(parse({"--index", "exact", "--index", "hnsw"})) << Err;
+  EXPECT_EQ(Index, "hnsw");
+  ASSERT_TRUE(parse({"--annoy"})) << Err;
+  EXPECT_EQ(Index, "annoy");
+}
+
+TEST_F(FlagsTest, HelpListsEveryFlagWithinEightyColumns) {
+  std::string Help = flagHelp(Table);
+  for (const Flag &F : Table)
+    EXPECT_NE(Help.find(std::string("  ") + F.Name + (*F.Meta ? " " : "") +
+                        F.Meta),
+              std::string::npos)
+        << F.Name;
+  std::istringstream Lines(Help);
+  size_t N = 0;
+  for (std::string L; std::getline(Lines, L); ++N)
+    EXPECT_LE(L.size(), 80u) << L;
+  EXPECT_GT(N, Table.size()); // the long --source help wrapped
+}
+
+TEST(ParseNumberTest, WholeTokenMustFitTheType) {
+  int I = 0;
+  EXPECT_TRUE(parseNumber("-2147483648", I));
+  EXPECT_EQ(I, INT32_MIN);
+  EXPECT_FALSE(parseNumber("2147483648", I));
+  EXPECT_FALSE(parseNumber("12 ", I));
+  uint64_t U = 0;
+  EXPECT_FALSE(parseNumber("-1", U));
+  double D = 0;
+  EXPECT_TRUE(parseNumber("2.5e2", D));
+  EXPECT_EQ(D, 250.0);
+  EXPECT_FALSE(parseNumber("nan", D));
+  EXPECT_EQ(D, 250.0); // failures leave the output alone
 }

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Frontend.h"
 #include "core/Experiments.h"
 #include "corpus/Ingest.h"
 #include "corpus/ShardedDataset.h"
@@ -27,9 +28,9 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sys/stat.h>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -41,249 +42,119 @@ using namespace typilus;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Option parsing
+// Options
 //===----------------------------------------------------------------------===//
 
+/// Every command's options; flagTable says which flag fills which field.
 struct Options {
-  std::string Out;        ///< --out: artifact to write.
-  std::string ModelPath;  ///< --model: artifact to read.
-  std::string Checkpoint; ///< --checkpoint: checkpoint file for train.
-  bool Resume = false;    ///< --resume: continue from --checkpoint.
-  int CheckpointEvery = 0; ///< --checkpoint-every: steps between saves.
-  std::string ShardDir;   ///< --shards: shard-set directory to stream.
-  std::string OutDir;     ///< shard: --out-dir to write the shard set.
-  int ShardFiles = 32;    ///< shard: --shard-files per shard.
-  std::string FromDir;    ///< shard: --from-dir, ingest a real .py tree.
-  bool NoPrefetch = false; ///< --no-prefetch: disable shard read-ahead.
-  std::vector<std::string> Sources; ///< --source: real .py files to predict.
-  std::string Split = "test";       ///< --split for predict.
-  std::string Socket;               ///< client: daemon socket path.
-  std::string Tcp;                  ///< client: daemon HOST:PORT.
-  int Repeat = 1;                   ///< client: concurrent sends per source.
-  bool Ping = false;                ///< client: liveness probe only.
-  bool Shutdown = false;            ///< client: ask the daemon to drain.
-  bool Reload = false;              ///< client: hot-reload the artifact.
-  int Files = 60;
-  int Udts = 40;
-  int Epochs = 8;
-  int Hidden = 32;
-  int Limit = 10;
-  int Threads = 0;
-  int K = 10;
-  double P = 1.0;
-  bool HaveK = false, HaveP = false;
-  bool Exact = false, AnnoyFlag = false; ///< Aliases for --index.
-  std::string IndexName;   ///< --index: exact | annoy | hnsw.
-  int EfSearch = 0;        ///< --ef-search: HNSW query budget (0 = default).
-  std::string TmapStore;       ///< --tmap-store: f32 | f16 | int8.
-  long TmapMaxMarkers = 0;     ///< --tmap-max-markers: coreset cap (0 = off).
-  bool NoSimd = false;         ///< --no-simd: pin the scalar kernel table.
-  bool Verbose = false;
-  std::string Encoder = "graph";
-  std::string Loss = "typilus";
+  std::string Out, ModelPath, Checkpoint, ShardDir, OutDir, FromDir;
+  std::string Split = "test", Encoder = "graph", Loss = "typilus";
+  std::string Socket, Tcp, TmapStore;
+  std::string IndexName; ///< Also set by the --exact / --annoy aliases.
+  std::vector<std::string> Sources;
+  int Files = 60, Udts = 40, Epochs = 8, Hidden = 32, Limit = 10;
+  int Threads = 0, EfSearch = 0, CheckpointEvery = 0, ShardFiles = 32;
+  int Repeat = 1;
+  int K = 0;      ///< 0 = not given (the flag accepts only K >= 1).
+  double P = NAN; ///< NaN = not given (the flag accepts only finite P).
+  int64_t TmapMaxMarkers = 0;
   uint64_t Seed = 20200613;
+  bool Resume = false, NoPrefetch = false, NoSimd = false, Verbose = false;
+  bool Ping = false, Shutdown = false, Reload = false;
 };
 
+/// Each help text starts with the commands that read the flag.
+std::vector<Flag> flagTable(Options &O) {
+  return {
+      {"--out", &O.Out, "PATH", "train, save: artifact to write"},
+      {"--model", &O.ModelPath, "PATH", "predict, inspect, save: artifact"},
+      {"--files", &O.Files, "N", "train, shard: corpus files (default 60)", 0},
+      {"--udts", &O.Udts, "N", "train, shard: user types (default 40)", 0},
+      {"--seed", &O.Seed, "S", "train, shard: corpus seed"},
+      {"--epochs", &O.Epochs, "N", "train: epochs (default 8)"},
+      {"--hidden", &O.Hidden, "D", "train: embedding width (default 32)", 1},
+      {"--encoder", &O.Encoder, "E", "train: graph, seq, path or names"},
+      {"--loss", &O.Loss, "L", "train: typilus, space or class"},
+      {"--index", &O.IndexName, "KIND",
+       "train, save: exact, annoy (train's default) or hnsw"},
+      {"--exact", FlagAlias{&O.IndexName, "exact"}, "", "--index exact"},
+      {"--annoy", FlagAlias{&O.IndexName, "annoy"}, "", "--index annoy"},
+      {"--ef-search", &O.EfSearch, "N",
+       "train, predict, save: HNSW query budget (0 = the index default)"},
+      {"--k", &O.K, "N", "train, save: neighbours per prediction", 1},
+      {"--p", &O.P, "F", "train, save: distance-weighting temperature"},
+      {"--tmap-store", &O.TmapStore, "S",
+       "train, save: τmap markers as f32, f16 or int8 (save quantizes f32)"},
+      {"--tmap-max-markers", &O.TmapMaxMarkers, "N",
+       "train: cap the τmap by coreset subsampling (0 = off)", 0},
+      {"--threads", &O.Threads, "N",
+       "pool size (0 = hardware); results are identical for any value"},
+      {"--checkpoint", &O.Checkpoint, "PATH", "train: checkpoint file"},
+      {"--checkpoint-every", &O.CheckpointEvery, "STEPS",
+       "train: steps between mid-run checkpoints"},
+      {"--resume", &O.Resume, "", "train: continue from --checkpoint"},
+      {"--shards", &O.ShardDir, "DIR",
+       "train, predict: stream a shard set instead of the corpus"},
+      {"--no-prefetch", &O.NoPrefetch, "",
+       "train, predict: decode shards on demand, not ahead"},
+      {"--out-dir", &O.OutDir, "DIR", "shard: where to write the shard set"},
+      {"--shard-files", &O.ShardFiles, "N", "shard: files per shard"},
+      {"--from-dir", &O.FromDir, "TREE",
+       "shard: ingest a .py tree; parser rejects are reported, not fatal"},
+      {"--split", &O.Split, "NAME", "predict: train, valid or test"},
+      {"--source", &O.Sources, "FILE.py", "predict, client: file to predict"},
+      {"--limit", &O.Limit, "N", "predict, client: predictions per file"},
+      {"--socket", &O.Socket, "PATH", "client: the daemon's Unix socket"},
+      {"--tcp", &O.Tcp, "HOST:PORT", "client: the daemon's TCP address"},
+      {"--repeat", &O.Repeat, "N", "client: concurrent sends per source"},
+      {"--ping", &O.Ping, "", "client: liveness probe"},
+      {"--reload", &O.Reload, "", "client: hot-reload the daemon's artifact"},
+      {"--shutdown", &O.Shutdown, "", "client: drain and stop the daemon"},
+      {"--verbose", &O.Verbose, "", "train, client: more output"},
+      {"--no-simd", &O.NoSimd, "",
+       "pin the scalar reference kernels (bit-reproducible across hosts)"},
+  };
+}
+
 int usage(const char *Argv0) {
+  Options Defaults;
   std::fprintf(
       stderr,
       "usage: %s <command> [options]\n"
       "\n"
       "commands:\n"
       "  train    train on the synthetic corpus and write an artifact\n"
-      "           --out PATH [--files N] [--udts N] [--epochs N]\n"
-      "           [--hidden D] [--encoder graph|seq|path|names]\n"
-      "           [--loss typilus|space|class] [--index exact|annoy|hnsw]\n"
-      "           [--ef-search N] [--k N] [--p F]\n"
-      "           [--threads N] [--seed S] [--checkpoint PATH] [--resume]\n"
-      "           [--checkpoint-every STEPS] [--shards DIR] [--verbose]\n"
-      "           [--tmap-store f32|f16|int8] [--tmap-max-markers N]\n"
-      "           [--no-prefetch]\n"
-      "           (--shards streams a `typilus shard` set instead of\n"
-      "           regenerating the corpus; RAM is bounded by shard\n"
-      "           residency and digests match the in-memory path;\n"
-      "           shards decode ahead of demand unless --no-prefetch —\n"
-      "           digests are identical either way;\n"
-      "           --tmap-store quantizes the τmap markers and\n"
-      "           --tmap-max-markers caps them by coreset subsampling)\n"
       "  shard    preprocess a corpus into a shard set\n"
-      "           --out-dir DIR [--files N] [--udts N] [--seed S]\n"
-      "           [--shard-files N] [--threads N] [--from-dir TREE]\n"
-      "           (--from-dir ingests a real .py tree instead of the\n"
-      "           synthetic corpus: files the parser rejects are skipped\n"
-      "           and reported with file:line context, never fatal;\n"
-      "           --threads builds shard chunks in parallel with bytes\n"
-      "           identical to the serial build)\n"
       "  predict  load an artifact and predict, no training data needed\n"
-      "           --model PATH [--split train|valid|test] [--limit N]\n"
-      "           [--source FILE.py]... [--shards DIR] [--threads N]\n"
-      "           [--no-prefetch] [--ef-search N]\n"
       "  inspect  print an artifact's chunks, config and vocabularies\n"
-      "           --model PATH\n"
       "  save     rewrite an artifact, optionally changing kNN options\n"
-      "           --model PATH --out PATH [--index exact|annoy|hnsw]\n"
-      "           [--ef-search N] [--k N] [--p F]\n"
-      "           [--tmap-store f16|int8]  (quantize an f32 τmap in place)\n"
       "  client   talk to a running typilus_serve daemon\n"
-      "           (--socket PATH | --tcp HOST:PORT)\n"
-      "           (--source FILE.py... [--repeat N] [--limit N]\n"
-      "           | --ping | --reload | --shutdown)\n"
       "\n"
-      "global options:\n"
-      "  --no-simd  pin the scalar reference kernels (bit-reproducible\n"
-      "             across hosts; the default SIMD path is deterministic\n"
-      "             per host but may differ from scalar in the last ulps)\n",
-      Argv0);
+      "options:\n"
+      "%s",
+      Argv0, flagHelp(flagTable(Defaults)).c_str());
   return 2;
 }
 
-bool parseOptions(int Argc, char **Argv, Options &O) {
-  for (int I = 2; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *V = nullptr;
-    if (A == "--out") {
-      if (!(V = Next("--out"))) return false;
-      O.Out = V;
-    } else if (A == "--model") {
-      if (!(V = Next("--model"))) return false;
-      O.ModelPath = V;
-    } else if (A == "--checkpoint") {
-      if (!(V = Next("--checkpoint"))) return false;
-      O.Checkpoint = V;
-    } else if (A == "--resume") {
-      O.Resume = true;
-    } else if (A == "--checkpoint-every") {
-      if (!(V = Next("--checkpoint-every"))) return false;
-      O.CheckpointEvery = std::atoi(V);
-    } else if (A == "--shards") {
-      if (!(V = Next("--shards"))) return false;
-      O.ShardDir = V;
-    } else if (A == "--out-dir") {
-      if (!(V = Next("--out-dir"))) return false;
-      O.OutDir = V;
-    } else if (A == "--shard-files") {
-      if (!(V = Next("--shard-files"))) return false;
-      O.ShardFiles = std::atoi(V);
-    } else if (A == "--from-dir") {
-      if (!(V = Next("--from-dir"))) return false;
-      O.FromDir = V;
-    } else if (A == "--no-prefetch") {
-      O.NoPrefetch = true;
-    } else if (A == "--source") {
-      if (!(V = Next("--source"))) return false;
-      O.Sources.push_back(V);
-    } else if (A == "--split") {
-      if (!(V = Next("--split"))) return false;
-      O.Split = V;
-    } else if (A == "--files") {
-      if (!(V = Next("--files"))) return false;
-      O.Files = std::atoi(V);
-    } else if (A == "--udts") {
-      if (!(V = Next("--udts"))) return false;
-      O.Udts = std::atoi(V);
-    } else if (A == "--epochs") {
-      if (!(V = Next("--epochs"))) return false;
-      O.Epochs = std::atoi(V);
-    } else if (A == "--hidden") {
-      if (!(V = Next("--hidden"))) return false;
-      O.Hidden = std::atoi(V);
-    } else if (A == "--limit") {
-      if (!(V = Next("--limit"))) return false;
-      O.Limit = std::atoi(V);
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads"))) return false;
-      O.Threads = std::atoi(V);
-    } else if (A == "--k") {
-      if (!(V = Next("--k"))) return false;
-      O.K = std::atoi(V);
-      O.HaveK = true;
-    } else if (A == "--p") {
-      if (!(V = Next("--p"))) return false;
-      O.P = std::atof(V);
-      O.HaveP = true;
-    } else if (A == "--seed") {
-      if (!(V = Next("--seed"))) return false;
-      O.Seed = std::strtoull(V, nullptr, 10);
-    } else if (A == "--encoder") {
-      if (!(V = Next("--encoder"))) return false;
-      O.Encoder = V;
-    } else if (A == "--loss") {
-      if (!(V = Next("--loss"))) return false;
-      O.Loss = V;
-    } else if (A == "--socket") {
-      if (!(V = Next("--socket"))) return false;
-      O.Socket = V;
-    } else if (A == "--tcp") {
-      if (!(V = Next("--tcp"))) return false;
-      O.Tcp = V;
-    } else if (A == "--repeat") {
-      if (!(V = Next("--repeat"))) return false;
-      O.Repeat = std::atoi(V);
-    } else if (A == "--ping") {
-      O.Ping = true;
-    } else if (A == "--shutdown") {
-      O.Shutdown = true;
-    } else if (A == "--reload") {
-      O.Reload = true;
-    } else if (A == "--exact") {
-      O.Exact = true;
-    } else if (A == "--annoy") {
-      O.AnnoyFlag = true;
-    } else if (A == "--index") {
-      if (!(V = Next("--index"))) return false;
-      O.IndexName = V;
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search"))) return false;
-      O.EfSearch = std::atoi(V);
-    } else if (A == "--tmap-store") {
-      if (!(V = Next("--tmap-store"))) return false;
-      O.TmapStore = V;
-    } else if (A == "--tmap-max-markers") {
-      if (!(V = Next("--tmap-max-markers"))) return false;
-      O.TmapMaxMarkers = std::atol(V);
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
-    } else if (A == "--verbose") {
-      O.Verbose = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-int fail(const std::string &Err) {
-  std::fprintf(stderr, "error: %s\n", Err.c_str());
-  return 1;
-}
-
-/// Resolves the index spelling into one KnnIndexKind. `--index NAME` is
-/// the canonical form; `--exact` / `--annoy` predate it and stay as
-/// aliases. \returns false on conflicting or unknown spellings.
-bool resolveIndexKind(const Options &O, KnnIndexKind Default,
-                      KnnIndexKind *Out, std::string *Err) {
-  if ((!O.IndexName.empty() && (O.Exact || O.AnnoyFlag)) ||
-      (O.Exact && O.AnnoyFlag)) {
-    *Err = "--index, --exact and --annoy are mutually exclusive";
+/// Applies the kNN flags given on the command line over \p KO (train's
+/// defaults or a loaded artifact's settings).
+bool applyKnnFlags(const Options &O, KnnOptions &KO, std::string *Err) {
+  if (O.K)
+    KO.K = O.K;
+  if (!std::isnan(O.P))
+    KO.P = O.P;
+  if (O.EfSearch > 0)
+    KO.EfSearch = O.EfSearch;
+  if (!O.IndexName.empty() && !parseKnnIndexKind(O.IndexName, &KO.Index)) {
+    *Err = "--index expects exact, annoy or hnsw; got '" + O.IndexName + "'";
     return false;
   }
-  if (!O.IndexName.empty()) {
-    if (!parseKnnIndexKind(O.IndexName, Out)) {
-      *Err = "--index expects exact, annoy or hnsw; got '" + O.IndexName + "'";
-      return false;
-    }
-    return true;
+  if (!O.TmapStore.empty() && !parseMarkerStore(O.TmapStore, &KO.Store)) {
+    *Err = "--tmap-store expects f32, f16 or int8; got '" + O.TmapStore + "'";
+    return false;
   }
-  *Out = O.Exact ? KnnIndexKind::Exact
-                 : O.AnnoyFlag ? KnnIndexKind::Annoy : Default;
+  KO.NumThreads = O.Threads;
+  KO.MaxMarkers = static_cast<size_t>(O.TmapMaxMarkers);
   return true;
 }
 
@@ -342,13 +213,6 @@ bool readCorpusRecipe(const ArchiveReader &R, CorpusConfig &CC,
 // Prediction digest + printing
 //===----------------------------------------------------------------------===//
 
-/// The FNV-1a prediction digest (core/Predictor.h) — shared with the
-/// serving daemon, whose responses carry the same value for the same
-/// file, making serving paths digest-comparable from the shell.
-uint64_t digest(const std::vector<PredictionResult> &Preds) {
-  return predictionDigest(Preds);
-}
-
 void printPredictions(const std::vector<PredictionResult> &Preds, int Limit) {
   int Shown = 0;
   for (const PredictionResult &P : Preds) {
@@ -382,17 +246,6 @@ void printSummary(const std::vector<PredictionResult> &Preds,
                 100.0 * static_cast<double>(Up) / Total);
 }
 
-const std::vector<FileExample> *splitOf(const Dataset &DS,
-                                        const std::string &Name) {
-  if (Name == "train")
-    return &DS.Train;
-  if (Name == "valid")
-    return &DS.Valid;
-  if (Name == "test")
-    return &DS.Test;
-  return nullptr;
-}
-
 //===----------------------------------------------------------------------===//
 // train
 //===----------------------------------------------------------------------===//
@@ -401,26 +254,30 @@ int cmdTrain(const Options &O) {
   if (O.Out.empty() && O.Checkpoint.empty())
     return fail("train needs --out PATH (or at least --checkpoint PATH)");
 
-  ModelConfig MC;
-  if (O.Encoder == "graph")
-    MC.Encoder = EncoderKind::Graph;
-  else if (O.Encoder == "seq")
-    MC.Encoder = EncoderKind::Seq;
-  else if (O.Encoder == "path")
-    MC.Encoder = EncoderKind::Path;
-  else if (O.Encoder == "names")
-    MC.Encoder = EncoderKind::NamesOnly;
-  else
+  static const std::map<std::string, EncoderKind> Encoders = {
+      {"graph", EncoderKind::Graph},
+      {"seq", EncoderKind::Seq},
+      {"path", EncoderKind::Path},
+      {"names", EncoderKind::NamesOnly},
+  };
+  static const std::map<std::string, LossKind> Losses = {
+      {"typilus", LossKind::Typilus},
+      {"space", LossKind::Space},
+      {"class", LossKind::Class},
+  };
+  if (!Encoders.count(O.Encoder))
     return fail("unknown encoder '" + O.Encoder + "'");
-  if (O.Loss == "typilus")
-    MC.Loss = LossKind::Typilus;
-  else if (O.Loss == "space")
-    MC.Loss = LossKind::Space;
-  else if (O.Loss == "class")
-    MC.Loss = LossKind::Class;
-  else
+  if (!Losses.count(O.Loss))
     return fail("unknown loss '" + O.Loss + "'");
+  ModelConfig MC;
+  MC.Encoder = Encoders.at(O.Encoder);
+  MC.Loss = Losses.at(O.Loss);
   MC.HiddenDim = O.Hidden;
+  // The serving predictor's kNN settings, checked before any training.
+  KnnOptions KO;
+  std::string Err;
+  if (!applyKnnFlags(O, KO, &Err))
+    return fail(Err);
 
   // The data substrate: the in-memory workbench, or — with --shards — a
   // streamed shard set whose decoded residency is bounded by the LRU,
@@ -441,7 +298,6 @@ int cmdTrain(const Options &O) {
   std::unique_ptr<ConcatExampleSource> VMap;
   ExampleSource *TrainSrc, *MapSrc, *TestSrc;
   TypeUniverse *U;
-  std::string Err;
   if (O.ShardDir.empty()) {
     std::printf("generating %d synthetic files...\n", CC.NumFiles);
     WB = Workbench::make(CC, DC);
@@ -516,22 +372,6 @@ int cmdTrain(const Options &O) {
 
   // Build the serving predictor: τmap over train+valid for Space/Typilus
   // models, plain classifier otherwise.
-  KnnOptions KO;
-  if (O.HaveK)
-    KO.K = O.K;
-  if (O.HaveP)
-    KO.P = O.P;
-  if (!resolveIndexKind(O, KnnIndexKind::Annoy, &KO.Index, &Err))
-    return fail(Err);
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  KO.NumThreads = O.Threads;
-  if (!O.TmapStore.empty() && !parseMarkerStore(O.TmapStore, &KO.Store))
-    return fail("--tmap-store expects f32, f16 or int8; got '" + O.TmapStore +
-                "'");
-  if (O.TmapMaxMarkers < 0)
-    return fail("--tmap-max-markers expects a non-negative count");
-  KO.MaxMarkers = static_cast<size_t>(O.TmapMaxMarkers);
   Predictor P = MC.Loss == LossKind::Class
                     ? Predictor::classifier(*Model)
                     : Predictor::knn(*Model, *MapSrc, KO);
@@ -562,7 +402,7 @@ int cmdTrain(const Options &O) {
                 SD->prefetchEnabled() ? "on" : "off", SD->prefetchHits(),
                 SD->prefetchMisses(), SD->prefetchWaitMicros(),
                 SD->decodeStallMicros(), SD->decodeCount());
-  std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
+  std::printf("test-split digest: %016" PRIx64 "\n", predictionDigest(Preds));
   return 0;
 }
 
@@ -675,21 +515,12 @@ int cmdPredict(const Options &O) {
     return fail("predict needs --model PATH");
   ArchiveReader R;
   std::string Err;
-  if (!R.openFile(O.ModelPath, &Err))
-    return fail(Err);
-  std::unique_ptr<Predictor> P = Predictor::load(R, &Err);
+  std::unique_ptr<Predictor> P =
+      openArtifact(O.ModelPath, O.Threads, O.EfSearch, &Err, &R);
   if (!P)
     return fail(Err);
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch; // query-time budget only; no index rebuild
-  P->setKnnOptions(KO);
   TypeUniverse &U = *P->universe();
-  const ModelConfig &MC = P->model().config();
-  std::printf("loaded %s (%s/%s, D=%d%s)\n", O.ModelPath.c_str(),
-              encoderKindName(MC.Encoder), lossKindName(MC.Loss), MC.HiddenDim,
-              P->isKnn() ? ", kNN" : ", classifier");
+  std::printf("%s\n", loadedBanner(O.ModelPath, *P).c_str());
 
   // Real source files given: serve them directly.
   if (!O.Sources.empty()) {
@@ -699,26 +530,36 @@ int cmdPredict(const Options &O) {
         return fail("cannot read '" + Src + "'");
       std::ostringstream SS;
       SS << In.rdbuf();
-      FileExample Ex;
+      std::vector<PredictionResult> Preds;
       try {
-        Ex = buildExample(CorpusFile{Src, SS.str()}, U, GraphBuildOptions{});
+        Preds = P->predictSource(Src, SS.str());
       } catch (const std::exception &E) {
         return fail(E.what());
       }
-      auto Preds = P->predictFile(Ex);
       std::printf("%s: %zu annotatable symbols\n", Src.c_str(), Preds.size());
       printPredictions(Preds, O.Limit);
       // The per-file digest a typilus_serve response for this source must
       // match bit for bit (CI's daemon smoke compares the two).
-      std::printf("%s digest: %016" PRIx64 "\n", Src.c_str(), digest(Preds));
+      std::printf("%s digest: %016" PRIx64 "\n", Src.c_str(),
+                  predictionDigest(Preds));
     }
     return 0;
   }
 
-  // A shard set given: stream the requested split through the artifact —
-  // no corpus regeneration, residency bounded by the shard LRU. Types
-  // intern into the artifact's universe, so truth and prediction
-  // TypeRefs match and the digest equals the in-memory path's.
+  // Otherwise predict one split: streamed from a shard set (no corpus
+  // regeneration, residency bounded by the shard LRU) or rebuilt from the
+  // artifact's corpus recipe. Either way its types intern into the
+  // artifact's universe, so truth and prediction TypeRefs match and the
+  // digest equals the training run's.
+  static const std::map<std::string, SplitKind> Splits = {
+      {"train", SplitKind::Train},
+      {"valid", SplitKind::Valid},
+      {"test", SplitKind::Test},
+  };
+  if (!Splits.count(O.Split))
+    return fail("unknown split '" + O.Split + "'");
+  SplitKind SK = Splits.at(O.Split);
+  std::vector<PredictionResult> Preds;
   if (!O.ShardDir.empty()) {
     ShardedDatasetOptions SDO;
     SDO.Prefetch = !O.NoPrefetch;
@@ -726,46 +567,30 @@ int cmdPredict(const Options &O) {
         ShardedDataset::open(O.ShardDir, U, SDO, &Err);
     if (!SD)
       return fail(Err);
-    SplitKind SK;
-    if (O.Split == "train")
-      SK = SplitKind::Train;
-    else if (O.Split == "valid")
-      SK = SplitKind::Valid;
-    else if (O.Split == "test")
-      SK = SplitKind::Test;
-    else
-      return fail("unknown split '" + O.Split + "'");
-    auto Preds = P->predictAll(SD->split(SK));
+    Preds = P->predictAll(SD->split(SK));
     std::printf("%s split: %zu files (streamed from %s)\n", O.Split.c_str(),
                 SD->numFiles(SK), O.ShardDir.c_str());
-    printPredictions(Preds, O.Limit);
-    printSummary(Preds, U);
-    if (O.Split == "test")
-      std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
-    return 0;
+  } else {
+    CorpusConfig CC;
+    DatasetConfig DC;
+    if (!readCorpusRecipe(R, CC, DC, &Err)) {
+      if (!R.hasChunk("corp"))
+        Err += " (artifact has no corpus recipe; use --source)";
+      return fail(Err);
+    }
+    CorpusGenerator Gen(CC);
+    std::vector<CorpusFile> Files = Gen.generate();
+    Dataset DS = buildDataset(Files, Gen.udts(), U, /*Hierarchy=*/nullptr, DC);
+    const std::vector<FileExample> *BySplit[] = {&DS.Train, &DS.Valid,
+                                                 &DS.Test};
+    const std::vector<FileExample> &Split = *BySplit[static_cast<int>(SK)];
+    Preds = P->predictAll(Split);
+    std::printf("%s split: %zu files\n", O.Split.c_str(), Split.size());
   }
-
-  // Otherwise rebuild the recipe split and report accuracy + digest.
-  CorpusConfig CC;
-  DatasetConfig DC;
-  if (!readCorpusRecipe(R, CC, DC, &Err))
-    return fail(Err + (R.hasChunk("corp")
-                           ? ""
-                           : " (artifact has no corpus recipe; use --source)"));
-  CorpusGenerator Gen(CC);
-  std::vector<CorpusFile> Files = Gen.generate();
-  // Resolve the dataset's types inside the artifact's universe so truth
-  // and prediction TypeRefs are the same interned pointers.
-  Dataset DS = buildDataset(Files, Gen.udts(), U, /*Hierarchy=*/nullptr, DC);
-  const std::vector<FileExample> *Split = splitOf(DS, O.Split);
-  if (!Split)
-    return fail("unknown split '" + O.Split + "'");
-  auto Preds = P->predictAll(*Split);
-  std::printf("%s split: %zu files\n", O.Split.c_str(), Split->size());
   printPredictions(Preds, O.Limit);
   printSummary(Preds, U);
-  if (O.Split == "test")
-    std::printf("test-split digest: %016" PRIx64 "\n", digest(Preds));
+  if (SK == SplitKind::Test)
+    std::printf("test-split digest: %016" PRIx64 "\n", predictionDigest(Preds));
   return 0;
 }
 
@@ -829,30 +654,17 @@ int cmdSave(const Options &O) {
     return fail("save needs --model PATH and --out PATH");
   ArchiveReader R;
   std::string Err;
-  if (!R.openFile(O.ModelPath, &Err))
-    return fail(Err);
-  std::unique_ptr<Predictor> P = Predictor::load(R, &Err);
+  std::unique_ptr<Predictor> P =
+      openArtifact(O.ModelPath, O.Threads, O.EfSearch, &Err, &R);
   if (!P)
     return fail(Err);
 
   KnnOptions KO = P->knnOptions();
-  if (O.HaveK)
-    KO.K = O.K;
-  if (O.HaveP)
-    KO.P = O.P;
-  if (!resolveIndexKind(O, KO.Index, &KO.Index, &Err))
+  if (!applyKnnFlags(O, KO, &Err))
     return fail(Err);
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
   P->setKnnOptions(KO); // rebuilds the index when the kind flips
-  if (!O.TmapStore.empty()) {
-    MarkerStore S;
-    if (!parseMarkerStore(O.TmapStore, &S))
-      return fail("--tmap-store expects f32, f16 or int8; got '" +
-                  O.TmapStore + "'");
-    if (!P->setMarkerStore(S, &Err))
-      return fail(Err);
-  }
+  if (!O.TmapStore.empty() && !P->setMarkerStore(KO.Store, &Err))
+    return fail(Err);
 
   ArchiveWriter W(P->artifactVersion());
   if (!P->writeArtifact(W, *P->universe(), &Err))
@@ -881,10 +693,10 @@ int cmdSave(const Options &O) {
 bool parseHostPort(const std::string &Spec, std::string &Host, uint16_t &Port,
                    std::string *Err) {
   size_t Colon = Spec.rfind(':');
-  long P = Colon == std::string::npos
-               ? -1
-               : std::atol(Spec.c_str() + Colon + 1);
-  if (Colon == 0 || P < 1 || P > 65535) {
+  int P = 0;
+  if (Colon == std::string::npos || Colon == 0 ||
+      !parseNumber(std::string_view(Spec).substr(Colon + 1), P) || P < 1 ||
+      P > 65535) {
     if (Err)
       *Err = "--tcp expects HOST:PORT, got '" + Spec + "'";
     return false;
@@ -1038,7 +850,7 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
   std::string Cmd = Argv[1];
   Options O;
-  if (!parseOptions(Argc, Argv, O))
+  if (!parseCommandLine(flagTable(O), Argc, Argv, 2))
     return 2;
   if (O.NoSimd)
     nn::simd::setSimdEnabled(false);

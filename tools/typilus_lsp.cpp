@@ -16,17 +16,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Frontend.h"
 #include "lsp/LspServer.h"
 #include "nn/Simd.h"
 #include "support/Socket.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -39,18 +36,31 @@ using namespace typilus::lsp;
 namespace {
 
 struct Options {
-  std::string ModelPath;
-  std::string SocketPath;
-  bool Stdio = false;
-  int Threads = 0;
-  int EfSearch = 0; ///< --ef-search: HNSW query budget (0 = default).
-  double MinConfidence = 0.5;
-  bool NoCheckerGate = false;
-  bool InferLocals = false;
-  bool NoSimd = false;
+  std::string ModelPath, SocketPath;
+  int Threads = 0, EfSearch = 0;
+  LspOptions Lsp; ///< The publish threshold and inference flags.
+  bool Stdio = false, NoCheckerGate = false, NoSimd = false;
 };
 
+std::vector<Flag> flagTable(Options &O) {
+  return {
+      {"--model", &O.ModelPath, "PATH", "the artifact to serve"},
+      {"--stdio", &O.Stdio, "", "speak LSP on stdin/stdout"},
+      {"--socket", &O.SocketPath, "PATH", "listen on this Unix socket"},
+      {"--threads", &O.Threads, "N", "pool size (0 = hardware, 1 = serial)"},
+      {"--ef-search", &O.EfSearch, "N", "HNSW query budget (0 = default)"},
+      {"--min-confidence", &O.Lsp.MinConfidence, "X",
+       "publish threshold (default 0.5)"},
+      {"--no-checker-gate", &O.NoCheckerGate, "",
+       "publish without the Sec. 6.3 checker gate"},
+      {"--infer-locals", &O.Lsp.InferLocals, "",
+       "pytype-like inference inside the gate"},
+      {"--no-simd", &O.NoSimd, "", "pin the scalar reference kernels"},
+  };
+}
+
 int usage(const char *Argv0) {
+  Options Defaults;
   std::fprintf(
       stderr,
       "usage: %s --model PATH (--stdio | --socket PATH) [options]\n"
@@ -59,109 +69,35 @@ int usage(const char *Argv0) {
       "the edited file and publish predicted types as diagnostics (and a\n"
       "typilus/types notification carrying the prediction digest).\n"
       "Options:\n"
-      "  --threads N           pool size (0 = hardware, 1 = serial)\n"
-      "  --ef-search N         HNSW per-request query budget (0 = the\n"
-      "                        index default; other indexes ignore it)\n"
-      "  --min-confidence X    publish threshold (default 0.5)\n"
-      "  --no-checker-gate     publish without the Sec. 6.3 checker gate\n"
-      "  --infer-locals        pytype-like inference inside the gate\n"
-      "  --no-simd             pin the scalar reference kernels\n",
-      Argv0);
+      "%s",
+      Argv0, flagHelp(flagTable(Defaults)).c_str());
   return 2;
-}
-
-bool parseOptions(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *V = nullptr;
-    if (A == "--model") {
-      if (!(V = Next("--model")))
-        return false;
-      O.ModelPath = V;
-    } else if (A == "--socket") {
-      if (!(V = Next("--socket")))
-        return false;
-      O.SocketPath = V;
-    } else if (A == "--stdio") {
-      O.Stdio = true;
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads")))
-        return false;
-      O.Threads = std::atoi(V);
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search")))
-        return false;
-      O.EfSearch = std::atoi(V);
-    } else if (A == "--min-confidence") {
-      if (!(V = Next("--min-confidence")))
-        return false;
-      O.MinConfidence = std::atof(V);
-    } else if (A == "--no-checker-gate") {
-      O.NoCheckerGate = true;
-    } else if (A == "--infer-locals") {
-      O.InferLocals = true;
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-// SIGTERM/SIGINT: one self-pipe wakes a blocked frame read (the same
-// idiom typilus_serve uses for its line reads).
-int GWakePipe[2] = {-1, -1};
-std::atomic<bool> GStop{false};
-
-void onTermSignal(int) {
-  bool Expected = false;
-  if (GStop.compare_exchange_strong(Expected, true)) {
-    char B = 1;
-    (void)!write(GWakePipe[1], &B, 1);
-  }
 }
 
 int runStdio(Predictor &P, const LspOptions &LO) {
   LspServer S(P,
               [](std::string Frame) { (void)writeAll(STDOUT_FILENO, Frame); },
               LO);
-  return S.run(STDIN_FILENO, &GStop, GWakePipe[0]);
+  return S.run(STDIN_FILENO, &stopRequested(), stopPipeFd());
 }
 
 int runSocket(Predictor &P, const LspOptions &LO, const std::string &Path) {
   UnixListener L;
   std::string Err;
-  if (!L.listenOn(Path, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 1;
-  }
+  if (!L.listenOn(Path, &Err))
+    return fail(Err);
   std::fprintf(stderr, "typilus_lsp: listening on %s\n", Path.c_str());
   // One editor session at a time: LSP clients own their server process,
   // and the τmap mutation state is per-session by design.
   int Rc = 1;
-  while (!GStop.load()) {
-    struct pollfd Pfd[2];
-    Pfd[0].fd = L.fd();
-    Pfd[0].events = POLLIN;
-    Pfd[0].revents = 0;
-    Pfd[1].fd = GWakePipe[0];
-    Pfd[1].events = POLLIN;
-    Pfd[1].revents = 0;
+  while (!stopRequested().load()) {
+    struct pollfd Pfd[2] = {{L.fd(), POLLIN, 0}, {stopPipeFd(), POLLIN, 0}};
     if (::poll(Pfd, 2, -1) < 0) {
       if (errno == EINTR)
         continue;
       break;
     }
-    if (Pfd[1].revents != 0 || GStop.load())
+    if (Pfd[1].revents != 0 || stopRequested().load())
       break;
     FileDesc Conn = L.acceptConn();
     if (!Conn.valid())
@@ -169,7 +105,7 @@ int runSocket(Predictor &P, const LspOptions &LO, const std::string &Path) {
     int Fd = Conn.fd();
     LspServer S(P,
                 [Fd](std::string Frame) { (void)writeAll(Fd, Frame); }, LO);
-    Rc = S.run(Fd, &GStop, GWakePipe[0]);
+    Rc = S.run(Fd, &stopRequested(), stopPipeFd());
   }
   L.close();
   return Rc;
@@ -179,48 +115,26 @@ int runSocket(Predictor &P, const LspOptions &LO, const std::string &Path) {
 
 int main(int Argc, char **Argv) {
   Options O;
-  if (!parseOptions(Argc, Argv, O))
+  if (!parseCommandLine(flagTable(O), Argc, Argv, 1))
     return 2;
   if (O.NoSimd)
     nn::simd::setSimdEnabled(false);
   if (O.ModelPath.empty() || (O.Stdio == !O.SocketPath.empty()))
     return usage(Argv[0]);
-
-  if (::pipe(GWakePipe) != 0) {
-    std::perror("pipe");
+  if (!installStopPipe(/*CatchHup=*/false))
     return 1;
-  }
-  std::signal(SIGPIPE, SIG_IGN);
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onTermSignal;
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
 
   setGlobalNumThreads(O.Threads);
 
   std::string Err;
-  std::unique_ptr<Predictor> P = Predictor::load(O.ModelPath, &Err);
-  if (!P) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 1;
-  }
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  P->setKnnOptions(KO);
-  const ModelConfig &MC = P->model().config();
+  std::unique_ptr<Predictor> P =
+      openArtifact(O.ModelPath, O.Threads, O.EfSearch, &Err);
+  if (!P)
+    return fail(Err);
   // stdout is the protocol channel; human chatter goes to stderr.
-  std::fprintf(stderr, "typilus_lsp: loaded %s (%s/%s, D=%d%s)\n",
-               O.ModelPath.c_str(), encoderKindName(MC.Encoder),
-               lossKindName(MC.Loss), MC.HiddenDim,
-               P->isKnn() ? ", kNN" : ", classifier");
+  std::fprintf(stderr, "typilus_lsp: %s\n",
+               loadedBanner(O.ModelPath, *P).c_str());
 
-  LspOptions LO;
-  LO.MinConfidence = O.MinConfidence;
-  LO.CheckerGate = !O.NoCheckerGate;
-  LO.InferLocals = O.InferLocals;
-
-  return O.Stdio ? runStdio(*P, LO) : runSocket(*P, LO, O.SocketPath);
+  O.Lsp.CheckerGate = !O.NoCheckerGate;
+  return O.Stdio ? runStdio(*P, O.Lsp) : runSocket(*P, O.Lsp, O.SocketPath);
 }

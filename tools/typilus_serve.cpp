@@ -19,17 +19,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "corpus/Dataset.h"
+#include "Frontend.h"
 #include "nn/Simd.h"
 #include "serve/Server.h"
 #include "support/Socket.h"
+#include "support/Str.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,22 +39,43 @@ using namespace typilus::serve;
 namespace {
 
 struct Options {
-  std::string ModelPath;
-  std::string SocketPath;
-  std::string Host = "127.0.0.1";
+  std::string ModelPath, SocketPath, Host = "127.0.0.1";
   int Port = -1; ///< -1 = no TCP transport.
-  bool Stdio = false;
-  int Threads = 0;
-  int MaxBatch = 16;
-  long MaxRequestBytes = static_cast<long>(kDefaultMaxRequestBytes);
-  int Limit = -1;
-  int CacheEntries = 1024;
-  int MaxQueue = 0;
-  int EfSearch = 0;    ///< --ef-search: HNSW query budget (0 = default).
-  bool NoSimd = false; ///< --no-simd: pin the scalar kernel table.
+  int Threads = 0, EfSearch = 0;
+  ServerOptions Server; ///< The batch, limit, cache and queue flags.
+  int64_t MaxRequestBytes = static_cast<int64_t>(kDefaultMaxRequestBytes);
+  bool Stdio = false, NoSimd = false;
 };
 
+std::vector<Flag> flagTable(Options &O) {
+  return {
+      {"--model", &O.ModelPath, "PATH", "the artifact to serve"},
+      {"--socket", &O.SocketPath, "PATH", "listen on this Unix socket"},
+      {"--port", &O.Port, "N", "listen on TCP port N (0 = any free)", 0, 65535},
+      {"--stdio", &O.Stdio, "", "serve stdin/stdout instead of listening"},
+      {"--host", &O.Host, "ADDR", "TCP bind address (default 127.0.0.1)"},
+      {"--threads", &O.Threads, "N", "pool size (0 = hardware, 1 = serial)"},
+      {"--max-batch", &O.Server.MaxBatch, "N",
+       "requests coalesced per dispatch (default 16)"},
+      {"--max-request-bytes", &O.MaxRequestBytes, "N",
+       "per-line cap (default 4194304)"},
+      {"--limit", &O.Server.Limit, "N",
+       "default candidates per symbol (-1 = all)"},
+      {"--cache-entries", &O.Server.CacheEntries, "N",
+       "response-cache capacity in distinct (path, source) entries "
+       "(default 1024, 0 = off)"},
+      {"--max-queue", &O.Server.MaxQueue, "N",
+       "shed predicts with an `overloaded` error past this queue depth "
+       "(default 0 = off)"},
+      {"--ef-search", &O.EfSearch, "N",
+       "HNSW per-request query budget (0 = the index default, max(4k, 64))"},
+      {"--no-simd", &O.NoSimd, "",
+       "pin the scalar reference kernels (bit-reproducible across hosts)"},
+  };
+}
+
 int usage(const char *Argv0) {
+  Options Defaults;
   std::fprintf(
       stderr,
       "usage: %s --model PATH (--socket PATH | --port N | --stdio) "
@@ -68,147 +86,33 @@ int usage(const char *Argv0) {
       "docs/ARCHITECTURE.md). --socket and --port may be combined; both\n"
       "transports share one pipeline and one cache. SIGHUP reloads the\n"
       "artifact from --model without dropping queued requests. Options:\n"
-      "  --host ADDR            TCP bind address (default 127.0.0.1)\n"
-      "  --threads N            pool size (0 = hardware, 1 = serial)\n"
-      "  --max-batch N          requests coalesced per dispatch (default 16)\n"
-      "  --max-request-bytes N  per-line cap (default 4194304)\n"
-      "  --limit N              default candidates per symbol (-1 = all)\n"
-      "  --cache-entries N      response-cache capacity in distinct\n"
-      "                         (path, source) entries (default 1024,\n"
-      "                         0 = off)\n"
-      "  --max-queue N          shed predicts with an `overloaded` error\n"
-      "                         past this queue depth (default 0 = off)\n"
-      "  --ef-search N          HNSW per-request query budget (layer-0\n"
-      "                         beam width; 0 = the index default,\n"
-      "                         max(4k, 64); other indexes ignore it)\n"
-      "  --no-simd              pin the scalar reference kernels\n"
-      "                         (bit-reproducible across hosts)\n",
-      Argv0);
+      "%s",
+      Argv0, flagHelp(flagTable(Defaults)).c_str());
   return 2;
 }
 
-bool parseOptions(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&](const char *What) -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s expects a value\n", What);
-        return nullptr;
-      }
-      return Argv[++I];
-    };
-    const char *V = nullptr;
-    if (A == "--model") {
-      if (!(V = Next("--model")))
-        return false;
-      O.ModelPath = V;
-    } else if (A == "--socket") {
-      if (!(V = Next("--socket")))
-        return false;
-      O.SocketPath = V;
-    } else if (A == "--port") {
-      if (!(V = Next("--port")))
-        return false;
-      O.Port = std::atoi(V);
-    } else if (A == "--host") {
-      if (!(V = Next("--host")))
-        return false;
-      O.Host = V;
-    } else if (A == "--stdio") {
-      O.Stdio = true;
-    } else if (A == "--threads") {
-      if (!(V = Next("--threads")))
-        return false;
-      O.Threads = std::atoi(V);
-    } else if (A == "--max-batch") {
-      if (!(V = Next("--max-batch")))
-        return false;
-      O.MaxBatch = std::atoi(V);
-    } else if (A == "--max-request-bytes") {
-      if (!(V = Next("--max-request-bytes")))
-        return false;
-      O.MaxRequestBytes = std::atol(V);
-    } else if (A == "--limit") {
-      if (!(V = Next("--limit")))
-        return false;
-      O.Limit = std::atoi(V);
-    } else if (A == "--cache-entries") {
-      if (!(V = Next("--cache-entries")))
-        return false;
-      O.CacheEntries = std::atoi(V);
-    } else if (A == "--max-queue") {
-      if (!(V = Next("--max-queue")))
-        return false;
-      O.MaxQueue = std::atoi(V);
-    } else if (A == "--ef-search") {
-      if (!(V = Next("--ef-search")))
-        return false;
-      O.EfSearch = std::atoi(V);
-    } else if (A == "--no-simd") {
-      O.NoSimd = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
-// Signal handling: one self-pipe wakes the accept loop (or the stdio
-// LineReader) for both SIGTERM/SIGINT (drain + exit) and SIGHUP (hot
-// reload), with nothing async-signal-unsafe in the handlers. The wake
-// hooks drain the pipe and read these flags to decide which it was.
+// Wake handling: the stop pipe (tools/Frontend.h) wakes the accept loop
+// (or the stdio LineReader) for both SIGTERM/SIGINT (drain + exit) and
+// SIGHUP (hot reload).
 //===----------------------------------------------------------------------===//
 
-int GWakePipe[2] = {-1, -1};
-std::atomic<bool> GStop{false};
-std::atomic<bool> GReload{false};
-
-void pokePipe() {
-  char B = 1;
-  // The pipe outlives every writer; a full pipe still wakes the poller.
-  (void)!write(GWakePipe[1], &B, 1);
-}
-
-void requestStop() {
-  bool Expected = false;
-  if (GStop.compare_exchange_strong(Expected, true))
-    pokePipe();
-}
-
-void onTermSignal(int) { requestStop(); }
-
-void onHupSignal(int) {
-  bool Expected = false;
-  if (GReload.compare_exchange_strong(Expected, true))
-    pokePipe();
-}
-
-void drainWakePipe() {
-  char Buf[64];
-  (void)!read(GWakePipe[0], Buf, sizeof(Buf));
-}
-
-/// Submits a reload request on behalf of a SIGHUP (no client, no id);
-/// the outcome is logged instead of answered.
-void submitSignalReload(Server &S) {
-  Request R;
-  R.Id = -1;
-  R.M = Method::Reload;
-  S.submit(std::move(R), [](std::string Resp) {
-    std::fprintf(stderr, "typilus_serve: SIGHUP reload: %s", Resp.c_str());
-  });
-}
-
-/// Shared SIGTERM/SIGHUP dispatch for both transports' wake hooks.
-/// \returns true when the daemon should begin its drain.
+/// Shared SIGTERM/SIGHUP dispatch for both transports' wake hooks: a
+/// SIGHUP submits a reload request with no client and no id, whose
+/// outcome is logged instead of answered. \returns true when the daemon
+/// should begin its drain.
 bool handleWake(Server &S) {
-  drainWakePipe();
-  if (GStop.load())
+  bool Hangup = drainStopPipe();
+  if (stopRequested().load())
     return true;
-  if (GReload.exchange(false))
-    submitSignalReload(S);
+  if (Hangup) {
+    Request R;
+    R.Id = -1;
+    R.M = Method::Reload;
+    S.submit(std::move(R), [](std::string Resp) {
+      std::fprintf(stderr, "typilus_serve: SIGHUP reload: %s", Resp.c_str());
+    });
+  }
   return false;
 }
 
@@ -226,7 +130,8 @@ int runStdio(Server &S, const Options &O) {
         std::lock_guard<std::mutex> L(*WriteMu);
         (void)writeAll(STDOUT_FILENO, Resp);
       },
-      &GStop, /*WakeFd=*/GWakePipe[0], /*OnWake=*/[&S] { return handleWake(S); });
+      &stopRequested(), /*WakeFd=*/stopPipeFd(),
+      /*OnWake=*/[&S] { return handleWake(S); });
   S.stop(); // drain: every submitted request is answered
   return 0;
 }
@@ -237,18 +142,14 @@ int runListeners(Server &S, const Options &O) {
   std::vector<int> ListenFds;
   std::string Err;
   if (!O.SocketPath.empty()) {
-    if (!UL.listenOn(O.SocketPath, &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 1;
-    }
+    if (!UL.listenOn(O.SocketPath, &Err))
+      return fail(Err);
     ListenFds.push_back(UL.fd());
     std::printf("typilus_serve: listening on %s\n", O.SocketPath.c_str());
   }
   if (O.Port >= 0) {
-    if (!TL.listenOn(O.Host, static_cast<uint16_t>(O.Port), &Err)) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 1;
-    }
+    if (!TL.listenOn(O.Host, static_cast<uint16_t>(O.Port), &Err))
+      return fail(Err);
     ListenFds.push_back(TL.fd());
     std::printf("typilus_serve: listening on %s:%u\n", O.Host.c_str(),
                 static_cast<unsigned>(TL.port()));
@@ -257,7 +158,7 @@ int runListeners(Server &S, const Options &O) {
 
   AcceptLoopOptions AO;
   AO.MaxRequestBytes = static_cast<size_t>(O.MaxRequestBytes);
-  AO.WakeFd = GWakePipe[0];
+  AO.WakeFd = stopPipeFd();
   AO.OnWake = [&S] { return handleWake(S); };
   AO.OnDrainStart = [&UL, &TL] {
     UL.close();
@@ -272,7 +173,7 @@ int runListeners(Server &S, const Options &O) {
 
 int main(int Argc, char **Argv) {
   Options O;
-  if (!parseOptions(Argc, Argv, O))
+  if (!parseCommandLine(flagTable(O), Argc, Argv, 1))
     return 2;
   if (O.NoSimd)
     nn::simd::setSimdEnabled(false);
@@ -280,69 +181,37 @@ int main(int Argc, char **Argv) {
   if (O.ModelPath.empty() || (!HaveListener && !O.Stdio) ||
       (HaveListener && O.Stdio))
     return usage(Argv[0]);
-
-  if (::pipe(GWakePipe) != 0) {
-    std::perror("pipe");
+  if (!installStopPipe(/*CatchHup=*/true))
     return 1;
-  }
-  std::signal(SIGPIPE, SIG_IGN);
-  struct sigaction SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sa_handler = onTermSignal;
-  sigaction(SIGTERM, &SA, nullptr);
-  sigaction(SIGINT, &SA, nullptr);
-  SA.sa_handler = onHupSignal;
-  sigaction(SIGHUP, &SA, nullptr);
 
   setGlobalNumThreads(O.Threads);
 
   std::string Err;
-  std::unique_ptr<Predictor> P = Predictor::load(O.ModelPath, &Err);
-  if (!P) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 1;
-  }
-  KnnOptions KO = P->knnOptions();
-  KO.NumThreads = O.Threads;
-  if (O.EfSearch > 0)
-    KO.EfSearch = O.EfSearch;
-  P->setKnnOptions(KO);
-  const ModelConfig &MC = P->model().config();
+  std::unique_ptr<Predictor> P =
+      openArtifact(O.ModelPath, O.Threads, O.EfSearch, &Err);
+  if (!P)
+    return fail(Err);
   // In stdio mode stdout IS the response channel — NDJSON only; human
   // chatter goes to stderr there.
-  std::fprintf(O.Stdio ? stderr : stdout,
-               "typilus_serve: loaded %s (%s/%s, D=%d%s, max-batch %d, "
-               "cache %d, max-queue %d)\n",
-               O.ModelPath.c_str(), encoderKindName(MC.Encoder),
-               lossKindName(MC.Loss), MC.HiddenDim,
-               P->isKnn() ? ", kNN" : ", classifier", O.MaxBatch,
-               O.CacheEntries, O.MaxQueue);
-  std::fflush(O.Stdio ? stderr : stdout);
+  std::FILE *Log = O.Stdio ? stderr : stdout;
+  std::string Knobs = strformat(", max-batch %d, cache %d, max-queue %d",
+                                O.Server.MaxBatch, O.Server.CacheEntries,
+                                O.Server.MaxQueue);
+  std::fprintf(Log, "typilus_serve: %s\n",
+               loadedBanner(O.ModelPath, *P, Knobs).c_str());
+  std::fflush(Log);
 
-  ServerOptions SO;
-  SO.MaxBatch = O.MaxBatch;
-  SO.Limit = O.Limit;
-  SO.CacheEntries = O.CacheEntries;
-  SO.MaxQueue = O.MaxQueue;
-  SO.OnShutdown = [] { requestStop(); };
+  ServerOptions SO = O.Server;
+  SO.OnShutdown = requestStop;
   // Hot reload: re-read the artifact from the path given at startup.
   // Runs on the dispatcher thread; failure keeps the current artifact.
-  std::string ModelPath = O.ModelPath;
-  int Threads = O.Threads;
-  int EfSearch = O.EfSearch;
-  SO.OnReload = [ModelPath, Threads, EfSearch,
-                 Stdio = O.Stdio](std::string *Err) -> std::shared_ptr<Predictor> {
-    std::shared_ptr<Predictor> NewP = Predictor::load(ModelPath, Err);
-    if (!NewP)
-      return nullptr;
-    KnnOptions KO = NewP->knnOptions();
-    KO.NumThreads = Threads;
-    if (EfSearch > 0)
-      KO.EfSearch = EfSearch;
-    NewP->setKnnOptions(KO);
-    std::fprintf(Stdio ? stderr : stdout, "typilus_serve: reloaded %s\n",
-                 ModelPath.c_str());
-    std::fflush(Stdio ? stderr : stdout);
+  SO.OnReload = [O, Log](std::string *Err) -> std::shared_ptr<Predictor> {
+    std::shared_ptr<Predictor> NewP =
+        openArtifact(O.ModelPath, O.Threads, O.EfSearch, Err);
+    if (NewP) {
+      std::fprintf(Log, "typilus_serve: reloaded %s\n", O.ModelPath.c_str());
+      std::fflush(Log);
+    }
     return NewP;
   };
   Server S(*P, *P->universe(), SO);
