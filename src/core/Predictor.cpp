@@ -296,21 +296,29 @@ std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
 }
 
 std::vector<std::vector<PredictionResult>>
-Predictor::predictSources(const std::vector<CorpusFile> &Files) {
+Predictor::predictSources(const std::vector<CorpusFile> &Files,
+                          PredictTiming *Timing) {
   TypeUniverse *U = universe();
   if (!U)
     throw std::runtime_error(
         "predictSource needs a type universe: load an artifact or call "
         "setUniverse first");
+  // buildExample in two halves: parse and graph build touch no shared
+  // state, so only the interning of annotation types holds the lock.
   std::vector<FileExample> Examples;
   Examples.reserve(Files.size());
   for (const CorpusFile &F : Files)
-    Examples.push_back(buildExample(F, *U, {}));
+    Examples.push_back(parseExample(F, {}));
+  {
+    std::lock_guard<std::mutex> L(InternMu.M);
+    for (FileExample &E : Examples)
+      resolveTargets(E, *U);
+  }
   std::vector<const FileExample *> Ptrs;
   Ptrs.reserve(Examples.size());
   for (const FileExample &E : Examples)
     Ptrs.push_back(&E);
-  return predictBatch(Ptrs);
+  return predictBatch(Ptrs, Timing);
 }
 
 std::vector<PredictionResult>
@@ -411,14 +419,15 @@ Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
     for (size_t I = 0; I != N; ++I)
       EmbedOne(I);
   }
+  E.Micros = microsSince(EmbedT0);
   EmbedCalls.add(N);
-  EmbedMicros.add(microsSince(EmbedT0));
+  EmbedMicros.add(E.Micros);
   return E;
 }
 
 std::vector<std::vector<PredictionResult>>
 Predictor::predictKnn(const std::vector<const FileExample *> &Files,
-                      const Embedded &E) {
+                      const Embedded &E, uint64_t *KnnUs) {
   // One bulk index probe for every target of every file, answered
   // through the pool against the already-loaded τmap.
   std::vector<float> Queries;
@@ -432,7 +441,10 @@ Predictor::predictKnn(const std::vector<const FileExample *> &Files,
   auto KnnT0 = std::chrono::steady_clock::now();
   std::vector<NeighborList> Neigh = Index->queryBatch(
       Queries.data(), NumQ, Knn.K, Knn.EfSearch, Knn.NumThreads);
-  KnnMicros.add(microsSince(KnnT0));
+  uint64_t ProbeUs = microsSince(KnnT0);
+  KnnMicros.add(ProbeUs);
+  if (KnnUs)
+    *KnnUs = ProbeUs;
   std::vector<std::vector<PredictionResult>> Out(Files.size());
   size_t Row = 0;
   for (size_t F = 0; F != Files.size(); ++F)
@@ -446,10 +458,13 @@ Predictor::predictKnn(const std::vector<const FileExample *> &Files,
 }
 
 std::vector<std::vector<PredictionResult>>
-Predictor::predictBatch(const std::vector<const FileExample *> &Files) {
+Predictor::predictBatch(const std::vector<const FileExample *> &Files,
+                        PredictTiming *Timing) {
   Embedded E = embedFiles(Files);
+  if (Timing)
+    *Timing = PredictTiming{E.Micros, 0};
   if (IsKnn)
-    return predictKnn(Files, E);
+    return predictKnn(Files, E, Timing ? &Timing->KnnMicros : nullptr);
 
   // Classification path: per-file softmax over the closed vocabulary
   // (row results are independent, so per-file equals one stacked pass).

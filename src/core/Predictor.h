@@ -17,6 +17,17 @@
 /// training `Dataset` in memory, predictions bit-identical to the
 /// original's.
 ///
+/// Thread safety: predictSource, predictSources and predictBatch may be
+/// called from several threads at once on one predictor (the serve
+/// daemon runs up to --threads batches in flight). The encoder pass, the
+/// index probe and Eq. 5 scoring only read shared state, and the one
+/// shared write, interning annotation types into the universe, is
+/// serialized by a lock the predictor owns. Concurrent predictions of a
+/// Path-encoder model race on its sampling stream; callers check
+/// TypeModel::supportsParallelEmbed first. τmap mutation
+/// (annotateIncremental, removeMarkersForFile, addMarker, compaction,
+/// setKnnOptions, setMarkerStore) must not overlap any other call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPILUS_CORE_PREDICTOR_H
@@ -31,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,6 +93,15 @@ struct PredictionResult {
   double confidence() const {
     return Candidates.empty() ? 0 : Candidates.front().Prob;
   }
+};
+
+/// Where one prediction call's time went: its own encoder and index-probe
+/// wall time, unaffected by other calls running at the same time (unlike
+/// the predictor-wide embedMicros()/knnMicros() totals). Observability
+/// only.
+struct PredictTiming {
+  uint64_t EmbedMicros = 0;
+  uint64_t KnnMicros = 0;
 };
 
 /// kNN settings for the type-map predictor (Eq. 5).
@@ -187,9 +208,13 @@ public:
                                               const std::string &Source);
   /// Batched predictSource: builds every example, then answers all of
   /// them through one predictBatch call (the daemon's coalesced path).
-  /// \returns per-file results, index-aligned with \p Files.
+  /// Parse and graph build run unlocked; only the universe interning
+  /// holds the predictor's lock. \returns per-file results,
+  /// index-aligned with \p Files; \p Timing (optional) receives this
+  /// call's embed/probe split.
   std::vector<std::vector<PredictionResult>>
-  predictSources(const std::vector<CorpusFile> &Files);
+  predictSources(const std::vector<CorpusFile> &Files,
+                 PredictTiming *Timing = nullptr);
 
   /// The editor loop (one didChange): tombstones \p Path's τmap markers,
   /// re-parses and re-embeds *only this file* (exactly one encoder pass —
@@ -218,8 +243,10 @@ public:
   /// \returns per-file results, index-aligned with \p Files,
   /// bit-identical to calling predictFile on each file by construction
   /// (tests/ServeTest.cpp pins this, incl. the classifier path).
+  /// \p Timing (optional) receives this call's embed/probe split.
   std::vector<std::vector<PredictionResult>>
-  predictBatch(const std::vector<const FileExample *> &Files);
+  predictBatch(const std::vector<const FileExample *> &Files,
+               PredictTiming *Timing = nullptr);
 
   /// Convenience: predicts over a whole split (through predictBatch, in
   /// bounded chunks — a streamed split decodes at most a window of
@@ -247,8 +274,8 @@ public:
   /// that the incremental path re-embeds exactly one file per edit.
   uint64_t embedCalls() const { return EmbedCalls.load(); }
   /// Cumulative wall time spent in encoder passes (the τmap fill
-  /// included) / in kNN index probes — the serve daemon diffs these
-  /// around each batch for its stats breakdown.
+  /// included) / in kNN index probes, summed over every call (for one
+  /// call's own split see PredictTiming).
   /// Observability only: timing never influences results. Safe to read
   /// while another thread predicts.
   uint64_t embedMicros() const { return EmbedMicros.load(); }
@@ -276,16 +303,18 @@ private:
   struct Embedded {
     std::vector<Tensor> Embs;
     std::vector<std::vector<const Target *>> Targets;
+    uint64_t Micros = 0; ///< This pass's wall time.
   };
   /// One encoder pass per file — data-parallel when the encoder allows
   /// it — counted in embedCalls()/embedMicros().
   Embedded embedFiles(const std::vector<const FileExample *> &Files);
   /// The kNN prediction path predictBatch and annotateIncremental share:
-  /// one bulk index probe for every target (timed into knnMicros()), then
-  /// Eq. 5 scoring. \returns per-file results, index-aligned with \p Files.
+  /// one bulk index probe for every target (timed into knnMicros() and
+  /// \p KnnUs), then Eq. 5 scoring. \returns per-file results,
+  /// index-aligned with \p Files.
   std::vector<std::vector<PredictionResult>>
   predictKnn(const std::vector<const FileExample *> &Files,
-             const Embedded &E);
+             const Embedded &E, uint64_t *KnnUs = nullptr);
   /// Applies KnnOptions::CompactRatio (compact + rebuild when exceeded).
   void maybeCompact();
 
@@ -320,6 +349,17 @@ private:
   Counter EmbedCalls;
   Counter EmbedMicros;
   Counter KnnMicros;
+
+  /// Serializes predictSources' universe interning across threads. A
+  /// moved-to predictor gets a fresh mutex: predictors move only before
+  /// they serve.
+  struct InternMutex {
+    InternMutex() = default;
+    InternMutex(InternMutex &&) noexcept {}
+    InternMutex &operator=(InternMutex &&) noexcept { return *this; }
+    std::mutex M;
+  };
+  InternMutex InternMu;
 };
 
 /// FNV-1a over the full prediction set: file paths, target indexes, and

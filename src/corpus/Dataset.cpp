@@ -30,7 +30,7 @@ void typilus::resolveTargets(FileExample &Ex, TypeUniverse &U) {
   }
 }
 
-FileExample typilus::buildExample(const CorpusFile &File, TypeUniverse &U,
+FileExample typilus::parseExample(const CorpusFile &File,
                                   const GraphBuildOptions &Opts) {
   FileExample Ex;
   Ex.Path = File.Path;
@@ -40,6 +40,12 @@ FileExample typilus::buildExample(const CorpusFile &File, TypeUniverse &U,
   SymbolTable ST;
   buildSymbolTable(PF, ST);
   Ex.Graph = buildGraph(PF, ST, Opts);
+  return Ex;
+}
+
+FileExample typilus::buildExample(const CorpusFile &File, TypeUniverse &U,
+                                  const GraphBuildOptions &Opts) {
+  FileExample Ex = parseExample(File, Opts);
   resolveTargets(Ex, U);
   return Ex;
 }

@@ -97,6 +97,13 @@ void registerUdts(const std::vector<UdtSpec> &Udts, TypeHierarchy &Hierarchy);
 FileExample buildExample(const CorpusFile &File, TypeUniverse &U,
                          const GraphBuildOptions &Opts);
 
+/// The universe-free half of buildExample: parse and graph build, with
+/// Targets left empty for resolveTargets to fill. Touches no shared
+/// state, so concurrent callers need no lock (Predictor::predictSources
+/// serializes only the interning). Throws like buildExample.
+FileExample parseExample(const CorpusFile &File,
+                         const GraphBuildOptions &Opts);
+
 /// Rebuilds \p Ex.Targets from its graph's supernode annotations,
 /// interning ground truths into \p U. This is the target-resolution step
 /// of buildExample, shared with shard decoding (corpus/ShardedDataset) so

@@ -116,6 +116,7 @@ std::string serve::statsResponse(int64_t Id, const ServerStats &S) {
   return head(Id, true) + ",\"requests\":" + std::to_string(S.Requests) +
          ",\"batches\":" + std::to_string(S.Batches) +
          ",\"max_coalesced\":" + std::to_string(S.MaxCoalesced) +
+         ",\"max_in_flight\":" + std::to_string(S.MaxInFlight) +
          ",\"collapsed\":" + std::to_string(S.Collapsed) +
          ",\"queue_wait_mean_us\":" + std::to_string(S.QueueWaitTotalUs / N) +
          ",\"queue_wait_max_us\":" + std::to_string(S.QueueWaitMaxUs) +

@@ -70,8 +70,11 @@ struct ServerStats {
   uint64_t Requests = 0;     ///< Predict requests answered.
   uint64_t Batches = 0;      ///< Dispatches (== Requests when unbatched).
   uint64_t MaxCoalesced = 0; ///< Largest batch observed.
-  uint64_t Collapsed = 0;    ///< Duplicate in-batch requests answered from
-                             ///< another request's prediction.
+  uint64_t MaxInFlight = 0;  ///< Most batches overlapped at once.
+  uint64_t Collapsed = 0;    ///< Requests answered from another request's
+                             ///< prediction: a duplicate in the same
+                             ///< batch, or one joining the prediction of
+                             ///< an earlier batch still in flight.
   /// Per-request timing (µs), over predict requests. Queue wait is
   /// submit-to-dispatch; predict is the request's batch prediction time
   /// (parse + embed + kNN — shared by every request the batch coalesced,
@@ -82,8 +85,9 @@ struct ServerStats {
   uint64_t PredictTotalUs = 0;
   uint64_t PredictMaxUs = 0;
   /// The predict phase split per request: time inside the encoder
-  /// (embedding query files) vs time probing the kNN index, from
-  /// Predictor::embedMicros / knnMicros diffs around each batch.
+  /// (embedding query files) vs time probing the kNN index, from each
+  /// batch's own PredictTiming (so overlapping batches never count each
+  /// other's time).
   /// Attributed like PredictTotalUs — every request a batch coalesced
   /// saw its batch's full cost — so the running means sit next to
   /// predict_mean_us on the same scale. Cache hits add nothing to
@@ -94,7 +98,8 @@ struct ServerStats {
   /// Response cache (keyed on path + FNV-1a source digest; see
   /// Server.h). Hits/misses count per-batch lookups — one per distinct
   /// (path, source) group, after collapsing — so a 50-duplicate batch
-  /// that reuses a cached prediction is one hit, not fifty.
+  /// that reuses a cached prediction is one hit, not fifty. A group that
+  /// joins an in-flight prediction is neither (it counts in Collapsed).
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;

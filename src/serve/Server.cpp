@@ -3,6 +3,7 @@
 #include "serve/Server.h"
 
 #include "support/Socket.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -37,7 +38,25 @@ Server::Server(Predictor &P, TypeUniverse &U, ServerOptions O)
   // live-model predictor needs to be pointed at the caller's.
   P.setUniverse(U);
   registerMethods();
-  Dispatcher = std::thread([this] { dispatchLoop(); });
+  // One worker per way of the pool: more batches in flight than that
+  // would only contend for the same cores.
+  int NumWorkers = std::max(1, globalNumThreads());
+  try {
+    for (int I = 0; I != NumWorkers; ++I)
+      Workers.emplace_back([this] { workerLoop(); });
+    Dispatcher = std::thread([this] { dispatchLoop(); });
+  } catch (...) {
+    // Thread creation failed: the workers already started must join
+    // before the members they use go away.
+    {
+      std::lock_guard<std::mutex> L(Mu);
+      WorkersQuit = true;
+    }
+    WorkCV.notify_all();
+    for (std::thread &W : Workers)
+      W.join();
+    throw;
+  }
 }
 
 Server::~Server() { stop(); }
@@ -58,8 +77,7 @@ bool Server::submit(Request R, Respond Fn) {
       Stats.Overloaded += 1;
       Shed = true;
     } else {
-      Queue.push_back(Pending{std::move(R), std::move(Fn),
-                              std::chrono::steady_clock::now()});
+      Queue.push_back(Pending{std::move(R), std::move(Fn), Clock::now()});
     }
   }
   if (Shed) {
@@ -90,39 +108,86 @@ ServerStats Server::stats() const {
   return Stats;
 }
 
-void Server::dispatchLoop() {
-  for (;;) {
-    std::vector<Pending> Popped;
-    {
-      std::unique_lock<std::mutex> L(Mu);
-      WakeCV.wait(L, [this] { return Stopping || !Queue.empty(); });
-      if (Queue.empty() && Stopping)
-        return; // fully drained
-      size_t Take =
-          std::min(Queue.size(), static_cast<size_t>(Opts.MaxBatch));
-      Popped.reserve(Take);
-      for (size_t I = 0; I != Take; ++I) {
-        Popped.push_back(std::move(Queue.front()));
-        Queue.pop_front();
-      }
-    }
+size_t Server::flightLimit() const {
+  // A Path encoder consumes its sampling stream in call order, so its
+  // batches run one at a time, in arrival order, as they always did.
+  return Pred->model().supportsParallelEmbed() ? Workers.size() : 1;
+}
 
-    // Preserve arrival order: coalesce runs of consecutive predict
-    // requests, answer control requests at their position in between.
-    std::vector<Pending> Run;
-    for (Pending &P : Popped) {
-      if (P.R.M == Method::Predict) {
-        Run.push_back(std::move(P));
-        continue;
-      }
-      if (!Run.empty()) {
-        servePredicts(Run);
-        Run.clear();
-      }
-      serveOne(P);
+void Server::dispatchLoop() {
+  std::unique_lock<std::mutex> L(Mu);
+  for (;;) {
+    // Wake for the oldest batch finishing, or for a queued request that
+    // may start: a predict while an in-flight slot is free, a control
+    // request (a barrier) once every earlier batch has been released.
+    WakeCV.wait(L, [this] {
+      if (!Flight.empty() && Flight.front()->Done)
+        return true;
+      if (!Queue.empty())
+        return Queue.front().R.M == Method::Predict
+                   ? Flight.size() < flightLimit()
+                   : Flight.empty();
+      return Stopping && Flight.empty();
+    });
+    if (!Flight.empty() && Flight.front()->Done) {
+      std::shared_ptr<Batch> B = std::move(Flight.front());
+      Flight.pop_front();
+      L.unlock();
+      release(*B);
+      L.lock();
+      continue;
     }
-    if (!Run.empty())
-      servePredicts(Run);
+    if (Queue.empty())
+      break; // stopping, and fully drained
+    if (Queue.front().R.M != Method::Predict) {
+      Pending P = std::move(Queue.front());
+      Queue.pop_front();
+      L.unlock();
+      serveOne(P);
+      L.lock();
+      continue;
+    }
+    // Coalesce the run of consecutive predicts at the queue front; a
+    // control request ends the run and waits for it to be released.
+    std::vector<Pending> Run;
+    while (!Queue.empty() && Queue.front().R.M == Method::Predict &&
+           Run.size() < static_cast<size_t>(Opts.MaxBatch)) {
+      Run.push_back(std::move(Queue.front()));
+      Queue.pop_front();
+    }
+    L.unlock();
+    std::shared_ptr<Batch> B = admit(std::move(Run));
+    L.lock();
+    Flight.push_back(B);
+    Stats.MaxInFlight =
+        std::max(Stats.MaxInFlight, static_cast<uint64_t>(Flight.size()));
+    if (B->Miss.empty()) {
+      B->Done = true; // answered by the cache and earlier batches alone
+    } else {
+      Work.push_back(std::move(B));
+      WorkCV.notify_one();
+    }
+  }
+  WorkersQuit = true;
+  L.unlock();
+  WorkCV.notify_all();
+  for (std::thread &W : Workers)
+    W.join();
+}
+
+void Server::workerLoop() {
+  std::unique_lock<std::mutex> L(Mu);
+  for (;;) {
+    WorkCV.wait(L, [this] { return WorkersQuit || !Work.empty(); });
+    if (Work.empty())
+      return; // quitting; the dispatcher drained every batch first
+    std::shared_ptr<Batch> B = std::move(Work.front());
+    Work.pop_front();
+    L.unlock();
+    predict(*B);
+    L.lock();
+    B->Done = true;
+    WakeCV.notify_one();
   }
 }
 
@@ -154,7 +219,7 @@ void Server::registerMethods() {
 
 void Server::serveOne(Pending &P) {
   if (P.R.M == Method::Predict)
-    return; // batched through servePredicts, never dispatched here
+    return; // batched through admit/release, never dispatched here
   if (const auto *H = Methods.find(methodName(P.R.M))) {
     (*H)(P);
     return;
@@ -183,8 +248,9 @@ void Server::serveReload(Pending &P) {
     return;
   }
   // The swap and the cache invalidation are one atomic step as far as
-  // prediction is concerned: both happen here, between batches, on the
-  // only thread that reads them. Requests queued behind this one are
+  // prediction is concerned: both happen here, with no batch in flight
+  // (control requests are barriers), on the only thread that reads them;
+  // a batch captures its predictor at admission. Requests queued behind this one are
   // answered from the new artifact; requests served before it were
   // answered (and cached) from the old one, and that cache is gone.
   Pred = NewP.get();
@@ -215,8 +281,8 @@ std::string cacheKey(const std::string &Path, uint64_t SourceDigest) {
 
 } // namespace
 
-std::shared_ptr<const std::vector<PredictionResult>>
-Server::cacheFind(const std::string &Path, uint64_t SourceDigest) {
+Server::PredSet Server::cacheFind(const std::string &Path,
+                                  uint64_t SourceDigest) {
   if (Opts.CacheEntries <= 0)
     return nullptr;
   auto It = CacheIdx.find(cacheKey(Path, SourceDigest));
@@ -226,16 +292,15 @@ Server::cacheFind(const std::string &Path, uint64_t SourceDigest) {
   return It->second->Preds;
 }
 
-uint64_t Server::cacheInsert(
-    const std::string &Path, uint64_t SourceDigest,
-    std::shared_ptr<const std::vector<PredictionResult>> P) {
+uint64_t Server::cacheInsert(const std::string &Path, uint64_t SourceDigest,
+                             PredSet P) {
   if (Opts.CacheEntries <= 0)
     return 0;
   std::string K = cacheKey(Path, SourceDigest);
   auto It = CacheIdx.find(K);
   if (It != CacheIdx.end()) {
-    // Same key predicted twice (only possible after a miss raced a
-    // duplicate into the same batch run twice — harmless): refresh.
+    // Same key predicted twice (unreachable while misses join the
+    // in-flight prediction of their key; harmless anyway): refresh.
     CacheLru.splice(CacheLru.begin(), CacheLru, It->second);
     It->second->Preds = std::move(P);
     return 0;
@@ -252,127 +317,141 @@ uint64_t Server::cacheInsert(
   return Evicted;
 }
 
-void Server::servePredicts(std::vector<Pending> &Batch) {
-  // Per-request timing: queue wait ends when the batch starts being
-  // served; the prediction clock covers parse + embed + kNN for the
-  // whole batch and is attributed to each request it answered (that IS
-  // the latency each caller saw for the predict phase).
-  auto Dispatched = std::chrono::steady_clock::now();
-  uint64_t QueueTotalUs = 0, QueueMaxUs = 0;
-  for (const Pending &P : Batch) {
+std::shared_ptr<Server::Batch> Server::admit(std::vector<Pending> Reqs) {
+  auto B = std::make_shared<Batch>();
+  B->Reqs = std::move(Reqs);
+  B->P = Pred;
+  // Per-request timing: queue wait ends when the batch is admitted; the
+  // prediction clock runs from here until its responses are written.
+  B->Dispatched = Clock::now();
+  for (const Pending &P : B->Reqs) {
     uint64_t WaitUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Dispatched -
+        std::chrono::duration_cast<std::chrono::microseconds>(B->Dispatched -
                                                               P.Enqueued)
             .count());
-    QueueTotalUs += WaitUs;
-    QueueMaxUs = std::max(QueueMaxUs, WaitUs);
+    B->QueueTotalUs += WaitUs;
+    B->QueueMaxUs = std::max(B->QueueMaxUs, WaitUs);
   }
 
-  // Collapse identical in-flight requests (same path + source): a fleet
-  // of clients asking about the same file — the CI smoke's exact shape —
-  // costs one prediction, not N. Each duplicate still gets its own
-  // response under its own id, bit-identical to the representative's.
-  std::vector<size_t> GroupOf(Batch.size());
-  std::vector<size_t> Rep; // index of each group's first request
+  // Collapse identical requests (same path + source): a fleet of clients
+  // asking about the same file — the CI smoke's exact shape — costs one
+  // prediction, not N. Each duplicate still gets its own response under
+  // its own id, bit-identical to the representative's.
+  size_t N = B->Reqs.size();
+  B->GroupOf.resize(N);
   std::map<std::pair<std::string_view, std::string_view>, size_t> Groups;
-  for (size_t I = 0; I != Batch.size(); ++I) {
-    auto Key = std::make_pair(std::string_view(Batch[I].R.Path),
-                              std::string_view(Batch[I].R.Source));
-    auto [It, New] = Groups.emplace(Key, Rep.size());
+  for (size_t I = 0; I != N; ++I) {
+    auto Key = std::make_pair(std::string_view(B->Reqs[I].R.Path),
+                              std::string_view(B->Reqs[I].R.Source));
+    auto [It, New] = Groups.emplace(Key, B->Rep.size());
     if (New)
-      Rep.push_back(I);
-    GroupOf[I] = It->second;
+      B->Rep.push_back(I);
+    B->GroupOf[I] = It->second;
   }
 
-  // Cache probe: one lookup per distinct (path, source) group. Hits
-  // skip embedding entirely; only the misses go to the predictor.
-  bool CacheOn = Opts.CacheEntries > 0;
-  std::vector<std::shared_ptr<const std::vector<PredictionResult>>> GroupPreds(
-      Rep.size());
-  std::vector<uint64_t> GroupDigest(Rep.size());
-  std::vector<size_t> Miss;
-  uint64_t Hits = 0, Evictions = 0;
-  for (size_t G = 0; G != Rep.size(); ++G) {
-    const Request &R = Batch[Rep[G]].R;
-    GroupDigest[G] = sourceDigest(R.Source);
-    GroupPreds[G] = cacheFind(R.Path, GroupDigest[G]);
-    if (GroupPreds[G])
-      ++Hits;
-    else
-      Miss.push_back(G);
-  }
-
-  // The dispatcher is the only thread interning into the universe
-  // (predictSources' parse resolves annotation types) and running the
-  // model, by construction — parallelism comes from inside predictBatch.
-  // That also makes the predictor's embed/kNN clocks diffable here
-  // without a race: nothing else advances them between these reads.
-  uint64_t EmbedUs0 = Pred->embedMicros(), KnnUs0 = Pred->knnMicros();
-  std::string Err;
-  if (!Miss.empty()) {
-    try {
-      std::vector<CorpusFile> Sources;
-      Sources.reserve(Miss.size());
-      for (size_t G : Miss) {
-        const Request &R = Batch[Rep[G]].R;
-        Sources.push_back(CorpusFile{R.Path, R.Source});
-      }
-      // The shared in-memory-source entry point: the CLI's --source and
-      // the LSP go through the same call, so their digests match the
-      // daemon's by construction.
-      std::vector<std::vector<PredictionResult>> Fresh =
-          Pred->predictSources(Sources);
-      for (size_t I = 0; I != Miss.size(); ++I) {
-        size_t G = Miss[I];
-        GroupPreds[G] = std::make_shared<const std::vector<PredictionResult>>(
-            std::move(Fresh[I]));
-        Evictions += cacheInsert(Batch[Rep[G]].R.Path, GroupDigest[G],
-                                 GroupPreds[G]);
-      }
-    } catch (const std::exception &E) {
-      Err = E.what();
-    } catch (...) {
-      Err = "unknown prediction failure";
+  // One cache lookup per group: hits skip embedding entirely. A miss
+  // whose key an earlier in-flight batch is predicting joins that
+  // prediction (its result is released first, in arrival order); only
+  // the rest go to the predictor.
+  size_t NumGroups = B->Rep.size();
+  B->Digest.resize(NumGroups);
+  B->GroupPreds.resize(NumGroups);
+  B->JoinOf.resize(NumGroups);
+  for (size_t G = 0; G != NumGroups; ++G) {
+    const Request &R = B->Reqs[B->Rep[G]].R;
+    B->Digest[G] = sourceDigest(R.Source);
+    if (Opts.CacheEntries <= 0) {
+      B->Miss.push_back(G);
+      continue;
     }
+    B->GroupPreds[G] = cacheFind(R.Path, B->Digest[G]);
+    if (B->GroupPreds[G]) {
+      ++B->Hits;
+      continue;
+    }
+    auto [It, New] = InFlightKeys.emplace(cacheKey(R.Path, B->Digest[G]),
+                                          std::make_pair(B, G));
+    if (New)
+      B->Miss.push_back(G);
+    else
+      B->JoinOf[G] = It->second;
   }
+  return B;
+}
+
+void Server::predict(Batch &B) {
+  try {
+    std::vector<CorpusFile> Sources;
+    Sources.reserve(B.Miss.size());
+    for (size_t G : B.Miss) {
+      const Request &R = B.Reqs[B.Rep[G]].R;
+      Sources.push_back(CorpusFile{R.Path, R.Source});
+    }
+    // The shared in-memory-source entry point: the CLI's --source and
+    // the LSP go through the same call, so their digests match the
+    // daemon's by construction.
+    B.Fresh = B.P->predictSources(Sources, &B.Timing);
+  } catch (const std::exception &E) {
+    B.Err = E.what();
+  } catch (...) {
+    B.Err = "unknown prediction failure";
+  }
+}
+
+void Server::release(Batch &B) {
+  bool CacheOn = Opts.CacheEntries > 0;
+  uint64_t Evictions = 0;
+  for (size_t I = 0; I != B.Fresh.size(); ++I) {
+    size_t G = B.Miss[I];
+    B.GroupPreds[G] = std::make_shared<const std::vector<PredictionResult>>(
+        std::move(B.Fresh[I]));
+    Evictions += cacheInsert(B.Reqs[B.Rep[G]].R.Path, B.Digest[G],
+                             B.GroupPreds[G]);
+  }
+  if (CacheOn)
+    for (size_t G : B.Miss)
+      InFlightKeys.erase(cacheKey(B.Reqs[B.Rep[G]].R.Path, B.Digest[G]));
+  // Joined groups share the fate of the batch they joined, exactly as a
+  // collapsed duplicate shares its own batch's.
+  for (size_t G = 0; G != B.JoinOf.size(); ++G)
+    if (const auto &[Src, SrcG] = B.JoinOf[G]; Src)
+      B.GroupPreds[G] = Src->GroupPreds[SrcG];
 
   // Answer in arrival order. A poisoned batch must not take the daemon
   // down: requests whose group has no predictions (the failed misses)
   // get an error response, cache hits in the same batch still serve,
   // and serving continues.
-  for (size_t I = 0; I != Batch.size(); ++I) {
-    const auto &Preds = GroupPreds[GroupOf[I]];
-    if (!Preds) {
-      Batch[I].Fn(errorResponse(Batch[I].R.Id, "prediction failed: " + Err));
+  for (size_t I = 0; I != B.Reqs.size(); ++I) {
+    const Pending &P = B.Reqs[I];
+    size_t G = B.GroupOf[I];
+    if (!B.GroupPreds[G]) {
+      const Batch *Owner = B.JoinOf[G].first ? B.JoinOf[G].first.get() : &B;
+      P.Fn(errorResponse(P.R.Id, "prediction failed: " + Owner->Err));
       continue;
     }
-    int Limit = Batch[I].R.Limit >= 0 ? Batch[I].R.Limit : Opts.Limit;
-    Batch[I].Fn(
-        predictResponse(Batch[I].R.Id, Batch[I].R.Path, *Preds, Limit));
+    int Limit = P.R.Limit >= 0 ? P.R.Limit : Opts.Limit;
+    P.Fn(predictResponse(P.R.Id, P.R.Path, *B.GroupPreds[G], Limit));
   }
 
   uint64_t PredictUs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Dispatched)
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            B.Dispatched)
           .count());
-  uint64_t EmbedUs = Pred->embedMicros() - EmbedUs0;
-  uint64_t KnnUs = Pred->knnMicros() - KnnUs0;
-
+  uint64_t N = B.Reqs.size();
   std::lock_guard<std::mutex> L(Mu);
-  Stats.Requests += Batch.size();
+  Stats.Requests += N;
   Stats.Batches += 1;
-  Stats.MaxCoalesced =
-      std::max(Stats.MaxCoalesced, static_cast<uint64_t>(Batch.size()));
-  Stats.Collapsed += Batch.size() - Rep.size();
-  Stats.QueueWaitTotalUs += QueueTotalUs;
-  Stats.QueueWaitMaxUs = std::max(Stats.QueueWaitMaxUs, QueueMaxUs);
-  Stats.PredictTotalUs += PredictUs * Batch.size();
+  Stats.MaxCoalesced = std::max(Stats.MaxCoalesced, N);
+  Stats.Collapsed += N - B.Hits - B.Miss.size();
+  Stats.QueueWaitTotalUs += B.QueueTotalUs;
+  Stats.QueueWaitMaxUs = std::max(Stats.QueueWaitMaxUs, B.QueueMaxUs);
+  Stats.PredictTotalUs += PredictUs * N;
   Stats.PredictMaxUs = std::max(Stats.PredictMaxUs, PredictUs);
-  Stats.EmbedTotalUs += EmbedUs * Batch.size();
-  Stats.KnnTotalUs += KnnUs * Batch.size();
+  Stats.EmbedTotalUs += B.Timing.EmbedMicros * N;
+  Stats.KnnTotalUs += B.Timing.KnnMicros * N;
   if (CacheOn) {
-    Stats.CacheHits += Hits;
-    Stats.CacheMisses += Miss.size();
+    Stats.CacheHits += B.Hits;
+    Stats.CacheMisses += B.Miss.size();
     Stats.CacheEvictions += Evictions;
   }
 }

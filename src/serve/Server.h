@@ -8,14 +8,24 @@
 /// The serving core behind `typilus_serve`, transport-agnostic so tests
 /// drive it in-process: reader threads submit parsed requests, a single
 /// dispatcher thread pops them and *coalesces* consecutive predict
-/// requests into one `Predictor::predictBatch` call — files embed
-/// data-parallel through the PR-2 thread pool and one bulk τmap probe
-/// answers the whole batch — after *collapsing* identical requests so N
-/// clients asking about the same source pay for one prediction. The
-/// dispatcher is the only thread touching the predictor
-/// and the type universe, so no locks sit on the hot path and responses
-/// are bit-identical to single-shot prediction for any thread count and
-/// any batch composition.
+/// requests into one `Predictor::predictSources` call — files embed
+/// data-parallel through the thread pool and one bulk τmap probe answers
+/// the whole batch — after *collapsing* identical requests so N clients
+/// asking about the same source pay for one prediction.
+///
+/// Ownership is split in two. The dispatcher is the only thread that
+/// pops the queue, probes and fills the response cache, swaps the
+/// predictor on reload and writes responses. A small set of batch
+/// workers owned by the server runs only the prediction itself, so up
+/// to globalNumThreads() batches are in flight at once (1 when the
+/// encoder is not safe to run concurrently, TypeModel::
+/// supportsParallelEmbed). Finished batches return to the dispatcher,
+/// which releases them strictly in arrival order; a request whose
+/// (path, source) is already being predicted by an earlier in-flight
+/// batch joins that prediction instead of embedding again. Responses are
+/// therefore bit-identical to single-shot prediction, and in the same
+/// order, for any thread count and any batch composition; only the
+/// overlap changes.
 ///
 /// On top of the batch pipeline sit three production behaviors, all
 /// owned by the dispatcher so they stay lock-free and totally ordered
@@ -27,18 +37,19 @@
 ///    identical to the original miss for the same id and limit;
 ///  - **hot reload**: a `reload` request (or SIGHUP in the daemon)
 ///    swaps in a freshly loaded Predictor through ServerOptions::
-///    OnReload. Because reload rides the request queue, requests
-///    enqueued before it are answered from the old artifact and
-///    requests after it from the new one — never a mix — and the cache
-///    is invalidated in the same step;
+///    OnReload. Because reload rides the request queue and, like every
+///    control request, runs only once every earlier batch has been
+///    released, requests enqueued before it are answered from the old
+///    artifact and requests after it from the new one — never a mix —
+///    and the cache is invalidated in the same step;
 ///  - **backpressure**: with ServerOptions::MaxQueue set, a predict
 ///    arriving at a full queue is answered immediately (on the submit
 ///    thread) with an `overloaded` error instead of wedging the
 ///    dispatcher; control requests always pass.
 ///
 /// Shutdown is drain-first: stop() refuses new submissions, finishes
-/// every queued request (each gets its response) and joins the
-/// dispatcher.
+/// every queued request and then every in-flight batch (each request
+/// gets its response) and joins the dispatcher and its workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,8 +100,8 @@ struct ServerOptions {
   /// been answered; the transport layer uses it to begin its drain.
   std::function<void()> OnShutdown;
   /// Loads a replacement predictor for a `reload` request; invoked on
-  /// the dispatcher thread (prediction pauses while it runs — in-flight
-  /// batches finished, queued ones waiting). The returned predictor
+  /// the dispatcher thread (prediction pauses while it runs — earlier
+  /// batches released, queued ones waiting). The returned predictor
   /// must own its universe (`Predictor::load` artifacts do). Return
   /// null and set \p Err to keep serving the current artifact; unset
   /// leaves the method answering "reload is not enabled".
@@ -107,8 +118,9 @@ public:
   using Respond = std::function<void(std::string)>;
 
   /// \p P must outlive the server; \p U is the universe \p P's types are
-  /// interned in (a loaded predictor owns it — `P.universe()`). Only the
-  /// dispatcher thread touches either.
+  /// interned in (a loaded predictor owns it — `P.universe()`). Batch
+  /// workers call only \p P's prediction entry point (thread-safe, see
+  /// core/Predictor.h); everything else is the dispatcher's.
   Server(Predictor &P, TypeUniverse &U, ServerOptions O = {});
   ~Server();
 
@@ -120,45 +132,85 @@ public:
   /// and \p Fn will not be called).
   bool submit(Request R, Respond Fn);
 
-  /// Drains: no new submissions, every queued request is answered, then
-  /// the dispatcher joins. Idempotent.
+  /// Drains: no new submissions, every queued and in-flight request is
+  /// answered, then the dispatcher and the batch workers join.
+  /// Idempotent.
   void stop();
 
   ServerStats stats() const;
 
 private:
+  using Clock = std::chrono::steady_clock;
+  /// One prediction set, shared by the cache, the batch that predicted
+  /// it and every response serialized from it, so an eviction mid-batch
+  /// changes nothing.
+  using PredSet = std::shared_ptr<const std::vector<PredictionResult>>;
+
   struct Pending {
     Request R;
     Respond Fn;
     /// Submit time; queue wait (submit -> batch dispatch) feeds the
     /// per-request timing the `stats` method reports.
-    std::chrono::steady_clock::time_point Enqueued;
+    Clock::time_point Enqueued;
   };
 
-  /// One cached prediction set. Shared-ptr so a response being serialized
-  /// is unaffected by the entry's eviction mid-batch.
   struct CacheEntry {
     std::string Path;
     uint64_t SourceDigest;
-    std::shared_ptr<const std::vector<PredictionResult>> Preds;
+    PredSet Preds;
+  };
+
+  /// One coalesced predict batch from admission to release. Requests
+  /// with the same (path, source) form one *group*. The dispatcher fills
+  /// everything but the worker outputs; a worker predicts the Miss groups
+  /// and sets Done.
+  struct Batch {
+    std::vector<Pending> Reqs;
+    std::vector<size_t> GroupOf; ///< Request -> group.
+    std::vector<size_t> Rep;     ///< Group -> its first request.
+    std::vector<uint64_t> Digest;
+    std::vector<PredSet> GroupPreds; ///< Cache hits at admission, the
+                                     ///< rest at release; null = failed.
+    /// Group -> the earlier in-flight batch (and its group) already
+    /// predicting the same key, or null.
+    std::vector<std::pair<std::shared_ptr<Batch>, size_t>> JoinOf;
+    std::vector<size_t> Miss; ///< Groups this batch predicts.
+    uint64_t Hits = 0;
+    Predictor *P = nullptr; ///< The predictor active at admission.
+    Clock::time_point Dispatched;
+    uint64_t QueueTotalUs = 0, QueueMaxUs = 0;
+    // Worker outputs, read by the dispatcher once Done is set.
+    std::vector<std::vector<PredictionResult>> Fresh; ///< Per Miss group.
+    PredictTiming Timing;
+    std::string Err; ///< Why the prediction failed ("" = it did not).
+    bool Done = false; ///< Guarded by Mu.
   };
 
   void dispatchLoop();
+  void workerLoop();
   /// Fills Methods with the control handlers (ping/stats/reload/
   /// shutdown); predict is not in the table — it dispatches through the
   /// coalescing batch path below, never one at a time.
   void registerMethods();
   void serveOne(Pending &P);
-  void servePredicts(std::vector<Pending> &Batch);
   void serveReload(Pending &P);
+  /// Most batches in flight for the current predictor. Dispatcher-only.
+  size_t flightLimit() const;
+  /// Groups \p Reqs, probes the cache and the in-flight keys, and
+  /// registers the keys it will predict. Dispatcher-only.
+  std::shared_ptr<Batch> admit(std::vector<Pending> Reqs);
+  /// The worker's share: predicts B's Miss groups. Touches nothing else.
+  static void predict(Batch &B);
+  /// Fills the cache, answers every request in arrival order and
+  /// updates the stats. Dispatcher-only.
+  void release(Batch &B);
 
   /// Cache lookup; moves a hit to the LRU front. Dispatcher-only.
-  std::shared_ptr<const std::vector<PredictionResult>>
-  cacheFind(const std::string &Path, uint64_t SourceDigest);
+  PredSet cacheFind(const std::string &Path, uint64_t SourceDigest);
   /// Inserts a fresh prediction set, evicting LRU entries past the
   /// capacity. \returns evictions performed. Dispatcher-only.
   uint64_t cacheInsert(const std::string &Path, uint64_t SourceDigest,
-                       std::shared_ptr<const std::vector<PredictionResult>> P);
+                       PredSet P);
 
   // The artifact being served. Plain pointers (not refs) because reload
   // swaps them; OwnedPred keeps a reloaded predictor (and the universe
@@ -179,11 +231,23 @@ private:
   std::list<CacheEntry> CacheLru;
   std::unordered_map<std::string, std::list<CacheEntry>::iterator> CacheIdx;
 
+  // Admitted batches, oldest first, and the cache keys they predict
+  // (key -> batch and group). Dispatcher-only.
+  std::deque<std::shared_ptr<Batch>> Flight;
+  std::unordered_map<std::string, std::pair<std::shared_ptr<Batch>, size_t>>
+      InFlightKeys;
+
   mutable std::mutex Mu;
+  /// The dispatcher waits here for a request or a finished batch.
   std::condition_variable WakeCV;
   std::deque<Pending> Queue;
   bool Stopping = false;
   ServerStats Stats;
+  /// Batches handed to the workers, and their wake-up.
+  std::deque<std::shared_ptr<Batch>> Work;
+  std::condition_variable WorkCV;
+  bool WorkersQuit = false;
+  std::vector<std::thread> Workers;
   std::thread Dispatcher;
 };
 

@@ -98,7 +98,14 @@ void ThreadPool::parallelFor(int64_t Begin, int64_t End, int64_t Grain,
   if (MaxWays > 0)
     Ways = std::min<int64_t>(Ways, MaxWays);
   int64_t NumChunks = std::min(Ways, (N + Grain - 1) / Grain);
-  if (NumChunks <= 1 || InsideRegion || Workers.empty()) {
+  // One top-level job at a time. A caller that finds the pool busy with
+  // another thread's job runs inline like a nested call instead of
+  // queueing behind it: results are the same for any way count, and a
+  // second caller never convoys on the first.
+  std::unique_lock<std::mutex> SubmitLock;
+  if (NumChunks > 1 && !InsideRegion && !Workers.empty())
+    SubmitLock = std::unique_lock<std::mutex>(SubmitMutex, std::try_to_lock);
+  if (!SubmitLock.owns_lock()) {
     // Serial path: same partition (one chunk), same arithmetic.
     bool Restore = InsideRegion;
     InsideRegion = true;
@@ -112,7 +119,6 @@ void ThreadPool::parallelFor(int64_t Begin, int64_t End, int64_t Grain,
     return;
   }
 
-  std::lock_guard<std::mutex> SubmitLock(SubmitMutex);
   auto J = std::make_shared<Job>();
   J->Fn = &Fn;
   J->Begin = Begin;

@@ -14,8 +14,11 @@
 /// thread count (including 1, which runs inline with zero overhead).
 ///
 /// Nested `parallelFor` calls from inside a worker run serially inline
-/// (no deadlock, no oversubscription). Exceptions thrown by chunk bodies
-/// are captured and the first one is rethrown on the calling thread.
+/// (no deadlock, no oversubscription), and so does a top-level call that
+/// finds the pool busy with another thread's job: concurrent callers (the
+/// serve daemon's batch workers) never wait for each other. Exceptions
+/// thrown by chunk bodies are captured and the first one is rethrown on
+/// the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +55,8 @@ public:
   /// [Begin, End). At most ceil((End-Begin)/Grain) chunks are formed,
   /// capped at numThreads() (and at \p MaxWays when positive), and split
   /// as evenly as possible into contiguous ranges. Ranges of at most
-  /// \p Grain elements — and all nested calls — run inline serially.
+  /// \p Grain elements, nested calls and calls made while another thread
+  /// holds the pool run inline serially.
   /// Blocks until every chunk finished; rethrows the first exception.
   void parallelFor(int64_t Begin, int64_t End, int64_t Grain,
                    const std::function<void(int64_t, int64_t)> &Fn,
@@ -85,7 +89,7 @@ private:
   std::mutex Mutex; ///< Guards Current/JobSeq/Stop and the CVs.
   std::condition_variable WakeCV; ///< Workers wait here for a job.
   std::condition_variable DoneCV; ///< The caller waits here for completion.
-  std::mutex SubmitMutex;         ///< One top-level job at a time.
+  std::mutex SubmitMutex; ///< One top-level job at a time (try_lock).
   std::shared_ptr<Job> Current;
   uint64_t JobSeq = 0;
   bool Stop = false;

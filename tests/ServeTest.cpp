@@ -10,9 +10,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "corpus/Dataset.h"
 #include "serve/Server.h"
 #include "support/Json.h"
 #include "support/Socket.h"
+#include "support/Str.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -508,6 +510,192 @@ TEST_F(ServeTest, StatsResetZeroesCountersAfterReporting) {
   EXPECT_NE(Responses[5].find("\"predict_mean_us\":0"), std::string::npos)
       << Responses[5];
   EXPECT_EQ(S.stats().Requests, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Overlapped serving: several batches in flight, answered in arrival order
+//===----------------------------------------------------------------------===//
+
+/// \p R under a path of its own ("v<I>/..."): variant I of a corpus file
+/// is a distinct cache key and a distinct prediction.
+Request variant(Request R, size_t I) {
+  R.Path = "v" + std::to_string(I) + "/" + R.Path;
+  return R;
+}
+
+/// What two concurrent submitters saw.
+struct TwoClientRun {
+  /// Responses per submitter, in the order they arrived.
+  std::vector<std::string> Responses[2];
+  ServerStats Stats;
+};
+
+/// Submits Reqs[0] and Reqs[1] from two threads at once to one server
+/// over \p P, then drains it.
+TwoClientRun serveFromTwoThreads(Predictor &P, TypeUniverse &U,
+                                 const std::vector<Request> (&Reqs)[2],
+                                 ServerOptions SO = {}) {
+  TwoClientRun Out;
+  Server S(P, U, std::move(SO));
+  std::mutex Mu;
+  std::vector<std::thread> Submitters;
+  for (int T = 0; T != 2; ++T)
+    Submitters.emplace_back([&, T] {
+      for (const Request &R : Reqs[T])
+        EXPECT_TRUE(S.submit(R, [&Out, &Mu, T](std::string Resp) {
+          std::lock_guard<std::mutex> L(Mu);
+          Out.Responses[T].push_back(std::move(Resp));
+        }));
+    });
+  for (std::thread &T : Submitters)
+    T.join();
+  S.stop();
+  Out.Stats = S.stats();
+  return Out;
+}
+
+std::string responseId(const std::string &Resp) {
+  return Resp.substr(0, Resp.find(','));
+}
+
+std::string digestOf(const std::string &Resp) {
+  json::Value V;
+  std::string Err;
+  if (!json::parse(Resp, V, &Err))
+    return "";
+  return V.getString("digest", "");
+}
+
+std::string hexDigest(const std::vector<PredictionResult> &Preds) {
+  return strformat("%016llx",
+                   static_cast<unsigned long long>(predictionDigest(Preds)));
+}
+
+TEST_F(ServeTest, DuplicatesJoinTheBatchAlreadyInFlight) {
+  // One request per batch, so a duplicate arriving while the first copy
+  // is still being predicted is admitted as a batch of its own: it must
+  // join that prediction (or hit the cache once it is released), never
+  // embed again.
+  auto Single = serveAll({requestFor(0, 0)}, /*MaxBatch=*/1);
+  std::vector<Request> Reqs[2];
+  for (int T = 0; T != 2; ++T) {
+    for (int K = 0; K != 5; ++K)
+      Reqs[T].push_back(requestFor(0, T * 5 + K));
+    for (int K = 0; K != 3; ++K)
+      Reqs[T].push_back(requestFor(static_cast<size_t>(1 + T * 3 + K),
+                                   10 + T * 3 + K));
+  }
+  ServerOptions SO;
+  SO.MaxBatch = 1;
+  uint64_t Embeds0 = Pred->embedCalls();
+  TwoClientRun Run = serveFromTwoThreads(*Pred, *WB->U, Reqs, SO);
+  EXPECT_EQ(Pred->embedCalls() - Embeds0, 7u); // one source + 6 distinct
+  EXPECT_EQ(Run.Stats.Collapsed + Run.Stats.CacheHits, 9u);
+
+  int Duplicates = 0;
+  for (const std::vector<std::string> &Responses : Run.Responses)
+    for (const std::string &Resp : Responses) {
+      int64_t Id = std::stoll(Resp.substr(Resp.find(':') + 1));
+      if (Id >= 10)
+        continue;
+      std::string Expect = Single[0];
+      Expect.replace(0, Expect.find(',') + 1,
+                     "{\"id\":" + std::to_string(Id) + ",");
+      EXPECT_EQ(Resp, Expect);
+      ++Duplicates;
+    }
+  EXPECT_EQ(Duplicates, 10);
+}
+
+TEST_F(ServeTest, OverlappedServingKeepsOrderAndBits) {
+  std::vector<Request> Reqs[2];
+  for (int T = 0; T != 2; ++T)
+    for (int K = 0; K != 20; ++K) {
+      size_t I = static_cast<size_t>(T * 20 + K);
+      Reqs[T].push_back(variant(requestFor(I, T * 100 + K), I));
+    }
+
+  setGlobalNumThreads(1);
+  TwoClientRun Serial = serveFromTwoThreads(*Pred, *WB->U, Reqs);
+  setGlobalNumThreads(4);
+  TwoClientRun Overlapped = serveFromTwoThreads(*Pred, *WB->U, Reqs);
+  setGlobalNumThreads(0);
+  EXPECT_EQ(Serial.Stats.MaxInFlight, 1u);
+
+  for (int T = 0; T != 2; ++T) {
+    ASSERT_EQ(Overlapped.Responses[T].size(), Reqs[T].size());
+    // Identical bytes at 1 and 4 threads, in each submitter's order.
+    EXPECT_EQ(Overlapped.Responses[T], Serial.Responses[T]);
+    for (size_t K = 0; K != Reqs[T].size(); ++K) {
+      const Request &R = Reqs[T][K];
+      const std::string &Resp = Overlapped.Responses[T][K];
+      EXPECT_EQ(responseId(Resp), "{\"id\":" + std::to_string(R.Id));
+      std::string Want = hexDigest(Pred->predictSource(R.Path, R.Source));
+      EXPECT_EQ(digestOf(Resp), Want) << R.Path;
+    }
+  }
+}
+
+TEST_F(ServeTest, StatsSplitStaysWithinEachBatchUnderOverlap) {
+  std::vector<Request> Reqs[2];
+  for (int T = 0; T != 2; ++T)
+    for (int K = 0; K != 12; ++K) {
+      size_t I = static_cast<size_t>(T * 12 + K);
+      Reqs[T].push_back(variant(requestFor(I, T * 100 + K), I));
+    }
+  // One request per batch: up to four batches overlap.
+  ServerOptions SO;
+  SO.MaxBatch = 1;
+  setGlobalNumThreads(4);
+  TwoClientRun Run = serveFromTwoThreads(*Pred, *WB->U, Reqs, SO);
+  const ServerStats &St = Run.Stats;
+  EXPECT_EQ(St.Requests, 24u);
+  // Each batch's split comes from its own prediction call, so it can
+  // never exceed the batch's own predict time, however batches overlap.
+  EXPECT_LE(St.EmbedTotalUs + St.KnnTotalUs, St.PredictTotalUs);
+  EXPECT_GE(St.MaxInFlight, 1u);
+  EXPECT_LE(St.MaxInFlight, static_cast<uint64_t>(globalNumThreads()));
+  std::string Line = statsResponse(1, St);
+  EXPECT_NE(Line.find("\"max_in_flight\":" + std::to_string(St.MaxInFlight)),
+            std::string::npos)
+      << Line;
+  setGlobalNumThreads(0);
+}
+
+TEST_F(ServeTest, OverlappedClassifierServingMatchesPredictFile) {
+  ModelConfig MC;
+  MC.Loss = LossKind::Class;
+  MC.HiddenDim = 8;
+  MC.TimeSteps = 2;
+  TrainOptions TO;
+  TO.Epochs = 1;
+  TO.BatchFiles = 4;
+  std::unique_ptr<TypeModel> M = makeModel(MC, WB->DS, *WB->U);
+  trainModel(*M, WB->DS.Train, TO);
+  Predictor P = Predictor::classifier(*M);
+
+  std::vector<Request> Reqs[2];
+  for (int T = 0; T != 2; ++T)
+    for (int K = 0; K != 10; ++K) {
+      size_t I = static_cast<size_t>(T * 10 + K);
+      Reqs[T].push_back(variant(requestFor(I, T * 100 + K), I));
+    }
+  setGlobalNumThreads(4);
+  TwoClientRun Run = serveFromTwoThreads(P, *WB->U, Reqs);
+  setGlobalNumThreads(0);
+  // The encoder decides the in-flight limit; a Graph classifier may
+  // overlap.
+  EXPECT_LE(Run.Stats.MaxInFlight, 4u);
+  for (int T = 0; T != 2; ++T) {
+    ASSERT_EQ(Run.Responses[T].size(), Reqs[T].size());
+    for (size_t K = 0; K != Reqs[T].size(); ++K) {
+      const Request &R = Reqs[T][K];
+      const std::string &Resp = Run.Responses[T][K];
+      FileExample Ex = buildExample(CorpusFile{R.Path, R.Source}, *WB->U, {});
+      EXPECT_EQ(responseId(Resp), "{\"id\":" + std::to_string(R.Id));
+      EXPECT_EQ(digestOf(Resp), hexDigest(P.predictFile(Ex))) << R.Path;
+    }
+  }
 }
 
 } // namespace

@@ -251,7 +251,10 @@ TEST(TableTest, RaggedRowsRenderEmptyCells) {
 #include "support/ThreadPool.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <stdexcept>
+#include <thread>
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   ThreadPool Pool(4);
@@ -368,6 +371,94 @@ TEST(ThreadPoolTest, MaxWaysCapsParallelism) {
       /*MaxWays=*/2);
   EXPECT_LE(Chunks, 2);
   EXPECT_GE(Chunks, 1);
+}
+
+TEST(ThreadPoolTest, CallerFindingThePoolBusyRunsInline) {
+  ThreadPool Pool(4);
+  // Thread A holds the pool inside its job until B's call returns. B
+  // must run its whole range inline on its own thread; waiting for the
+  // pool instead would never return (A's chunks give up after 10 s and
+  // fail the test rather than hang it).
+  std::mutex M;
+  std::condition_variable CV;
+  bool AEntered = false, BDone = false;
+  std::atomic<bool> ATimedOut{false};
+  std::thread A([&] {
+    Pool.parallelFor(0, 4, 1, [&](int64_t, int64_t) {
+      std::unique_lock<std::mutex> L(M);
+      AEntered = true;
+      CV.notify_all();
+      if (!CV.wait_for(L, std::chrono::seconds(10), [&] { return BDone; }))
+        ATimedOut = true;
+    });
+  });
+  {
+    std::unique_lock<std::mutex> L(M);
+    CV.wait(L, [&] { return AEntered; });
+  }
+  std::mutex CallsMu;
+  std::vector<std::pair<int64_t, int64_t>> Calls;
+  bool AllInside = true, AllOnCaller = true;
+  std::thread::id Me = std::this_thread::get_id();
+  Pool.parallelFor(0, 1000, 1, [&](int64_t Lo, int64_t Hi) {
+    std::lock_guard<std::mutex> L(CallsMu);
+    Calls.emplace_back(Lo, Hi);
+    AllInside &= ThreadPool::insideParallelRegion();
+    AllOnCaller &= std::this_thread::get_id() == Me;
+  });
+  {
+    std::lock_guard<std::mutex> L(M);
+    BDone = true;
+    CV.notify_all();
+  }
+  A.join();
+  EXPECT_FALSE(ATimedOut.load()) << "the busy-pool caller blocked";
+  ASSERT_EQ(Calls.size(), 1u);
+  EXPECT_EQ(Calls[0], (std::pair<int64_t, int64_t>(0, 1000)));
+  EXPECT_TRUE(AllInside);
+  EXPECT_TRUE(AllOnCaller);
+  EXPECT_FALSE(ThreadPool::insideParallelRegion());
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersMatchTheSerialResult) {
+  // Two threads each run 200 jobs on one 4-way pool. Every call either
+  // gets the pool (the static 4-chunk partition) or finds it busy and
+  // runs as one inline chunk on its own thread; either way the output
+  // equals the serial result.
+  ThreadPool Pool(4);
+  const int64_t N = 1001, Jobs = 200;
+  auto Expected = [](int64_t Job, int64_t I) { return Job * 7919 + I * I; };
+  std::atomic<int> Failures{0};
+  auto Caller = [&](int64_t Salt) {
+    std::thread::id Me = std::this_thread::get_id();
+    for (int64_t J = 0; J != Jobs; ++J) {
+      int64_t Job = Salt + J;
+      std::vector<int64_t> Out(static_cast<size_t>(N), -1);
+      std::mutex CallsMu;
+      std::vector<std::pair<int64_t, int64_t>> Calls;
+      bool AllInside = true, AllOnCaller = true;
+      Pool.parallelFor(0, N, 8, [&](int64_t Lo, int64_t Hi) {
+        for (int64_t I = Lo; I != Hi; ++I)
+          Out[static_cast<size_t>(I)] = Expected(Job, I);
+        std::lock_guard<std::mutex> L(CallsMu);
+        Calls.emplace_back(Lo, Hi);
+        AllInside &= ThreadPool::insideParallelRegion();
+        AllOnCaller &= std::this_thread::get_id() == Me;
+      });
+      bool Same = true;
+      for (int64_t I = 0; I != N; ++I)
+        Same &= Out[static_cast<size_t>(I)] == Expected(Job, I);
+      bool RanInline = Calls.size() == 1 && AllOnCaller &&
+                       Calls[0] == std::pair<int64_t, int64_t>(0, N);
+      if (!Same || !AllInside || (!RanInline && Calls.size() != 4))
+        ++Failures;
+    }
+  };
+  std::thread T1(Caller, 0), T2(Caller, 1000000);
+  T1.join();
+  T2.join();
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_FALSE(ThreadPool::insideParallelRegion());
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsConfigurable) {
