@@ -2,7 +2,7 @@
 //
 // Measures the train-once / serve-many mechanics: how big a serving
 // artifact is, how fast it saves and loads, and how much faster loading a
-// snapshot is than rebuilding the τmap + Annoy forest from the model —
+// snapshot is than rebuilding the τmap and its index from the model —
 // the number that decides how quickly a fleet of serving processes can
 // come up (ROADMAP north star). Records via tools/record_bench.sh as
 // BENCH_artifact_io.json.
@@ -152,8 +152,8 @@ int main() {
   T.addRow({"serve cold-start speedup",
             strformat("%.1fx", BuildSec / LoadSec)});
   std::printf("%s", T.renderAscii().c_str());
-  std::printf("\n(load skips both the map-file embedding and the Annoy "
-              "forest rebuild; predictions are bit-identical either way)\n");
+  std::printf("\n(load skips both the map-file embedding and the index "
+              "build; predictions are bit-identical either way)\n");
   std::printf("\nQuantized τmap stores (format v2; f32 stays the v1 byte "
               "stream):\n%s",
               QT.renderAscii().c_str());

@@ -85,6 +85,10 @@ Predictor Predictor::classifier(TypeModel &Model) {
 // Artifact save / load (train-once, serve-many)
 //===----------------------------------------------------------------------===//
 
+/// The pred-chunk kind byte of the deleted Annoy forest (KnnIndexKind
+/// keeps the value reserved).
+static constexpr uint8_t kLegacyAnnoyIndexByte = 1;
+
 bool typilus::validKnnSettings(const KnnOptions &O) {
   return O.K >= 1 && std::isfinite(O.P);
 }
@@ -110,8 +114,12 @@ bool Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
   W.writeI32(Knn.K);
   W.writeF64(Knn.P);
   // Historically the UseAnnoy bool; the index-kind encoding keeps 0 =
-  // exact and 1 = Annoy, so pre-HNSW artifacts are byte-identical.
-  W.writeU8(static_cast<uint8_t>(Knn.Index));
+  // exact, so exact artifacts are byte-identical. A kNN predictor always
+  // has its kind by now. A classifier has none and writes the byte its
+  // artifacts always carried (the old default, Annoy), which the loader
+  // ignores for classifiers.
+  W.writeU8(Knn.Index ? static_cast<uint8_t>(*Knn.Index)
+                      : kLegacyAnnoyIndexByte);
   W.endChunk();
 
   if (IsKnn) {
@@ -186,7 +194,10 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
       *Err = "malformed predictor chunk";
     return nullptr;
   }
-  P->Knn.Index = static_cast<KnnIndexKind>(IndexKind);
+  // Kind byte 1 is a legacy Annoy artifact: its anny chunk is skipped and
+  // the index is left for the size rule to pick once the τmap is in.
+  if (IndexKind != kLegacyAnnoyIndexByte)
+    P->Knn.Index = static_cast<KnnIndexKind>(IndexKind);
   P->IsKnn = Kind == 1;
   if (!P->IsKnn)
     return P;
@@ -213,7 +224,11 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
       *Err = "type-map dimensionality does not match the model";
     return nullptr;
   }
-  P->Index = loadKnnIndex(P->Knn.Index, R, *P->Map, Err);
+  if (!P->Knn.Index) {
+    P->rebuildIndex();
+    return P;
+  }
+  P->Index = loadKnnIndex(*P->Knn.Index, R, *P->Map, Err);
   if (!P->Index)
     return nullptr;
   return P;
@@ -232,14 +247,20 @@ std::unique_ptr<Predictor> Predictor::load(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 void Predictor::rebuildIndex() {
-  Index = buildKnnIndex(Knn.Index, *Map, Knn.NumThreads);
+  // The size rule runs once, at the first build; every later rebuild
+  // keeps the kind it chose.
+  if (!Knn.Index)
+    Knn.Index = defaultKnnIndexKind(Map->size());
+  Index = buildKnnIndex(*Knn.Index, *Map, Knn.NumThreads);
 }
 
 void Predictor::setKnnOptions(const KnnOptions &O) {
-  // EfSearch is a query-time knob; only an index *kind* change forces a
-  // rebuild.
-  bool NeedRebuild = O.Index != Knn.Index;
+  // EfSearch is a query-time knob; only a forced *kind* change rebuilds.
+  // Leaving the kind unset keeps the one the predictor already has.
+  std::optional<KnnIndexKind> Kind = O.Index ? O.Index : Knn.Index;
+  bool NeedRebuild = Kind != Knn.Index;
   Knn = O;
+  Knn.Index = Kind;
   if (NeedRebuild && IsKnn)
     rebuildIndex();
 }

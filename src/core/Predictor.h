@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,11 @@ namespace typilus {
 ///       when such a chunk is present, so f32 artifacts remain
 ///       byte-identical to version-1 writers (Predictor::artifactVersion).
 ///   3 — adds the HNSW graph chunk hnsw (and index kind 2 in pred).
-///       Stamped only when the chunk is present, so exact/Annoy artifacts
-///       keep their version-1/2 bytes.
+///       Stamped only when the chunk is present, so exact artifacts keep
+///       their version-1/2 bytes.
+/// Index kind 1 (the Annoy forest and its anny chunk) is no longer
+/// written. Such artifacts still load: the forest is skipped and the
+/// index defaultKnnIndexKind picks is built over the loaded τmap.
 inline constexpr uint32_t kModelArtifactVersion = 3;
 inline constexpr uint32_t kModelArtifactVersionMin = 1;
 
@@ -108,10 +112,13 @@ struct PredictTiming {
 struct KnnOptions {
   int K = 10;
   double P = 1.0;      ///< Distance-weighting temperature.
-  /// Index structure answering the kNN probes: the blocked exact scan,
-  /// the Annoy-style kd-forest, or the deterministic HNSW graph (see the
-  /// index matrix in docs/ARCHITECTURE.md "Index layer").
-  KnnIndexKind Index = KnnIndexKind::Annoy;
+  /// Index structure answering the kNN probes: the blocked exact scan or
+  /// the deterministic HNSW graph (see the index matrix in
+  /// docs/ARCHITECTURE.md "Index layer"). Unset, the predictor's first
+  /// index build picks by τmap size (defaultKnnIndexKind) and records the
+  /// choice here; later rebuilds (compaction, requantization) keep it, so
+  /// a session never switches kind.
+  std::optional<KnnIndexKind> Index;
   /// HNSW per-request query-time budget: layer-0 beam width, i.e. how
   /// many candidates one request may inspect (<= 0 = the index default,
   /// max(4·K, 64)). Larger = better recall, more latency. Ignored by the

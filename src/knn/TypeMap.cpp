@@ -44,8 +44,6 @@ const char *typilus::knnIndexName(KnnIndexKind K) {
   switch (K) {
   case KnnIndexKind::Exact:
     return "exact";
-  case KnnIndexKind::Annoy:
-    return "annoy";
   case KnnIndexKind::Hnsw:
     return "hnsw";
   }
@@ -55,8 +53,6 @@ const char *typilus::knnIndexName(KnnIndexKind K) {
 bool typilus::parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out) {
   if (Name == "exact")
     *Out = KnnIndexKind::Exact;
-  else if (Name == "annoy")
-    *Out = KnnIndexKind::Annoy;
   else if (Name == "hnsw")
     *Out = KnnIndexKind::Hnsw;
   else
@@ -705,9 +701,6 @@ constexpr size_t kMarkerTile = 256;
 /// Queries per block — also the exact index's parallelFor grain, so tiny
 /// batches form a handful of tile-sized tasks instead of one per query.
 constexpr int64_t kQueryTile = 16;
-/// Annoy's search_k heuristic: the forest walk inspects NumTrees * K * 4
-/// candidates before the exact re-rank.
-constexpr int kAnnoyCandidatesPerTreeAndK = 4;
 
 /// Bounded max-heap push: keeps the K smallest candidates under
 /// neighborLess, worst on top.
@@ -834,9 +827,6 @@ std::unique_ptr<KnnIndex> typilus::buildKnnIndex(KnnIndexKind Kind,
                                                  int NumThreads) {
   if (Kind == KnnIndexKind::Exact || Map.size() == 0)
     return std::make_unique<ExactIndex>(Map);
-  if (Kind == KnnIndexKind::Annoy)
-    return std::make_unique<AnnoyIndex>(Map, /*NumTrees=*/8, /*LeafSize=*/16,
-                                        /*Seed=*/0xA220, NumThreads);
   return std::make_unique<HnswIndex>(Map, /*M=*/16, /*EfConstruction=*/128,
                                      /*Seed=*/0x45317, NumThreads);
 }
@@ -849,9 +839,7 @@ std::unique_ptr<KnnIndex> typilus::loadKnnIndex(KnnIndexKind Kind,
   if (Kind == KnnIndexKind::Exact || Map.size() == 0)
     return std::make_unique<ExactIndex>(Map);
   // A missing chunk poisons the cursor; the chunk() error is the one kept.
-  ArchiveCursor C = R.chunk(Kind == KnnIndexKind::Annoy ? "anny" : "hnsw", Err);
-  if (Kind == KnnIndexKind::Annoy)
-    return AnnoyIndex::load(C, Map, Err);
+  ArchiveCursor C = R.chunk("hnsw", Err);
   return HnswIndex::load(C, Map, Err);
 }
 
@@ -863,250 +851,8 @@ void ExactIndex::queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
            Out.data() + static_cast<size_t>(Lo));
 }
 
-NeighborList ExactIndex::queryLegacy(const float *Q, int K) const {
-  NeighborList All;
-  All.reserve(Map.size());
-  for (size_t I = 0; I != Map.size(); ++I)
-    if (Map.isLive(I))
-      All.emplace_back(static_cast<int>(I), Map.l1DistanceTo(Q, I));
-  size_t Keep = std::min<size_t>(static_cast<size_t>(K), All.size());
-  std::partial_sort(All.begin(), All.begin() + static_cast<long>(Keep),
-                    All.end(), neighborLess);
-  All.resize(Keep);
-  return All;
-}
-
-AnnoyIndex::AnnoyIndex(const TypeMap &Map, int NumTrees, int LeafSize,
-                       uint64_t Seed, int MaxWays)
-    : KnnIndex(Map, 1), LeafSize(LeafSize) {
-  // Derive an independent stream per tree up front; tree T's shape is then
-  // a function of (Map, Seed, T) alone, so building the forest one pool
-  // task per tree yields exactly the serial forest.
-  Rng Base(Seed);
-  std::vector<Rng> TreeRngs;
-  TreeRngs.reserve(static_cast<size_t>(NumTrees));
-  for (int T = 0; T != NumTrees; ++T)
-    TreeRngs.push_back(Base.fork(static_cast<uint64_t>(T)));
-
-  std::vector<int> All(Map.size());
-  for (size_t I = 0; I != Map.size(); ++I)
-    All[I] = static_cast<int>(I);
-
-  std::vector<std::vector<BuildNode>> TreeNodes(
-      static_cast<size_t>(NumTrees));
-  std::vector<int> TreeRoots(static_cast<size_t>(NumTrees), -1);
-  parallelFor(
-      0, NumTrees, 1,
-      [&](int64_t Lo, int64_t Hi) {
-        for (int64_t T = Lo; T != Hi; ++T)
-          TreeRoots[static_cast<size_t>(T)] =
-              buildTree(TreeNodes[static_cast<size_t>(T)], All,
-                        TreeRngs[static_cast<size_t>(T)], 0);
-      },
-      MaxWays);
-
-  // Merge the per-tree node arrays, rebasing child links.
-  size_t Total = 0;
-  for (const auto &TN : TreeNodes)
-    Total += TN.size();
-  Nodes.reserve(Total);
-  Roots.reserve(static_cast<size_t>(NumTrees));
-  for (int T = 0; T != NumTrees; ++T) {
-    int Offset = static_cast<int>(Nodes.size());
-    for (BuildNode &N : TreeNodes[static_cast<size_t>(T)]) {
-      if (N.Left >= 0)
-        N.Left += Offset;
-      if (N.Right >= 0)
-        N.Right += Offset;
-      Nodes.push_back(std::move(N));
-    }
-    Roots.push_back(TreeRoots[static_cast<size_t>(T)] + Offset);
-  }
-}
-
 static_assert(sizeof(int) == 4,
               "index snapshots store adjacency as raw i32 runs");
-
-void AnnoyIndex::save(ArchiveWriter &W) const {
-  W.writeI32(LeafSize);
-  W.writeU64(Nodes.size());
-  for (const BuildNode &N : Nodes) {
-    W.writeI32(N.SplitDim);
-    W.writeF32(N.Threshold);
-    W.writeI32(N.Left);
-    W.writeI32(N.Right);
-    W.writeU64(N.Items.size());
-    // The leaf-item runs are the bulk of a forest snapshot; the array
-    // writer's LE fast path emits the same bytes as the historical
-    // per-item writeI32 loop in one append.
-    W.writeI32Array(reinterpret_cast<const int32_t *>(N.Items.data()),
-                    N.Items.size());
-  }
-  W.writeU64(Roots.size());
-  W.writeI32Array(reinterpret_cast<const int32_t *>(Roots.data()),
-                  Roots.size());
-}
-
-std::unique_ptr<AnnoyIndex> AnnoyIndex::load(ArchiveCursor &C,
-                                             const TypeMap &Map,
-                                             std::string *Err) {
-  auto Fail = [&](const char *Why) {
-    if (Err && Err->empty())
-      *Err = std::string("malformed kNN index snapshot: ") + Why;
-    return nullptr;
-  };
-  std::unique_ptr<AnnoyIndex> Idx(new AnnoyIndex(Map, LoadShellTag{}));
-  Idx->LeafSize = C.readI32();
-  uint64_t NumNodes = C.readU64();
-  if (!C.ok() || NumNodes > C.remaining())
-    return Fail("node count");
-  Idx->Nodes.reserve(static_cast<size_t>(NumNodes));
-  for (uint64_t I = 0; I != NumNodes; ++I) {
-    BuildNode N;
-    N.SplitDim = C.readI32();
-    N.Threshold = C.readF32();
-    N.Left = C.readI32();
-    N.Right = C.readI32();
-    uint64_t NumItems = C.readU64();
-    if (!C.ok() || NumItems > C.remaining())
-      return Fail("leaf payload");
-    bool IsLeaf = N.SplitDim < 0;
-    // buildTree appends children after their parent, so valid links are
-    // strictly increasing; enforcing that here also rules out cycles (a
-    // crafted self-link would otherwise make query() loop forever).
-    if (!IsLeaf &&
-        (N.SplitDim >= Map.dim() || static_cast<uint64_t>(N.Left) <= I ||
-         static_cast<uint64_t>(N.Right) <= I || N.Left < 0 || N.Right < 0 ||
-         static_cast<uint64_t>(N.Left) >= NumNodes ||
-         static_cast<uint64_t>(N.Right) >= NumNodes))
-      return Fail("split node links");
-    N.Items.resize(static_cast<size_t>(NumItems));
-    // Bulk read, then validate: same acceptance set as the historical
-    // per-item loop, one bounds-checked copy instead of NumItems reads.
-    C.readI32Array(reinterpret_cast<int32_t *>(N.Items.data()),
-                   N.Items.size());
-    if (!C.ok())
-      return Fail("leaf payload");
-    for (int It : N.Items)
-      if (It < 0 || static_cast<size_t>(It) >= Map.size())
-        return Fail("leaf item out of range");
-    Idx->Nodes.push_back(std::move(N));
-  }
-  uint64_t NumRoots = C.readU64();
-  if (!C.ok() || NumRoots > C.remaining())
-    return Fail("root count");
-  Idx->Roots.resize(static_cast<size_t>(NumRoots));
-  C.readI32Array(reinterpret_cast<int32_t *>(Idx->Roots.data()),
-                 Idx->Roots.size());
-  if (!C.ok())
-    return Fail("root count");
-  for (int R : Idx->Roots)
-    if (R < 0 || static_cast<uint64_t>(R) >= NumNodes)
-      return Fail("root out of range");
-  return Idx;
-}
-
-int AnnoyIndex::buildTree(std::vector<BuildNode> &Out, std::vector<int> Items,
-                          Rng &R, int Depth) const {
-  int Idx = static_cast<int>(Out.size());
-  Out.emplace_back();
-  if (static_cast<int>(Items.size()) <= LeafSize || Depth > 24) {
-    Out[static_cast<size_t>(Idx)].Items = std::move(Items);
-    return Idx;
-  }
-  // Annoy-style split: pick two random markers; split on the coordinate
-  // where they are furthest apart, at their midpoint. Coordinates decode
-  // through the store, so quantized maps grow the same kind of forest
-  // (over their rounded coordinates).
-  int D = Map.dim();
-  size_t IA = static_cast<size_t>(Items[R.uniformInt(Items.size())]);
-  size_t IB = static_cast<size_t>(Items[R.uniformInt(Items.size())]);
-  int BestDim = 0;
-  float BestSpread = -1;
-  float ABest = 0, BBest = 0;
-  for (int I = 0; I != D; ++I) {
-    float AC = Map.coord(IA, I), BC = Map.coord(IB, I);
-    float Spread = std::fabs(AC - BC);
-    if (Spread > BestSpread) {
-      BestSpread = Spread;
-      BestDim = I;
-      ABest = AC;
-      BBest = BC;
-    }
-  }
-  float Threshold = 0.5f * (ABest + BBest);
-  std::vector<int> Left, Right;
-  for (int It : Items) {
-    if (Map.coord(static_cast<size_t>(It), BestDim) < Threshold)
-      Left.push_back(It);
-    else
-      Right.push_back(It);
-  }
-  // Degenerate split (identical points): make a leaf.
-  if (Left.empty() || Right.empty()) {
-    Out[static_cast<size_t>(Idx)].Items = std::move(Items);
-    return Idx;
-  }
-  int L = buildTree(Out, std::move(Left), R, Depth + 1);
-  int Rt = buildTree(Out, std::move(Right), R, Depth + 1);
-  Out[static_cast<size_t>(Idx)].SplitDim = BestDim;
-  Out[static_cast<size_t>(Idx)].Threshold = Threshold;
-  Out[static_cast<size_t>(Idx)].Left = L;
-  Out[static_cast<size_t>(Idx)].Right = Rt;
-  return Idx;
-}
-
-void AnnoyIndex::queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K,
-                            int, std::vector<NeighborList> &Out) const {
-  const int SearchK =
-      static_cast<int>(Roots.size()) * K * kAnnoyCandidatesPerTreeAndK;
-  using Entry = std::pair<float, int>; // (priority, node)
-  std::vector<char> Seen;
-  std::vector<int> Candidates;
-  for (int64_t QI = Lo; QI != Hi; ++QI) {
-    const float *Q = Qs + QI * Map.dim();
-    // Best-first traversal over all trees: priority = margin to the split
-    // plane (0 within the chosen side).
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> Queue;
-    for (int Root : Roots)
-      Queue.emplace(0.f, Root);
-    Seen.assign(NumIndexed, 0);
-    Candidates.clear();
-    while (!Queue.empty() &&
-           static_cast<int>(Candidates.size()) < SearchK) {
-      auto [Prio, NodeIdx] = Queue.top();
-      Queue.pop();
-      const BuildNode &N = Nodes[static_cast<size_t>(NodeIdx)];
-      if (N.SplitDim < 0) {
-        // Tombstoned rows stay in the leaves until compact(); skipping
-        // them here (a no-op on a tombstone-free map) is what makes
-        // removal effective without touching the forest.
-        for (int It : N.Items)
-          if (!Seen[static_cast<size_t>(It)]) {
-            Seen[static_cast<size_t>(It)] = 1;
-            if (Map.isLive(static_cast<size_t>(It)))
-              Candidates.push_back(It);
-          }
-        continue;
-      }
-      float Margin = Q[N.SplitDim] - N.Threshold;
-      int Near = Margin < 0 ? N.Left : N.Right;
-      int Far = Margin < 0 ? N.Right : N.Left;
-      Queue.emplace(Prio, Near);
-      Queue.emplace(Prio + std::fabs(Margin), Far);
-    }
-    // Exact re-rank of the candidate union (over the stored
-    // representation).
-    NeighborList &Result = Out[static_cast<size_t>(QI)];
-    Result.reserve(Candidates.size());
-    for (int It : Candidates)
-      Result.emplace_back(It, Map.l1DistanceTo(Q, static_cast<size_t>(It)));
-    size_t Keep = std::min<size_t>(static_cast<size_t>(K), Result.size());
-    std::partial_sort(Result.begin(), Result.begin() + static_cast<long>(Keep),
-                      Result.end(), neighborLess);
-    Result.resize(Keep);
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // HnswIndex
@@ -1272,8 +1018,8 @@ HnswIndex::HnswIndex(const TypeMap &Map, int M, int EfConstruction,
   Nodes.resize(N);
   // Levels first (a pure per-row function), then strict row-order
   // insertion: the graph is a function of (Map, Seed) alone. Tombstoned
-  // rows enter the graph like Annoy keeps them in its leaves — they
-  // route, and queries filter them from results.
+  // rows enter the graph too — they route, and queries filter them from
+  // results.
   for (size_t I = 0; I != N; ++I)
     Nodes[I].Level = levelFor(I);
   SearchScratch S;

@@ -18,13 +18,12 @@
 /// freshly built f32 map; `subsampleCoreset` bounds the marker count first
 /// while keeping every type represented.
 ///
-/// The three indexes (exact scan, Annoy forest, HNSW graph) share one
-/// KnnIndex interface: a `queryBatch` that also answers rows appended
-/// since the build, and one snapshot/save contract.
-/// Index construction and bulk queries dispatch through the process-wide
-/// ThreadPool: the forest is built one task per tree from per-tree derived
-/// seeds (so the parallel build is identical to the serial one), and
-/// `queryBatch` answers many queries concurrently.
+/// The two indexes (exact scan, HNSW graph) share one KnnIndex interface:
+/// a `queryBatch` that also answers rows appended since the build, and one
+/// snapshot/save contract. Unless a caller forces a kind, the τmap's size
+/// picks it (defaultKnnIndexKind). Graph construction and bulk queries
+/// dispatch through the process-wide ThreadPool; `queryBatch` answers many
+/// queries concurrently.
 ///
 /// The map is also *mutable* for the editor loop: markers may carry a file
 /// tag, `removeMarkersForFile` tombstones a file's rows in place (queries
@@ -69,14 +68,26 @@ bool parseMarkerStore(std::string_view Name, MarkerStore *Out);
 
 /// Which index answers τmap queries. The numeric values are the
 /// serialized pred-chunk encoding (the byte that historically held the
-/// UseAnnoy bool, so exact/Annoy artifacts keep identical bytes) —
-/// append only.
-enum class KnnIndexKind : uint8_t { Exact = 0, Annoy = 1, Hnsw = 2 };
+/// UseAnnoy bool, so exact artifacts keep identical bytes) — append only.
+/// Value 1 was the Annoy forest and stays reserved: Predictor::load reads
+/// it as "no kind recorded" and lets defaultKnnIndexKind pick one.
+enum class KnnIndexKind : uint8_t { Exact = 0, Hnsw = 2 };
 
-/// "exact" | "annoy" | "hnsw" (CLI flags, `inspect` output, bench labels).
+/// "exact" | "hnsw" (CLI flags, `inspect` output, bench labels).
 const char *knnIndexName(KnnIndexKind K);
 /// Parses knnIndexName()'s strings; \returns false on anything else.
 bool parseKnnIndexKind(std::string_view Name, KnnIndexKind *Out);
+
+/// The τmap size from which the default index is the HNSW graph; smaller
+/// maps get the exact scan. Set by the batched exact-vs-HNSW sweep of
+/// bench/knn_query (docs/ARCHITECTURE.md "Index layer").
+inline constexpr size_t kHnswMinMarkers = 10000;
+
+/// The index kind for a τmap of \p Markers rows when the caller forces
+/// none: exact below kHnswMinMarkers, HNSW from there on.
+inline KnnIndexKind defaultKnnIndexKind(size_t Markers) {
+  return Markers < kHnswMinMarkers ? KnnIndexKind::Exact : KnnIndexKind::Hnsw;
+}
 
 /// A store of D-dimensional type markers.
 class TypeMap {
@@ -185,7 +196,7 @@ public:
   const int8_t *rawI8() const { return FlatI8.data(); }
   const float *rawI8Scales() const { return Scales.data(); }
   /// Coordinate \p Dim of marker \p I, decoded from whatever store holds
-  /// it (index construction probes single coordinates).
+  /// it.
   float coord(size_t I, int Dim) const;
   /// Decodes marker \p I into \p Out (length D).
   void decodeEmbedding(size_t I, float *Out) const;
@@ -314,8 +325,8 @@ public:
   /// \returns false otherwise, with an error that says to compact first.
   bool isCompact(std::string *Err = nullptr) const;
 
-  /// Chunk tag of the snapshot save() writes ("anny" | "hnsw"); null when
-  /// there is nothing to snapshot (the exact scan).
+  /// Chunk tag of the snapshot save() writes ("hnsw"); null when there is
+  /// nothing to snapshot (the exact scan).
   virtual const char *snapshotTag() const { return nullptr; }
   /// The artifact format version that introduced the snapshot chunk.
   virtual uint32_t snapshotVersion() const { return 1; }
@@ -356,73 +367,23 @@ std::unique_ptr<KnnIndex> loadKnnIndex(KnnIndexKind Kind,
                                        const TypeMap &Map, std::string *Err);
 
 /// Exact L1 k-nearest-neighbour scan (the reference the approximate
-/// indexes are validated against). The engine is a cache-blocked
+/// index is validated against). The engine is a cache-blocked
 /// query×marker tiled scan: each marker tile is streamed once through
 /// every query of a query block, each query keeps a fixed-size bounded
 /// max-heap of the best k seen so far (no O(N) allocation per query),
 /// and the tile bodies dispatch through the active SIMD kernel table
 /// with the store switch hoisted out of the inner loops. Ties break
 /// (distance, index) exactly like the historical partial_sort, so
-/// results are bit-identical to queryLegacy for every store. The same
-/// scan answers every index's delta rows.
+/// results are bit-identical to that scan for every store (the tests
+/// keep it as their oracle). The same scan answers every index's delta
+/// rows.
 class ExactIndex : public KnnIndex {
 public:
   explicit ExactIndex(const TypeMap &Map);
 
-  /// The historical scan — materialize an N-entry candidate list, then
-  /// partial_sort. Kept as the bit-identity reference for tests and the
-  /// knn_query bench baseline; production callers use query().
-  NeighborList queryLegacy(const float *Q, int K) const;
-
 private:
   void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K, int,
                   std::vector<NeighborList> &Out) const override;
-};
-
-/// An Annoy-style randomised kd-forest for L1 distance: each tree splits on
-/// the coordinate of largest spread between two random markers; queries
-/// descend all trees best-first, inspect NumTrees * K * 4 candidates
-/// (Annoy's search_k heuristic) and exactly re-rank them. Trees are
-/// seeded independently (derived from \p Seed per tree) and built one
-/// pool task per tree, so the forest does not depend on thread count.
-class AnnoyIndex : public KnnIndex {
-public:
-  /// \p MaxWays > 0 caps the build parallelism (1 = fully serial).
-  AnnoyIndex(const TypeMap &Map, int NumTrees = 8, int LeafSize = 16,
-             uint64_t Seed = 0xA220, int MaxWays = 0);
-
-  const char *snapshotTag() const override { return "anny"; }
-  /// Writes leaf size, nodes and roots.
-  void save(ArchiveWriter &W) const override;
-  /// Reconstructs a forest written by save() over \p Map (which must be
-  /// the snapshot saved alongside it). Queries on the loaded forest are
-  /// bit-identical to queries on the original.
-  static std::unique_ptr<AnnoyIndex> load(ArchiveCursor &C,
-                                          const TypeMap &Map,
-                                          std::string *Err);
-
-private:
-  /// Deserialization shell; load() fills the trees in. (Tagged so it does
-  /// not collide with the building constructor's defaulted arguments.)
-  struct LoadShellTag {};
-  AnnoyIndex(const TypeMap &Map, LoadShellTag)
-      : KnnIndex(Map, 1), LeafSize(0) {}
-
-  struct BuildNode {
-    int SplitDim = -1;
-    float Threshold = 0;
-    int Left = -1, Right = -1;
-    std::vector<int> Items; ///< Leaf payload.
-  };
-  /// Builds one subtree into \p Out; returns its index therein.
-  int buildTree(std::vector<BuildNode> &Out, std::vector<int> Items, Rng &R,
-                int Depth) const;
-  void queryChunk(const float *Qs, int64_t Lo, int64_t Hi, int K, int,
-                  std::vector<NeighborList> &Out) const override;
-
-  int LeafSize;
-  std::vector<BuildNode> Nodes;
-  std::vector<int> Roots;
 };
 
 /// A deterministic HNSW (hierarchical navigable small-world) graph for L1

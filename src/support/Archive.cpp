@@ -2,6 +2,7 @@
 
 #include "support/Archive.h"
 
+#include <array>
 #include <cassert>
 #include <cstdio>
 
@@ -17,21 +18,33 @@ using namespace typilus;
 static constexpr uint32_t kContainerVersion = 1;
 
 uint32_t typilus::crc32(const void *Data, size_t Size) {
-  // Bitwise CRC32 (reflected, poly 0xEDB88320) with a lazily built table.
-  static const auto Table = [] {
-    std::vector<uint32_t> T(256);
+  // Reflected CRC32 (poly 0xEDB88320), slicing-by-8: T[0] is the bytewise
+  // table, and T[K][B] is the CRC of byte B followed by K zero bytes, so
+  // eight table lookups fold eight input bytes at once. Byte order is
+  // explicit, so the value does not depend on the host's endianness.
+  static const auto T = [] {
+    std::vector<std::array<uint32_t, 256>> Tab(8);
     for (uint32_t I = 0; I != 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K != 8; ++K)
         C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
+      Tab[0][I] = C;
     }
-    return T;
+    for (size_t K = 1; K != 8; ++K)
+      for (uint32_t I = 0; I != 256; ++I)
+        Tab[K][I] = (Tab[K - 1][I] >> 8) ^ Tab[0][Tab[K - 1][I] & 0xFF];
+    return Tab;
   }();
   uint32_t Crc = 0xFFFFFFFFu;
   const uint8_t *P = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I != Size; ++I)
-    Crc = Table[(Crc ^ P[I]) & 0xFF] ^ (Crc >> 8);
+  for (; Size >= 8; P += 8, Size -= 8) {
+    uint32_t Lo = Crc ^ (uint32_t(P[0]) | uint32_t(P[1]) << 8 |
+                         uint32_t(P[2]) << 16 | uint32_t(P[3]) << 24);
+    Crc = T[7][Lo & 0xFF] ^ T[6][(Lo >> 8) & 0xFF] ^ T[5][(Lo >> 16) & 0xFF] ^
+          T[4][Lo >> 24] ^ T[3][P[4]] ^ T[2][P[5]] ^ T[1][P[6]] ^ T[0][P[7]];
+  }
+  for (; Size != 0; ++P, --Size)
+    Crc = T[0][(Crc ^ *P) & 0xFF] ^ (Crc >> 8);
   return Crc ^ 0xFFFFFFFFu;
 }
 
@@ -147,8 +160,8 @@ void ArchiveWriter::writeU16Array(const uint16_t *Data, size_t N) {
 }
 
 void ArchiveWriter::writeI32Array(const int32_t *Data, size_t N) {
-  // The kNN index snapshots (Annoy leaf items, HNSW adjacency) are long
-  // i32 runs; bulk-append on LE hosts like the f32/u16 marker arrays.
+  // The kNN index snapshot (HNSW adjacency) is long i32 runs; bulk-append
+  // on LE hosts like the f32/u16 marker arrays.
   if (hostIsLittleEndian()) {
     assert(InChunk && "writes go inside a chunk");
     ChunkBuf.append(reinterpret_cast<const char *>(Data), N * 4);
@@ -210,8 +223,8 @@ bool ArchiveWriter::writeFile(const std::string &Path,
 //===----------------------------------------------------------------------===//
 
 bool ArchiveCursor::take(void *Out, size_t N) {
-  // An empty array read (an empty HNSW link list, an Annoy leaf) passes
-  // the null data() of an empty vector: no bytes, so no memcpy/memset.
+  // An empty array read (an empty HNSW link list) passes the null data()
+  // of an empty vector: no bytes, so no memcpy/memset.
   if (N == 0)
     return !Failed;
   if (Failed || End - Pos < N) {
@@ -316,7 +329,17 @@ bool ArchiveReader::openFile(const std::string &Path, std::string *Err,
       *Err = "cannot open '" + Path + "' for reading";
     return false;
   }
+  // One read into a buffer sized to the file. The size is only a hint: a
+  // file that shrank reads short, and one that grew (or a pipe, which has
+  // no size) is read on to its end.
   std::string Bytes;
+  if (std::fseek(F, 0, SEEK_END) == 0) {
+    long Size = std::ftell(F);
+    if (Size > 0)
+      Bytes.resize(static_cast<size_t>(Size));
+    std::rewind(F);
+  }
+  Bytes.resize(std::fread(Bytes.data(), 1, Bytes.size(), F));
   char Tmp[1 << 16];
   size_t N;
   while ((N = std::fread(Tmp, 1, sizeof(Tmp), F)) > 0)

@@ -2,7 +2,7 @@
 //
 // The train-once / serve-many contract: an artifact saved by one process
 // and loaded by another must predict bit-identically to the in-process
-// predictor — for every Table 2 variant, for the Annoy and the exact kNN
+// predictor — for every Table 2 variant, for the exact and the HNSW kNN
 // path, at any thread count. Also covers rejection of damaged artifacts
 // and checkpoint/resume equivalence with uninterrupted training.
 //
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace typilus;
@@ -151,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
-// The acceptance matrix: {Annoy, exact, HNSW} x {1 thread, 4 threads}
+// The acceptance matrix: {exact, HNSW} x {1 thread, 4 threads}
 //===----------------------------------------------------------------------===//
 
 TEST(ArtifactTest, ServedPredictionsMatchForAllIndexesAndThreadCounts) {
@@ -159,8 +160,7 @@ TEST(ArtifactTest, ServedPredictionsMatchForAllIndexesAndThreadCounts) {
   ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
   std::unique_ptr<TypeModel> M = trainTiny(WB, MC, /*Epochs=*/2);
 
-  for (KnnIndexKind Kind :
-       {KnnIndexKind::Annoy, KnnIndexKind::Exact, KnnIndexKind::Hnsw}) {
+  for (KnnIndexKind Kind : {KnnIndexKind::Exact, KnnIndexKind::Hnsw}) {
     KnnOptions KO;
     KO.Index = Kind;
     Predictor P = makePredictor(WB, *M, KO);
@@ -468,75 +468,102 @@ TEST(ArtifactTest, TensorRoundTripIsExact) {
   EXPECT_TRUE(C.atEnd());
 }
 
-TEST(ArtifactTest, AnnoyForestSnapshotAnswersIdentically) {
-  TypeUniverse U;
-  TypeMap Map(4);
-  Rng R(123);
-  std::vector<TypeRef> Pool = {U.parse("int"), U.parse("str"),
-                               U.parse("List[int]")};
-  for (int I = 0; I != 300; ++I) {
-    float E[4];
-    for (float &X : E)
-      X = static_cast<float>(R.normal());
-    Map.add(E, Pool[static_cast<size_t>(I) % Pool.size()]);
-  }
-  AnnoyIndex Built(Map);
+// An artifact from before the Annoy forest was deleted: the current
+// artifact's chunks copied, the kind byte (the last byte of pred) set to
+// 1, and an anny chunk, written by \p WriteForest the way
+// AnnoyIndex::save laid one out, after the τmap.
+namespace {
 
-  ArchiveWriter W(1);
-  W.beginChunk("tmap");
-  std::map<TypeRef, int> Ids = U.save(W);
-  W.endChunk();
-  (void)Ids;
-  W.beginChunk("anny");
-  Built.save(W);
-  W.endChunk();
-
-  ArchiveReader Rd;
+std::string
+legacyAnnoyArtifact(const std::string &Current,
+                    const std::function<void(ArchiveWriter &)> &WriteForest) {
+  ArchiveReader Cur;
   std::string Err;
-  ASSERT_TRUE(Rd.openBytes(W.bytes(), &Err)) << Err;
-  ArchiveCursor C = Rd.chunk("anny", &Err);
-  std::unique_ptr<AnnoyIndex> Loaded = AnnoyIndex::load(C, Map, &Err);
-  ASSERT_NE(Loaded, nullptr) << Err;
-
-  for (int Q = 0; Q != 32; ++Q) {
-    float Query[4];
-    for (float &X : Query)
-      X = static_cast<float>(R.normal());
-    NeighborList A = Built.query(Query, 10);
-    NeighborList B = Loaded->query(Query, 10);
-    ASSERT_EQ(A.size(), B.size());
-    for (size_t I = 0; I != A.size(); ++I) {
-      EXPECT_EQ(A[I].first, B[I].first);
-      EXPECT_EQ(A[I].second, B[I].second);
-    }
+  EXPECT_TRUE(Cur.openBytes(Current, &Err)) << Err;
+  ArchiveWriter Legacy(1);
+  for (const ArchiveReader::ChunkInfo &Info : Cur.chunks()) {
+    std::string Payload(Info.Size, '\0');
+    Cur.chunk(Info.Tag, &Err).readBytes(Payload.data(), Payload.size());
+    if (Info.Tag == "pred")
+      Payload.back() = 1;
+    Legacy.beginChunk(Info.Tag.c_str());
+    Legacy.writeBytes(Payload.data(), Payload.size());
+    Legacy.endChunk();
+    if (Info.Tag != "tmap")
+      continue;
+    Legacy.beginChunk("anny");
+    WriteForest(Legacy);
+    Legacy.endChunk();
   }
+  return Legacy.bytes();
+}
+
+// A legacy artifact loads by skipping the forest unparsed and building
+// the index the size rule picks. It must answer like the same τmap
+// under that index, and re-saving it writes that index's artifact.
+void expectLegacyArtifactAnswersWithThePolicyIndex(
+    const std::function<void(ArchiveWriter &)> &WriteForest) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  Predictor P = makePredictor(WB, *M);
+  const KnnIndexKind Policy = defaultKnnIndexKind(P.typeMap().size());
+  ASSERT_EQ(P.knnOptions().Index, Policy);
+  ArchiveWriter Current(P.artifactVersion());
+  std::string Err;
+  ASSERT_TRUE(P.writeArtifact(Current, *WB.U, &Err)) << Err;
+
+  ArchiveReader R;
+  ASSERT_TRUE(
+      R.openBytes(legacyAnnoyArtifact(Current.bytes(), WriteForest), &Err))
+      << Err;
+  ASSERT_TRUE(R.hasChunk("anny"));
+  std::unique_ptr<Predictor> L = Predictor::load(R, &Err);
+  ASSERT_NE(L, nullptr) << Err;
+  EXPECT_EQ(L->knnOptions().Index, Policy);
+  ASSERT_NE(L->knnIndex(), nullptr);
+  EXPECT_EQ(L->knnIndex()->indexedMarkers(), P.typeMap().size());
+  expectBitIdentical(P.predictAll(WB.DS.Test), L->predictAll(WB.DS.Test));
+
+  ArchiveWriter Resaved(L->artifactVersion());
+  ASSERT_TRUE(L->writeArtifact(Resaved, *L->universe(), &Err)) << Err;
+  EXPECT_EQ(Resaved.bytes(), Current.bytes());
+}
+
+} // namespace
+
+TEST(ArtifactTest, AnnoyForestSnapshotAnswersIdentically) {
+  // A well-formed forest: one root, a leaf holding every marker.
+  expectLegacyArtifactAnswersWithThePolicyIndex([](ArchiveWriter &W) {
+    W.writeI32(16);   // leaf size
+    W.writeU64(1);    // one node...
+    W.writeI32(-1);   // ...that is a leaf
+    W.writeF32(0.f);
+    W.writeI32(-1);
+    W.writeI32(-1);
+    W.writeU64(3);    // three items
+    for (int32_t Item : {0, 1, 2})
+      W.writeI32(Item);
+    W.writeU64(1);    // one root: node 0
+    W.writeI32(0);
+  });
 }
 
 TEST(ArtifactTest, CyclicForestSnapshotIsRejected) {
-  // A CRC-valid snapshot whose split node links to itself must be
-  // rejected at load: best-first query would otherwise never terminate.
-  TypeUniverse U;
-  TypeMap Map(2);
-  float E[2] = {0.f, 1.f};
-  Map.add(E, U.parse("int"));
-  ArchiveWriter W(1);
-  W.beginChunk("anny");
-  W.writeI32(16);   // leaf size
-  W.writeU64(1);    // one node...
-  W.writeI32(0);    // ...that splits on dim 0
-  W.writeF32(0.5f);
-  W.writeI32(0);    // Left = itself
-  W.writeI32(0);    // Right = itself
-  W.writeU64(0);    // no items
-  W.writeU64(1);    // one root: node 0
-  W.writeI32(0);
-  W.endChunk();
-  ArchiveReader R;
-  std::string Err;
-  ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
-  ArchiveCursor C = R.chunk("anny", &Err);
-  EXPECT_EQ(AnnoyIndex::load(C, Map, &Err), nullptr);
-  EXPECT_NE(Err.find("split node links"), std::string::npos) << Err;
+  // A CRC-valid snapshot whose split node links to itself: a walk of it
+  // would never end. The loader rejects the snapshot without reading it
+  // and answers from the index the size rule builds.
+  expectLegacyArtifactAnswersWithThePolicyIndex([](ArchiveWriter &W) {
+    W.writeI32(16);   // leaf size
+    W.writeU64(1);    // one node...
+    W.writeI32(0);    // ...that splits on dim 0
+    W.writeF32(0.5f);
+    W.writeI32(0);    // Left = itself
+    W.writeI32(0);    // Right = itself
+    W.writeU64(0);    // no items
+    W.writeU64(1);    // one root: node 0
+    W.writeI32(0);
+  });
 }
 
 TEST(CheckpointTest, ResumeOntoDifferentSplitRefusesToTrain) {
@@ -683,26 +710,29 @@ TEST(ArtifactTest, HnswArtifactStampsVersionThreeAndRoundTrips) {
   std::remove(Path.c_str());
 }
 
-// Opting into HNSW is the ONLY way to version 3: exact and Annoy
-// artifacts keep their historical stamp and carry no graph chunk, so
-// pre-PR readers and byte-level artifact diffs are unaffected.
+// HNSW is the ONLY way to version 3: exact artifacts — forced, or the
+// default below kHnswMinMarkers — keep their historical stamp and carry
+// no graph chunk, so older readers and byte-level artifact diffs are
+// unaffected.
 TEST(ArtifactTest, NonHnswArtifactsCarryNoGraphChunk) {
   Workbench WB = makeTinyWorkbench();
   ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
   std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
-  for (KnnIndexKind Kind : {KnnIndexKind::Annoy, KnnIndexKind::Exact}) {
+  for (bool Forced : {true, false}) {
     KnnOptions KO;
-    KO.Index = Kind;
+    if (Forced)
+      KO.Index = KnnIndexKind::Exact;
     Predictor P = makePredictor(WB, *M, KO);
-    EXPECT_EQ(P.artifactVersion(), 1u) << knnIndexName(Kind);
-    std::string Path =
-        tempArtifactPath(std::string("nograph_") + knnIndexName(Kind));
+    ASSERT_EQ(P.knnOptions().Index, KnnIndexKind::Exact);
+    const char *Kind = Forced ? "forced" : "default";
+    EXPECT_EQ(P.artifactVersion(), 1u) << Kind;
+    std::string Path = tempArtifactPath(std::string("nograph_") + Kind);
     std::string Err;
     ASSERT_TRUE(P.save(Path, *WB.U, &Err)) << Err;
     ArchiveReader R;
     ASSERT_TRUE(R.openBytes(readFileBytes(Path), &Err)) << Err;
-    EXPECT_EQ(R.formatVersion(), 1u) << knnIndexName(Kind);
-    EXPECT_FALSE(R.hasChunk("hnsw")) << knnIndexName(Kind);
+    EXPECT_EQ(R.formatVersion(), 1u) << Kind;
+    EXPECT_FALSE(R.hasChunk("hnsw")) << Kind;
     std::remove(Path.c_str());
   }
 }
@@ -721,8 +751,7 @@ TEST(ArtifactTest, SaveRequiresCompactMarkersAfterEdits) {
       Unseen = &F;
   ASSERT_NE(Unseen, nullptr);
 
-  for (KnnIndexKind Kind :
-       {KnnIndexKind::Exact, KnnIndexKind::Annoy, KnnIndexKind::Hnsw}) {
+  for (KnnIndexKind Kind : {KnnIndexKind::Exact, KnnIndexKind::Hnsw}) {
     SCOPED_TRACE(knnIndexName(Kind));
     KnnOptions KO;
     KO.Index = Kind;

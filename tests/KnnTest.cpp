@@ -1,5 +1,6 @@
 //===- tests/KnnTest.cpp - knn/ unit & property tests --------------------------===//
 
+#include "LegacyExactScan.h"
 #include "knn/TypeMap.h"
 #include "support/Float16.h"
 #include "support/Str.h"
@@ -64,63 +65,6 @@ TEST(ExactIndexTest, KLargerThanMapIsClamped) {
   MapFixture F(5, 2, 4, 3);
   ExactIndex Idx(F.Map);
   EXPECT_EQ(Idx.query(F.Points[0].data(), 50).size(), 5u);
-}
-
-TEST(AnnoyIndexTest, HighRecallVsExact) {
-  MapFixture F(2000, 20, 16, 4);
-  ExactIndex Exact(F.Map);
-  AnnoyIndex Annoy(F.Map);
-  Rng R(5);
-  double Recall = 0;
-  const int Queries = 50, K = 10;
-  for (int Q = 0; Q != Queries; ++Q) {
-    std::vector<float> P(16);
-    for (float &X : P)
-      X = static_cast<float>(R.normal());
-    auto Truth = Exact.query(P.data(), K);
-    auto Approx = Annoy.query(P.data(), K);
-    std::set<int> TruthSet;
-    for (auto [I, D] : Truth)
-      TruthSet.insert(I);
-    int Hits = 0;
-    for (auto [I, D] : Approx)
-      Hits += TruthSet.count(I);
-    Recall += static_cast<double>(Hits) / K;
-  }
-  Recall /= Queries;
-  EXPECT_GE(Recall, 0.8) << "Annoy-style forest recall too low";
-}
-
-TEST(AnnoyIndexTest, ReturnedDistancesAreTrueL1) {
-  MapFixture F(300, 5, 8, 6);
-  AnnoyIndex Annoy(F.Map);
-  auto N = Annoy.query(F.Points[7].data(), 5);
-  ASSERT_FALSE(N.empty());
-  for (auto [Idx, Dist] : N) {
-    float True = 0;
-    for (int D = 0; D != 8; ++D)
-      True += std::fabs(F.Points[7][static_cast<size_t>(D)] -
-                        F.Map.embedding(static_cast<size_t>(Idx))[D]);
-    EXPECT_NEAR(Dist, True, 1e-4f);
-  }
-}
-
-TEST(AnnoyIndexTest, DeterministicForFixedSeed) {
-  MapFixture F(500, 10, 8, 7);
-  AnnoyIndex A(F.Map, 8, 16, 42), B(F.Map, 8, 16, 42);
-  auto NA = A.query(F.Points[0].data(), 10);
-  auto NB = B.query(F.Points[0].data(), 10);
-  ASSERT_EQ(NA.size(), NB.size());
-  for (size_t I = 0; I != NA.size(); ++I)
-    EXPECT_EQ(NA[I].first, NB[I].first);
-}
-
-TEST(AnnoyIndexTest, EmptyMapYieldsNothing) {
-  TypeUniverse U;
-  TypeMap Map(4);
-  AnnoyIndex Annoy(Map);
-  std::vector<float> Q(4, 0.f);
-  EXPECT_TRUE(Annoy.query(Q.data(), 5).empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,46 +150,6 @@ TEST(ScoringTest, DeterministicTieBreaking) {
 //===----------------------------------------------------------------------===//
 
 #include "support/ThreadPool.h"
-
-TEST(AnnoyIndexTest, ParallelBuildIsIdenticalToSerial) {
-  MapFixture F(1200, 12, 8, 11);
-  setGlobalNumThreads(1);
-  AnnoyIndex Serial(F.Map, 8, 16, 42);
-  setGlobalNumThreads(4);
-  AnnoyIndex Parallel(F.Map, 8, 16, 42);
-  setGlobalNumThreads(0);
-  // Identical forests answer every query identically.
-  for (size_t Q = 0; Q != 25; ++Q) {
-    auto NA = Serial.query(F.Points[Q].data(), 10);
-    auto NB = Parallel.query(F.Points[Q].data(), 10);
-    ASSERT_EQ(NA.size(), NB.size());
-    for (size_t I = 0; I != NA.size(); ++I) {
-      EXPECT_EQ(NA[I].first, NB[I].first);
-      EXPECT_EQ(NA[I].second, NB[I].second);
-    }
-  }
-}
-
-TEST(AnnoyIndexTest, QueryBatchMatchesIndividualQueries) {
-  MapFixture F(800, 10, 8, 12);
-  AnnoyIndex Annoy(F.Map, 8, 16, 7);
-  // Pack the first 30 points as a contiguous query block.
-  std::vector<float> Qs;
-  const int NumQ = 30, D = 8;
-  for (int Q = 0; Q != NumQ; ++Q)
-    Qs.insert(Qs.end(), F.Points[static_cast<size_t>(Q)].begin(),
-              F.Points[static_cast<size_t>(Q)].end());
-  auto Batch = Annoy.queryBatch(Qs.data(), NumQ, 5);
-  ASSERT_EQ(Batch.size(), static_cast<size_t>(NumQ));
-  for (int Q = 0; Q != NumQ; ++Q) {
-    auto One = Annoy.query(Qs.data() + Q * D, 5);
-    ASSERT_EQ(Batch[static_cast<size_t>(Q)].size(), One.size());
-    for (size_t I = 0; I != One.size(); ++I) {
-      EXPECT_EQ(Batch[static_cast<size_t>(Q)][I].first, One[I].first);
-      EXPECT_EQ(Batch[static_cast<size_t>(Q)][I].second, One[I].second);
-    }
-  }
-}
 
 TEST(ExactIndexTest, QueryBatchMatchesIndividualQueries) {
   MapFixture F(400, 6, 8, 13);
@@ -694,8 +598,8 @@ TEST(TypeMapMutationTest, TombstoneThenCompactEqualsFreshBuild) {
   // Dedup state after compaction matches too: an existing row still drops.
   EXPECT_FALSE(F.Map.add(F.Points[0].data(), F.MarkTypes[0], F.Files[0]));
 
-  // Identical maps build identical forests: every query agrees bit-wise.
-  AnnoyIndex IdxA(F.Map, 8, 16, 42), IdxB(Fresh, 8, 16, 42);
+  // Identical maps build identical graphs: every query agrees bit-wise.
+  HnswIndex IdxA(F.Map), IdxB(Fresh);
   for (size_t Q = 0; Q != 20; ++Q) {
     auto NA = IdxA.query(F.Points[Q].data(), 10);
     auto NB = IdxB.query(F.Points[Q].data(), 10);
@@ -744,7 +648,7 @@ TEST(TypeMapMutationTest, CompactWorksOnQuantizedStores) {
 TEST(TypeMapMutationTest, DeadRowsSkippedInQueries) {
   TaggedMapFixture F(4, 25, 6, 8, 25);
   ExactIndex Exact(F.Map);
-  AnnoyIndex Annoy(F.Map, 8, 16, 42);
+  HnswIndex Hnsw(F.Map);
 
   // Self-queries resolve to the marker itself while it is live.
   auto Self = Exact.query(F.Points[30].data(), 1);
@@ -760,7 +664,7 @@ TEST(TypeMapMutationTest, DeadRowsSkippedInQueries) {
       EXPECT_TRUE(F.Map.isLive(static_cast<size_t>(I)));
       EXPECT_NE(F.Map.fileTag(static_cast<size_t>(I)), Victim);
     }
-    for (auto [I, D] : Annoy.query(F.Points[Q].data(), 10)) {
+    for (auto [I, D] : Hnsw.query(F.Points[Q].data(), 10)) {
       EXPECT_TRUE(F.Map.isLive(static_cast<size_t>(I)));
       EXPECT_NE(F.Map.fileTag(static_cast<size_t>(I)), Victim);
     }
@@ -812,8 +716,7 @@ TEST(KnnIndexTest, DeltaMergeMatchesOracleForEveryKindAndStore) {
       F.Map.quantize(S);
     TypeMap Base = F.Map;
     const size_t NumIndexed = F.Map.size();
-    const KnnIndexKind Kinds[] = {KnnIndexKind::Exact, KnnIndexKind::Annoy,
-                                  KnnIndexKind::Hnsw};
+    const KnnIndexKind Kinds[] = {KnnIndexKind::Exact, KnnIndexKind::Hnsw};
     std::vector<std::unique_ptr<KnnIndex>> Idx, BaseIdx;
     for (KnnIndexKind Kind : Kinds) {
       Idx.push_back(buildKnnIndex(Kind, F.Map));
@@ -912,7 +815,7 @@ TEST(ExactIndexTest, BlockedScanMatchesLegacyBitForBit) {
     for (int K : {1, 10, 64, 2000}) { // 2000 > N: clamped, full sort
       for (int Q = 0; Q != NumQ; ++Q) {
         auto Blocked = Idx.query(Qs.data() + Q * D, K);
-        auto Legacy = Idx.queryLegacy(Qs.data() + Q * D, K);
+        auto Legacy = legacyExactQuery(Map, Qs.data() + Q * D, K);
         ASSERT_EQ(Blocked, Legacy)
             << markerStoreName(S) << " query " << Q << " K=" << K;
       }
@@ -923,7 +826,7 @@ TEST(ExactIndexTest, BlockedScanMatchesLegacyBitForBit) {
         ASSERT_EQ(Batch.size(), static_cast<size_t>(NumQ));
         for (int Q = 0; Q != NumQ; ++Q)
           ASSERT_EQ(Batch[static_cast<size_t>(Q)],
-                    Idx.queryLegacy(Qs.data() + Q * D, K))
+                    legacyExactQuery(Map, Qs.data() + Q * D, K))
               << markerStoreName(S) << " batch query " << Q << " K=" << K
               << " threads=" << Threads;
       }
@@ -952,16 +855,15 @@ TEST(HnswIndexTest, EmptyMapYieldsNothing) {
   EXPECT_TRUE(H.query(Q.data(), 5).empty());
 }
 
-TEST(HnswIndexTest, HighRecallVsExactAndAtLeastAnnoy) {
+TEST(HnswIndexTest, HighRecallVsExact) {
   // The acceptance guardrail: at the default build parameters and a
   // bounded per-query budget, recall@10 against the exact scan must
-  // clear 0.95 — and not trail the Annoy forest's at its defaults.
+  // clear 0.95.
   MapFixture F(2000, 20, 16, 4);
   ExactIndex Exact(F.Map);
-  AnnoyIndex Annoy(F.Map);
   HnswIndex Hnsw(F.Map);
   Rng R(5);
-  double AnnoyRecall = 0, HnswRecall = 0;
+  double HnswRecall = 0;
   const int Queries = 50, K = 10;
   for (int Q = 0; Q != Queries; ++Q) {
     std::vector<float> P(16);
@@ -971,19 +873,13 @@ TEST(HnswIndexTest, HighRecallVsExactAndAtLeastAnnoy) {
     std::set<int> TruthSet;
     for (auto [I, D] : Truth)
       TruthSet.insert(I);
-    int AnnoyHits = 0, HnswHits = 0;
-    for (auto [I, D] : Annoy.query(P.data(), K))
-      AnnoyHits += TruthSet.count(I);
+    int HnswHits = 0;
     for (auto [I, D] : Hnsw.query(P.data(), K, /*EfSearch=*/128))
       HnswHits += TruthSet.count(I);
-    AnnoyRecall += static_cast<double>(AnnoyHits) / K;
     HnswRecall += static_cast<double>(HnswHits) / K;
   }
-  AnnoyRecall /= Queries;
   HnswRecall /= Queries;
   EXPECT_GE(HnswRecall, 0.95) << "HNSW recall@10 below the guardrail";
-  EXPECT_GE(HnswRecall, AnnoyRecall)
-      << "HNSW must not trail the Annoy forest at default parameters";
 }
 
 TEST(HnswIndexTest, ReturnedDistancesAreTrueL1) {

@@ -483,6 +483,30 @@ TEST(ArchiveTest, Crc32MatchesTheStandardCheckValue) {
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
 }
 
+TEST(ArchiveTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // crc32 folds eight bytes per step; its value must be the one-byte-
+  // at-a-time CRC's for every length around the 8-byte blocks and at
+  // every start offset within a block.
+  auto Reference = [](const uint8_t *P, size_t N) {
+    uint32_t Crc = 0xFFFFFFFFu;
+    for (size_t I = 0; I != N; ++I) {
+      Crc ^= P[I];
+      for (int K = 0; K != 8; ++K)
+        Crc = (Crc & 1) ? 0xEDB88320u ^ (Crc >> 1) : Crc >> 1;
+    }
+    return Crc ^ 0xFFFFFFFFu;
+  };
+  Rng R(99);
+  std::vector<uint8_t> Buf(64 + 8);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(R.uniformInt(256));
+  for (size_t Offset = 0; Offset != 8; ++Offset)
+    for (size_t Len = 0; Len <= 64; ++Len)
+      ASSERT_EQ(crc32(Buf.data() + Offset, Len),
+                Reference(Buf.data() + Offset, Len))
+          << "offset " << Offset << " length " << Len;
+}
+
 TEST(ArchiveTest, ScalarsAndStringsRoundTrip) {
   ArchiveWriter W(7);
   W.beginChunk("test");

@@ -4,7 +4,7 @@
 // model and writes a versioned artifact; `predict` loads that artifact in
 // a fresh process — no training corpus, no retraining — and serves type
 // predictions; `inspect` prints what an artifact contains; `save`
-// rewrites an artifact (e.g. switching the kNN index between Annoy and
+// rewrites an artifact (e.g. switching the kNN index between HNSW and
 // exact). Both train and predict print a digest of the test-split
 // predictions, so train-once/serve-many bit-identity is checkable from
 // the shell:
@@ -50,7 +50,7 @@ struct Options {
   std::string Out, ModelPath, Checkpoint, ShardDir, OutDir, FromDir;
   std::string Split = "test", Encoder = "graph", Loss = "typilus";
   std::string Socket, Tcp, TmapStore;
-  std::string IndexName; ///< Also set by the --exact / --annoy aliases.
+  std::string IndexName; ///< Also set by the --exact alias.
   std::vector<std::string> Sources;
   int Files = 60, Udts = 40, Epochs = 8, Hidden = 32, Limit = 10;
   int Threads = 0, EfSearch = 0, CheckpointEvery = 0, ShardFiles = 32;
@@ -76,9 +76,8 @@ std::vector<Flag> flagTable(Options &O) {
       {"--encoder", &O.Encoder, "E", "train: graph, seq, path or names"},
       {"--loss", &O.Loss, "L", "train: typilus, space or class"},
       {"--index", &O.IndexName, "KIND",
-       "train, save: exact, annoy (train's default) or hnsw"},
+       "train, save: exact or hnsw (train's default picks by τmap size)"},
       {"--exact", FlagAlias{&O.IndexName, "exact"}, "", "--index exact"},
-      {"--annoy", FlagAlias{&O.IndexName, "annoy"}, "", "--index annoy"},
       {"--ef-search", &O.EfSearch, "N",
        "train, predict, save: HNSW query budget (0 = the index default)"},
       {"--k", &O.K, "N", "train, save: neighbours per prediction", 1},
@@ -136,6 +135,12 @@ int usage(const char *Argv0) {
   return 2;
 }
 
+/// A flag value the table cannot vet: one error line and the usage exit.
+int badFlagValue(const std::string &Err) {
+  fail(Err);
+  return 2;
+}
+
 /// Applies the kNN flags given on the command line over \p KO (train's
 /// defaults or a loaded artifact's settings).
 bool applyKnnFlags(const Options &O, KnnOptions &KO, std::string *Err) {
@@ -145,9 +150,13 @@ bool applyKnnFlags(const Options &O, KnnOptions &KO, std::string *Err) {
     KO.P = O.P;
   if (O.EfSearch > 0)
     KO.EfSearch = O.EfSearch;
-  if (!O.IndexName.empty() && !parseKnnIndexKind(O.IndexName, &KO.Index)) {
-    *Err = "--index expects exact, annoy or hnsw; got '" + O.IndexName + "'";
-    return false;
+  KnnIndexKind Kind;
+  if (!O.IndexName.empty()) {
+    if (!parseKnnIndexKind(O.IndexName, &Kind)) {
+      *Err = "--index expects exact or hnsw; got '" + O.IndexName + "'";
+      return false;
+    }
+    KO.Index = Kind;
   }
   if (!O.TmapStore.empty() && !parseMarkerStore(O.TmapStore, &KO.Store)) {
     *Err = "--tmap-store expects f32, f16 or int8; got '" + O.TmapStore + "'";
@@ -277,7 +286,7 @@ int cmdTrain(const Options &O) {
   KnnOptions KO;
   std::string Err;
   if (!applyKnnFlags(O, KO, &Err))
-    return fail(Err);
+    return badFlagValue(Err);
 
   // The data substrate: the in-memory workbench, or — with --shards — a
   // streamed shard set whose decoded residency is bounded by the LRU,
@@ -379,7 +388,8 @@ int cmdTrain(const Options &O) {
     std::printf("τmap: %zu markers (%s store, %s index, %zu duplicates "
                 "dropped)\n",
                 P.typeMap().size(), markerStoreName(P.typeMap().store()),
-                knnIndexName(KO.Index), P.typeMap().droppedDuplicates());
+                knnIndexName(*P.knnOptions().Index),
+                P.typeMap().droppedDuplicates());
 
   if (!O.Out.empty()) {
     ArchiveWriter W(P.artifactVersion());
@@ -628,7 +638,7 @@ int cmdInspect(const Options &O) {
                 "%s index\n",
                 P->typeMap().size(), markerStoreName(P->typeMap().store()),
                 P->typeMap().storageBytes(), P->knnOptions().K,
-                P->knnOptions().P, knnIndexName(P->knnOptions().Index));
+                P->knnOptions().P, knnIndexName(*P->knnOptions().Index));
     std::string Desc = P->knnIndex()->describe(P->knnOptions().EfSearch);
     if (!Desc.empty())
       std::printf("%s\n", Desc.c_str());
@@ -661,8 +671,8 @@ int cmdSave(const Options &O) {
 
   KnnOptions KO = P->knnOptions();
   if (!applyKnnFlags(O, KO, &Err))
-    return fail(Err);
-  P->setKnnOptions(KO); // rebuilds the index when the kind flips
+    return badFlagValue(Err);
+  P->setKnnOptions(KO); // rebuilds the index when --index flips the kind
   if (!O.TmapStore.empty() && !P->setMarkerStore(KO.Store, &Err))
     return fail(Err);
 
@@ -679,7 +689,9 @@ int cmdSave(const Options &O) {
   if (!W.writeFile(O.Out, &Err))
     return fail(Err);
   std::string IndexNote =
-      P->isKnn() ? std::string(", ") + knnIndexName(KO.Index) + " index" : "";
+      P->isKnn() ? std::string(", ") + knnIndexName(*P->knnOptions().Index) +
+                       " index"
+                 : "";
   std::printf("rewritten: %s -> %s (%zu bytes%s)\n", O.ModelPath.c_str(),
               O.Out.c_str(), W.bytes().size(), IndexNote.c_str());
   return 0;

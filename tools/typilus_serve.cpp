@@ -1,9 +1,10 @@
 //===- tools/typilus_serve.cpp - The serving daemon ----------------------------===//
 //
 // The deployment story of Fig. 1 as a long-lived process: load one model
-// artifact at startup (~ms thanks to the Annoy snapshot), then answer
-// newline-delimited JSON predict requests over a Unix-domain socket, TCP
-// (--port), or stdin/stdout with --stdio — until SIGTERM. Concurrent
+// artifact at startup (~ms: the τmap and any HNSW graph are stored
+// snapshots, nothing is rebuilt), then answer newline-delimited JSON
+// predict requests over a Unix-domain socket, TCP (--port), or
+// stdin/stdout with --stdio — until SIGTERM. Concurrent
 // requests coalesce into batches served through Predictor::predictBatch,
 // repeated (path, source) requests answer from an LRU response cache,
 // and SIGHUP (or a `reload` request) hot-swaps a freshly loaded artifact
