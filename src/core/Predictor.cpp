@@ -316,7 +316,7 @@ std::vector<PredictionResult> Predictor::predictFile(const FileExample &File) {
   return std::move(predictBatch({&File}).front());
 }
 
-std::vector<std::vector<PredictionResult>>
+std::vector<SourcePrediction>
 Predictor::predictSources(const std::vector<CorpusFile> &Files,
                           PredictTiming *Timing) {
   TypeUniverse *U = universe();
@@ -326,10 +326,18 @@ Predictor::predictSources(const std::vector<CorpusFile> &Files,
         "setUniverse first");
   // buildExample in two halves: parse and graph build touch no shared
   // state, so only the interning of annotation types holds the lock.
+  std::vector<SourcePrediction> Out(Files.size());
   std::vector<FileExample> Examples;
+  std::vector<size_t> Parsed; // Files index of each example
   Examples.reserve(Files.size());
-  for (const CorpusFile &F : Files)
-    Examples.push_back(parseExample(F, {}));
+  for (size_t I = 0; I != Files.size(); ++I) {
+    try {
+      Examples.push_back(parseExample(Files[I], {}));
+      Parsed.push_back(I);
+    } catch (const std::runtime_error &E) {
+      Out[I].Err = E.what();
+    }
+  }
   {
     std::lock_guard<std::mutex> L(InternMu.M);
     for (FileExample &E : Examples)
@@ -339,12 +347,19 @@ Predictor::predictSources(const std::vector<CorpusFile> &Files,
   Ptrs.reserve(Examples.size());
   for (const FileExample &E : Examples)
     Ptrs.push_back(&E);
-  return predictBatch(Ptrs, Timing);
+  std::vector<std::vector<PredictionResult>> Preds = predictBatch(Ptrs, Timing);
+  for (size_t K = 0; K != Parsed.size(); ++K)
+    Out[Parsed[K]].Preds = std::move(Preds[K]);
+  return Out;
 }
 
 std::vector<PredictionResult>
 Predictor::predictSource(const std::string &Path, const std::string &Source) {
-  return std::move(predictSources({CorpusFile{Path, Source}}).front());
+  SourcePrediction R =
+      std::move(predictSources({CorpusFile{Path, Source}}).front());
+  if (!R.Err.empty())
+    throw std::runtime_error(R.Err);
+  return std::move(R.Preds);
 }
 
 std::vector<PredictionResult>

@@ -108,6 +108,13 @@ struct PredictTiming {
   uint64_t KnnMicros = 0;
 };
 
+/// One file's outcome from Predictor::predictSources: its predictions, or
+/// the diagnostic of the parser that rejected it.
+struct SourcePrediction {
+  std::vector<PredictionResult> Preds;
+  std::string Err; ///< Empty unless the file was rejected.
+};
+
 /// kNN settings for the type-map predictor (Eq. 5).
 struct KnnOptions {
   int K = 10;
@@ -216,10 +223,11 @@ public:
   /// Batched predictSource: builds every example, then answers all of
   /// them through one predictBatch call (the daemon's coalesced path).
   /// Parse and graph build run unlocked; only the universe interning
-  /// holds the predictor's lock. \returns per-file results,
-  /// index-aligned with \p Files; \p Timing (optional) receives this
-  /// call's embed/probe split.
-  std::vector<std::vector<PredictionResult>>
+  /// holds the predictor's lock. A file buildExample rejects does not
+  /// throw: its diagnostic is its own outcome and the rest still
+  /// predict. \returns per-file outcomes, index-aligned with \p Files;
+  /// \p Timing (optional) receives this call's embed/probe split.
+  std::vector<SourcePrediction>
   predictSources(const std::vector<CorpusFile> &Files,
                  PredictTiming *Timing = nullptr);
 

@@ -23,8 +23,8 @@
 ///    the same text — the bit-identity contract, observable per edit.
 ///
 /// `didClose` retires the document's markers. Methods dispatch through
-/// the same serve::MethodRegistry the NDJSON daemon uses, with the
-/// uniform unknown-method error (JSON-RPC MethodNotFound). The session
+/// a serve::MethodRegistry, with the unknown-method error text the NDJSON
+/// daemon also answers with (JSON-RPC MethodNotFound). The session
 /// is single-threaded by design: one editor, one loop, no locks.
 ///
 //===----------------------------------------------------------------------===//

@@ -5,14 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one method-dispatch surface the serving tiers share: a small
-/// ordered name -> handler table. The NDJSON daemon registers its
-/// protocol methods (ping/stats/reload/shutdown) in it and the LSP
-/// front-end registers its JSON-RPC methods in the same template, so
-/// "look the method up, answer uniformly when it is unknown" is written
-/// once. Registration order is preserved (names() lists it), lookups are
-/// a linear scan — method tables have a handful of entries and the scan
-/// beats a hash map's constant factor at this size.
+/// Method dispatch for the serving tiers: the unknown-method message both
+/// answer with, and the small name -> handler table the LSP front-end
+/// registers its JSON-RPC methods in. (The NDJSON daemon parses its
+/// method to serve::Method and switches on that.) Lookups are a linear
+/// scan — method tables have a handful of entries and the scan beats a
+/// hash map's constant factor at this size.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,11 +32,11 @@ inline std::string unknownMethodError(std::string_view Name) {
   return "unknown method '" + std::string(Name) + "'";
 }
 
-/// An ordered method table: name -> handler.
+/// A method table: name -> handler.
 template <typename Handler> class MethodRegistry {
 public:
   /// Registers \p H under \p Name; a re-registration replaces the
-  /// handler in place (keeping the original position).
+  /// handler.
   void add(std::string Name, Handler H) {
     for (auto &E : Table)
       if (E.first == Name) {
@@ -55,17 +53,6 @@ public:
         return &E.second;
     return nullptr;
   }
-
-  /// Registered names, in registration order.
-  std::vector<std::string_view> names() const {
-    std::vector<std::string_view> N;
-    N.reserve(Table.size());
-    for (const auto &E : Table)
-      N.push_back(E.first);
-    return N;
-  }
-
-  size_t size() const { return Table.size(); }
 
 private:
   std::vector<std::pair<std::string, Handler>> Table;

@@ -7,6 +7,8 @@
 #include "support/Json.h"
 #include "support/Str.h"
 
+#include <climits>
+
 using namespace typilus;
 using namespace typilus::serve;
 
@@ -51,12 +53,13 @@ bool serve::parseRequest(std::string_view Line, Request &Out,
   }
   // Recover the id first so even a bad method/field error correlates.
   const json::Value *Id = V.find("id");
-  if (!Id || !Id->isNumber()) {
+  std::optional<int64_t> IdNum = Id ? Id->asInt() : std::nullopt;
+  if (!IdNum) {
     if (Err)
-      *Err = "request needs a numeric \"id\"";
+      *Err = "request needs a numeric \"id\" (an integer in int64 range)";
     return false;
   }
-  Out.Id = Id->asInt();
+  Out.Id = *IdNum;
 
   std::string M = V.getString("method", "");
   if (!methodFromName(M, &Out.M)) {
@@ -74,7 +77,16 @@ bool serve::parseRequest(std::string_view Line, Request &Out,
     }
     Out.Source = Src->asString();
     Out.Path = V.getString("path", "<request>");
-    Out.Limit = static_cast<int>(V.getInt("limit", -1));
+    if (const json::Value *Limit = V.find("limit")) {
+      std::optional<int64_t> L = Limit->asInt(-1, INT_MAX);
+      if (!L) {
+        if (Err)
+          *Err = "predict \"limit\" must be an integer in [-1, " +
+                 std::to_string(INT_MAX) + "]";
+        return false;
+      }
+      Out.Limit = static_cast<int>(*L);
+    }
   }
   if (Out.M == Method::Stats)
     Out.Reset = V.getBool("reset", false);

@@ -95,11 +95,11 @@ struct ServerStats {
   /// (GNN forward pass vs index probe).
   uint64_t EmbedTotalUs = 0;
   uint64_t KnnTotalUs = 0;
-  /// Response cache (keyed on path + FNV-1a source digest; see
-  /// Server.h). Hits/misses count per-batch lookups — one per distinct
-  /// (path, source) group, after collapsing — so a 50-duplicate batch
-  /// that reuses a cached prediction is one hit, not fifty. A group that
-  /// joins an in-flight prediction is neither (it counts in Collapsed).
+  /// The prediction table (keyed on path + FNV-1a source digest; see
+  /// Server.h). Hits (ready entries found) and misses (entries made)
+  /// count once per distinct key per batch, so a 50-duplicate batch that
+  /// reuses a cached prediction is one hit, not fifty. A request sharing
+  /// a pending entry is neither (it counts in Collapsed).
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <exception>
-#include <map>
-#include <string_view>
 #include <utility>
 
 #include <poll.h>
@@ -17,14 +15,6 @@
 
 using namespace typilus;
 using namespace typilus::serve;
-
-uint64_t serve::sourceDigest(std::string_view Source) {
-  // FNV-1a, the same construction predictionDigest and corpus/Dedup use.
-  uint64_t H = 1469598103934665603ull;
-  for (char C : Source)
-    H = (H ^ static_cast<unsigned char>(C)) * 1099511628211ull;
-  return H;
-}
 
 Server::Server(Predictor &P, TypeUniverse &U, ServerOptions O)
     : Pred(&P), U(&U), Opts(std::move(O)) {
@@ -37,7 +27,6 @@ Server::Server(Predictor &P, TypeUniverse &U, ServerOptions O)
   // predictSources resolves the universe through the predictor; a
   // live-model predictor needs to be pointed at the caller's.
   P.setUniverse(U);
-  registerMethods();
   // One worker per way of the pool: more batches in flight than that
   // would only contend for the same cores.
   int NumWorkers = std::max(1, globalNumThreads());
@@ -143,7 +132,7 @@ void Server::dispatchLoop() {
       Pending P = std::move(Queue.front());
       Queue.pop_front();
       L.unlock();
-      serveOne(P);
+      serveControl(P);
       L.lock();
       continue;
     }
@@ -162,7 +151,7 @@ void Server::dispatchLoop() {
     Stats.MaxInFlight =
         std::max(Stats.MaxInFlight, static_cast<uint64_t>(Flight.size()));
     if (B->Miss.empty()) {
-      B->Done = true; // answered by the cache and earlier batches alone
+      B->Done = true; // answered by ready and earlier-batch entries alone
     } else {
       Work.push_back(std::move(B));
       WorkCV.notify_one();
@@ -191,10 +180,14 @@ void Server::workerLoop() {
   }
 }
 
-void Server::registerMethods() {
-  Methods.add(methodName(Method::Ping),
-              [this](Pending &P) { P.Fn(pongResponse(P.R.Id)); });
-  Methods.add(methodName(Method::Stats), [this](Pending &P) {
+void Server::serveControl(Pending &P) {
+  switch (P.R.M) {
+  case Method::Predict:
+    return; // batched through admit/release, never dispatched here
+  case Method::Ping:
+    P.Fn(pongResponse(P.R.Id));
+    return;
+  case Method::Stats: {
     // Snapshot and (optionally) reset under one lock so a concurrent
     // submit-side Overloaded bump lands in exactly one window.
     ServerStats Snapshot;
@@ -205,29 +198,20 @@ void Server::registerMethods() {
         Stats = ServerStats();
     }
     P.Fn(statsResponse(P.R.Id, Snapshot));
-  });
-  Methods.add(methodName(Method::Reload),
-              [this](Pending &P) { serveReload(P); });
-  Methods.add(methodName(Method::Shutdown), [this](Pending &P) {
+    return;
+  }
+  case Method::Reload:
+    serveReload(P);
+    return;
+  case Method::Shutdown: {
     P.Fn(shutdownResponse(P.R.Id));
     // Copy: the callback may destroy transport state the Pending holds.
     std::function<void()> Hook = Opts.OnShutdown;
     if (Hook)
       Hook();
-  });
-}
-
-void Server::serveOne(Pending &P) {
-  if (P.R.M == Method::Predict)
-    return; // batched through admit/release, never dispatched here
-  if (const auto *H = Methods.find(methodName(P.R.M))) {
-    (*H)(P);
     return;
   }
-  // Unreachable while parseRequest and the table agree on the method
-  // set; answering uniformly (rather than asserting) keeps a future
-  // mismatch a protocol error instead of a crash.
-  P.Fn(errorResponse(P.R.Id, unknownMethodError(methodName(P.R.M))));
+  }
 }
 
 void Server::serveReload(Pending &P) {
@@ -247,17 +231,18 @@ void Server::serveReload(Pending &P) {
         P.R.Id, "reload failed: the new predictor does not own a universe"));
     return;
   }
-  // The swap and the cache invalidation are one atomic step as far as
+  // The swap and the table clear are one atomic step as far as
   // prediction is concerned: both happen here, with no batch in flight
-  // (control requests are barriers), on the only thread that reads them;
-  // a batch captures its predictor at admission. Requests queued behind this one are
-  // answered from the new artifact; requests served before it were
-  // answered (and cached) from the old one, and that cache is gone.
+  // (control requests are barriers, so no entry is pending), on the only
+  // thread that reads them; a batch captures its predictor at admission.
+  // Requests queued behind this one are answered from the new artifact;
+  // requests served before it were answered (and cached) from the old
+  // one, and those entries are gone.
   Pred = NewP.get();
   U = NewP->universe();
   OwnedPred = std::move(NewP);
-  CacheLru.clear();
-  CacheIdx.clear();
+  Table.clear();
+  Lru.clear();
   {
     std::lock_guard<std::mutex> L(Mu);
     Stats.Reloads += 1;
@@ -266,116 +251,65 @@ void Server::serveReload(Pending &P) {
 }
 
 //===----------------------------------------------------------------------===//
-// Response cache (dispatcher-only, so lock-free)
+// The prediction table (dispatcher-only, so lock-free)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-std::string cacheKey(const std::string &Path, uint64_t SourceDigest) {
-  std::string K = Path;
+/// `path + '\0' + FNV-1a(source)`: the path *and* the exact bytes, so an
+/// edited file never finds its stale entry.
+std::string tableKey(const Request &R) {
+  // FNV-1a, the same construction predictionDigest and corpus/Dedup use.
+  uint64_t H = 1469598103934665603ull;
+  for (char C : R.Source)
+    H = (H ^ static_cast<unsigned char>(C)) * 1099511628211ull;
+  std::string K = R.Path;
   K.push_back('\0');
-  K.append(reinterpret_cast<const char *>(&SourceDigest),
-           sizeof(SourceDigest));
+  K.append(reinterpret_cast<const char *>(&H), sizeof(H));
   return K;
 }
 
 } // namespace
 
-Server::PredSet Server::cacheFind(const std::string &Path,
-                                  uint64_t SourceDigest) {
-  if (Opts.CacheEntries <= 0)
-    return nullptr;
-  auto It = CacheIdx.find(cacheKey(Path, SourceDigest));
-  if (It == CacheIdx.end())
-    return nullptr;
-  CacheLru.splice(CacheLru.begin(), CacheLru, It->second);
-  return It->second->Preds;
-}
-
-uint64_t Server::cacheInsert(const std::string &Path, uint64_t SourceDigest,
-                             PredSet P) {
-  if (Opts.CacheEntries <= 0)
-    return 0;
-  std::string K = cacheKey(Path, SourceDigest);
-  auto It = CacheIdx.find(K);
-  if (It != CacheIdx.end()) {
-    // Same key predicted twice (unreachable while misses join the
-    // in-flight prediction of their key; harmless anyway): refresh.
-    CacheLru.splice(CacheLru.begin(), CacheLru, It->second);
-    It->second->Preds = std::move(P);
-    return 0;
-  }
-  CacheLru.push_front(CacheEntry{Path, SourceDigest, std::move(P)});
-  CacheIdx.emplace(std::move(K), CacheLru.begin());
-  uint64_t Evicted = 0;
-  while (CacheLru.size() > static_cast<size_t>(Opts.CacheEntries)) {
-    const CacheEntry &Old = CacheLru.back();
-    CacheIdx.erase(cacheKey(Old.Path, Old.SourceDigest));
-    CacheLru.pop_back();
-    ++Evicted;
-  }
-  return Evicted;
-}
-
 std::shared_ptr<Server::Batch> Server::admit(std::vector<Pending> Reqs) {
   auto B = std::make_shared<Batch>();
   B->Reqs = std::move(Reqs);
   B->P = Pred;
+  ++Admitted;
   // Per-request timing: queue wait ends when the batch is admitted; the
   // prediction clock runs from here until its responses are written.
   B->Dispatched = Clock::now();
-  for (const Pending &P : B->Reqs) {
+  B->EntryOf.reserve(B->Reqs.size());
+  for (size_t I = 0; I != B->Reqs.size(); ++I) {
     uint64_t WaitUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(B->Dispatched -
-                                                              P.Enqueued)
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            B->Dispatched - B->Reqs[I].Enqueued)
             .count());
     B->QueueTotalUs += WaitUs;
     B->QueueMaxUs = std::max(B->QueueMaxUs, WaitUs);
-  }
 
-  // Collapse identical requests (same path + source): a fleet of clients
-  // asking about the same file — the CI smoke's exact shape — costs one
-  // prediction, not N. Each duplicate still gets its own response under
-  // its own id, bit-identical to the representative's.
-  size_t N = B->Reqs.size();
-  B->GroupOf.resize(N);
-  std::map<std::pair<std::string_view, std::string_view>, size_t> Groups;
-  for (size_t I = 0; I != N; ++I) {
-    auto Key = std::make_pair(std::string_view(B->Reqs[I].R.Path),
-                              std::string_view(B->Reqs[I].R.Source));
-    auto [It, New] = Groups.emplace(Key, B->Rep.size());
-    if (New)
-      B->Rep.push_back(I);
-    B->GroupOf[I] = It->second;
-  }
-
-  // One cache lookup per group: hits skip embedding entirely. A miss
-  // whose key an earlier in-flight batch is predicting joins that
-  // prediction (its result is released first, in arrival order); only
-  // the rest go to the predictor.
-  size_t NumGroups = B->Rep.size();
-  B->Digest.resize(NumGroups);
-  B->GroupPreds.resize(NumGroups);
-  B->JoinOf.resize(NumGroups);
-  for (size_t G = 0; G != NumGroups; ++G) {
-    const Request &R = B->Reqs[B->Rep[G]].R;
-    B->Digest[G] = sourceDigest(R.Source);
-    if (Opts.CacheEntries <= 0) {
-      B->Miss.push_back(G);
-      continue;
-    }
-    B->GroupPreds[G] = cacheFind(R.Path, B->Digest[G]);
-    if (B->GroupPreds[G]) {
+    // A ready entry is a hit (counted once per batch); a pending one is
+    // shared — a fleet of clients asking about one file, the CI smoke's
+    // exact shape, costs one prediction — and a new key is this batch's
+    // to predict. Every request still gets its own response under its
+    // own id.
+    std::string Key = tableKey(B->Reqs[I].R);
+    auto It = Table.find(Key);
+    if (It == Table.end()) {
+      auto E = std::make_shared<Entry>();
+      E->Key = std::move(Key);
+      std::string_view View = E->Key;
+      It = Table.emplace(View, std::move(E)).first;
+      B->Miss.push_back(I);
+    } else if (It->second->Preds && It->second->SeenBy != Admitted) {
       ++B->Hits;
-      continue;
+      Lru.splice(Lru.begin(), Lru, It->second->LruPos);
     }
-    auto [It, New] = InFlightKeys.emplace(cacheKey(R.Path, B->Digest[G]),
-                                          std::make_pair(B, G));
-    if (New)
-      B->Miss.push_back(G);
-    else
-      B->JoinOf[G] = It->second;
+    It->second->SeenBy = Admitted;
+    B->EntryOf.push_back(It->second);
   }
+  if (Opts.CacheEntries == 0)
+    Table.clear(); // no cache, no join: the next batch starts afresh
   return B;
 }
 
@@ -383,10 +317,8 @@ void Server::predict(Batch &B) {
   try {
     std::vector<CorpusFile> Sources;
     Sources.reserve(B.Miss.size());
-    for (size_t G : B.Miss) {
-      const Request &R = B.Reqs[B.Rep[G]].R;
-      Sources.push_back(CorpusFile{R.Path, R.Source});
-    }
+    for (size_t I : B.Miss)
+      Sources.push_back(CorpusFile{B.Reqs[I].R.Path, B.Reqs[I].R.Source});
     // The shared in-memory-source entry point: the CLI's --source and
     // the LSP go through the same call, so their digests match the
     // daemon's by construction.
@@ -400,37 +332,45 @@ void Server::predict(Batch &B) {
 
 void Server::release(Batch &B) {
   bool CacheOn = Opts.CacheEntries > 0;
-  uint64_t Evictions = 0;
-  for (size_t I = 0; I != B.Fresh.size(); ++I) {
-    size_t G = B.Miss[I];
-    B.GroupPreds[G] = std::make_shared<const std::vector<PredictionResult>>(
-        std::move(B.Fresh[I]));
-    Evictions += cacheInsert(B.Reqs[B.Rep[G]].R.Path, B.Digest[G],
-                             B.GroupPreds[G]);
+  // Settle the entries this batch predicted. A file the parser rejected
+  // fails alone; only an unexpected failure fails the whole batch.
+  // Successes are cached; failures leave the table, so the next request
+  // for them predicts again.
+  for (size_t K = 0; K != B.Miss.size(); ++K) {
+    const std::shared_ptr<Entry> &E = B.EntryOf[B.Miss[K]];
+    if (!B.Err.empty())
+      E->Err = B.Err;
+    else if (!B.Fresh[K].Err.empty())
+      E->Err = std::move(B.Fresh[K].Err);
+    else
+      E->Preds = std::move(B.Fresh[K].Preds);
+    if (!CacheOn)
+      continue;
+    if (E->Preds) {
+      Lru.push_front(E);
+      E->LruPos = Lru.begin();
+    } else {
+      Table.erase(E->Key);
+    }
   }
-  if (CacheOn)
-    for (size_t G : B.Miss)
-      InFlightKeys.erase(cacheKey(B.Reqs[B.Rep[G]].R.Path, B.Digest[G]));
-  // Joined groups share the fate of the batch they joined, exactly as a
-  // collapsed duplicate shares its own batch's.
-  for (size_t G = 0; G != B.JoinOf.size(); ++G)
-    if (const auto &[Src, SrcG] = B.JoinOf[G]; Src)
-      B.GroupPreds[G] = Src->GroupPreds[SrcG];
+  uint64_t Evictions = 0;
+  while (Lru.size() > static_cast<size_t>(Opts.CacheEntries)) {
+    Table.erase(Lru.back()->Key);
+    Lru.pop_back();
+    ++Evictions;
+  }
 
-  // Answer in arrival order. A poisoned batch must not take the daemon
-  // down: requests whose group has no predictions (the failed misses)
-  // get an error response, cache hits in the same batch still serve,
-  // and serving continues.
+  // Answer in arrival order, each request from its own entry: entries an
+  // earlier batch predicts were settled by its release, which came first.
   for (size_t I = 0; I != B.Reqs.size(); ++I) {
     const Pending &P = B.Reqs[I];
-    size_t G = B.GroupOf[I];
-    if (!B.GroupPreds[G]) {
-      const Batch *Owner = B.JoinOf[G].first ? B.JoinOf[G].first.get() : &B;
-      P.Fn(errorResponse(P.R.Id, "prediction failed: " + Owner->Err));
+    const Entry &E = *B.EntryOf[I];
+    if (!E.Preds) {
+      P.Fn(errorResponse(P.R.Id, "prediction failed: " + E.Err));
       continue;
     }
     int Limit = P.R.Limit >= 0 ? P.R.Limit : Opts.Limit;
-    P.Fn(predictResponse(P.R.Id, P.R.Path, *B.GroupPreds[G], Limit));
+    P.Fn(predictResponse(P.R.Id, P.R.Path, *E.Preds, Limit));
   }
 
   uint64_t PredictUs = static_cast<uint64_t>(

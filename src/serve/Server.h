@@ -10,38 +10,43 @@
 /// dispatcher thread pops them and *coalesces* consecutive predict
 /// requests into one `Predictor::predictSources` call — files embed
 /// data-parallel through the thread pool and one bulk τmap probe answers
-/// the whole batch — after *collapsing* identical requests so N clients
-/// asking about the same source pay for one prediction.
+/// the whole batch.
 ///
 /// Ownership is split in two. The dispatcher is the only thread that
-/// pops the queue, probes and fills the response cache, swaps the
-/// predictor on reload and writes responses. A small set of batch
-/// workers owned by the server runs only the prediction itself, so up
-/// to globalNumThreads() batches are in flight at once (1 when the
-/// encoder is not safe to run concurrently, TypeModel::
-/// supportsParallelEmbed). Finished batches return to the dispatcher,
-/// which releases them strictly in arrival order; a request whose
-/// (path, source) is already being predicted by an earlier in-flight
-/// batch joins that prediction instead of embedding again. Responses are
-/// therefore bit-identical to single-shot prediction, and in the same
-/// order, for any thread count and any batch composition; only the
-/// overlap changes.
+/// pops the queue, owns the prediction table, swaps the predictor on
+/// reload and writes responses. A small set of batch workers owned by
+/// the server runs only the prediction itself, so up to
+/// globalNumThreads() batches are in flight at once (1 when the encoder
+/// is not safe to run concurrently, TypeModel::supportsParallelEmbed).
+/// Finished batches return to the dispatcher, which releases them
+/// strictly in arrival order. Responses are therefore bit-identical to
+/// single-shot prediction, and in the same order, for any thread count
+/// and any batch composition; only the overlap changes.
 ///
-/// On top of the batch pipeline sit three production behaviors, all
-/// owned by the dispatcher so they stay lock-free and totally ordered
-/// with prediction:
+/// The **prediction table** is how no work is done twice. It maps
+/// `path + '\0' + FNV-1a(source)` to an entry that is either *pending*
+/// (a batch in flight predicts it) or *ready* (its shared predictions).
+/// At admission each request looks its key up: a ready entry is a cache
+/// hit, a pending one — made by an earlier request of this batch or by
+/// an earlier batch still in flight — is answered from that prediction,
+/// and a missing key becomes a pending entry this batch predicts. At
+/// release the batch settles its entries (a file the parser rejected
+/// fails alone, and failures are never kept), the new ready entries
+/// join an LRU bounded by ServerOptions::CacheEntries, and every request
+/// is answered from its own entry — a hit is byte-identical to the miss
+/// that filled it. With the cache off an entry lives only until its
+/// batch is admitted, so only duplicates within one batch share.
 ///
-///  - a **response cache** keyed on (path, FNV-1a source digest) with
-///    LRU eviction: a repeated request skips embedding entirely and its
-///    response is re-serialized from the cached predictions — byte-
-///    identical to the original miss for the same id and limit;
+/// Two more production behaviors ride the same dispatcher, so they stay
+/// lock-free and totally ordered with prediction:
+///
 ///  - **hot reload**: a `reload` request (or SIGHUP in the daemon)
 ///    swaps in a freshly loaded Predictor through ServerOptions::
 ///    OnReload. Because reload rides the request queue and, like every
 ///    control request, runs only once every earlier batch has been
 ///    released, requests enqueued before it are answered from the old
 ///    artifact and requests after it from the new one — never a mix —
-///    and the cache is invalidated in the same step;
+///    and the table is cleared in the same step;
 ///  - **backpressure**: with ServerOptions::MaxQueue set, a predict
 ///    arriving at a full queue is answered immediately (on the submit
 ///    thread) with an `overloaded` error instead of wedging the
@@ -56,7 +61,6 @@
 #ifndef TYPILUS_SERVE_SERVER_H
 #define TYPILUS_SERVE_SERVER_H
 
-#include "serve/Dispatch.h"
 #include "serve/Protocol.h"
 
 #include <atomic>
@@ -67,6 +71,8 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -87,8 +93,10 @@ struct ServerOptions {
   int Limit = -1;
   /// Response-cache capacity in distinct (path, source digest) entries;
   /// least-recently-used entries are evicted past it. 0 disables the
-  /// cache (every request embeds, the PR-4 behavior — what the bench's
-  /// batching comparison still measures).
+  /// cache and the join across in-flight batches: every batch predicts
+  /// each distinct file it holds, duplicates within one batch still
+  /// sharing one prediction (what the bench's batching comparison
+  /// measures).
   int CacheEntries = 1024;
   /// Queue bound for backpressure: a predict submitted while this many
   /// requests are already queued is shed with an immediate `overloaded`
@@ -141,10 +149,6 @@ public:
 
 private:
   using Clock = std::chrono::steady_clock;
-  /// One prediction set, shared by the cache, the batch that predicted
-  /// it and every response serialized from it, so an eviction mid-batch
-  /// changes nothing.
-  using PredSet = std::shared_ptr<const std::vector<PredictionResult>>;
 
   struct Pending {
     Request R;
@@ -154,63 +158,54 @@ private:
     Clock::time_point Enqueued;
   };
 
-  struct CacheEntry {
-    std::string Path;
-    uint64_t SourceDigest;
-    PredSet Preds;
+  /// One row of the prediction table: pending until the release of the
+  /// batch predicting it, then ready. Shared by the table, the LRU and
+  /// every batch that admitted a request for it, so an eviction mid-batch
+  /// changes nothing.
+  struct Entry {
+    std::string Key; ///< path + '\0' + FNV-1a(source), raw bytes.
+    /// Ready: the file's predictions, or none when it failed (then Err
+    /// says why; failed entries leave the table at once).
+    std::optional<std::vector<PredictionResult>> Preds;
+    std::string Err;
+    uint64_t SeenBy = 0; ///< Number of the last batch that looked it up.
+    std::list<std::shared_ptr<Entry>>::iterator LruPos; ///< While cached.
   };
 
-  /// One coalesced predict batch from admission to release. Requests
-  /// with the same (path, source) form one *group*. The dispatcher fills
-  /// everything but the worker outputs; a worker predicts the Miss groups
-  /// and sets Done.
+  /// One coalesced predict batch from admission to release. The
+  /// dispatcher fills everything but the worker outputs; a worker
+  /// predicts the Miss requests and sets Done.
   struct Batch {
     std::vector<Pending> Reqs;
-    std::vector<size_t> GroupOf; ///< Request -> group.
-    std::vector<size_t> Rep;     ///< Group -> its first request.
-    std::vector<uint64_t> Digest;
-    std::vector<PredSet> GroupPreds; ///< Cache hits at admission, the
-                                     ///< rest at release; null = failed.
-    /// Group -> the earlier in-flight batch (and its group) already
-    /// predicting the same key, or null.
-    std::vector<std::pair<std::shared_ptr<Batch>, size_t>> JoinOf;
-    std::vector<size_t> Miss; ///< Groups this batch predicts.
-    uint64_t Hits = 0;
-    Predictor *P = nullptr; ///< The predictor active at admission.
+    std::vector<std::shared_ptr<Entry>> EntryOf; ///< Request -> entry.
+    std::vector<size_t> Miss; ///< Requests whose new entry this batch
+                              ///< predicts, one per key.
+    uint64_t Hits = 0;        ///< Ready entries found, one per key.
+    Predictor *P = nullptr;   ///< The predictor active at admission.
     Clock::time_point Dispatched;
     uint64_t QueueTotalUs = 0, QueueMaxUs = 0;
     // Worker outputs, read by the dispatcher once Done is set.
-    std::vector<std::vector<PredictionResult>> Fresh; ///< Per Miss group.
+    std::vector<SourcePrediction> Fresh; ///< Per Miss request.
     PredictTiming Timing;
-    std::string Err; ///< Why the prediction failed ("" = it did not).
+    std::string Err; ///< Why the whole prediction failed ("" = it did not).
     bool Done = false; ///< Guarded by Mu.
   };
 
   void dispatchLoop();
   void workerLoop();
-  /// Fills Methods with the control handlers (ping/stats/reload/
-  /// shutdown); predict is not in the table — it dispatches through the
-  /// coalescing batch path below, never one at a time.
-  void registerMethods();
-  void serveOne(Pending &P);
+  /// Answers a ping/stats/reload/shutdown request. Dispatcher-only.
+  void serveControl(Pending &P);
   void serveReload(Pending &P);
   /// Most batches in flight for the current predictor. Dispatcher-only.
   size_t flightLimit() const;
-  /// Groups \p Reqs, probes the cache and the in-flight keys, and
-  /// registers the keys it will predict. Dispatcher-only.
+  /// Looks every request up in the table and adds the keys this batch
+  /// will predict. Dispatcher-only.
   std::shared_ptr<Batch> admit(std::vector<Pending> Reqs);
-  /// The worker's share: predicts B's Miss groups. Touches nothing else.
+  /// The worker's share: predicts B's Miss requests. Touches nothing else.
   static void predict(Batch &B);
-  /// Fills the cache, answers every request in arrival order and
+  /// Settles B's entries, answers every request in arrival order and
   /// updates the stats. Dispatcher-only.
   void release(Batch &B);
-
-  /// Cache lookup; moves a hit to the LRU front. Dispatcher-only.
-  PredSet cacheFind(const std::string &Path, uint64_t SourceDigest);
-  /// Inserts a fresh prediction set, evicting LRU entries past the
-  /// capacity. \returns evictions performed. Dispatcher-only.
-  uint64_t cacheInsert(const std::string &Path, uint64_t SourceDigest,
-                       PredSet P);
 
   // The artifact being served. Plain pointers (not refs) because reload
   // swaps them; OwnedPred keeps a reloaded predictor (and the universe
@@ -221,21 +216,13 @@ private:
   std::shared_ptr<Predictor> OwnedPred;
   ServerOptions Opts;
 
-  /// Control-method dispatch table (serve/Dispatch.h — the same surface
-  /// the LSP registers its JSON-RPC handlers through). Handlers run on
-  /// the dispatcher thread only.
-  MethodRegistry<std::function<void(Pending &)>> Methods;
-
-  // Response cache: LRU list (front = most recent) + index into it.
-  // Dispatcher-only, so no lock; invalidated wholesale on reload.
-  std::list<CacheEntry> CacheLru;
-  std::unordered_map<std::string, std::list<CacheEntry>::iterator> CacheIdx;
-
-  // Admitted batches, oldest first, and the cache keys they predict
-  // (key -> batch and group). Dispatcher-only.
+  // The prediction table (key views point into each Entry's Key), its
+  // ready entries most recent first, and the admitted batches, oldest
+  // first. Dispatcher-only, so no lock.
+  std::unordered_map<std::string_view, std::shared_ptr<Entry>> Table;
+  std::list<std::shared_ptr<Entry>> Lru;
   std::deque<std::shared_ptr<Batch>> Flight;
-  std::unordered_map<std::string, std::pair<std::shared_ptr<Batch>, size_t>>
-      InFlightKeys;
+  uint64_t Admitted = 0; ///< Batches admitted so far.
 
   mutable std::mutex Mu;
   /// The dispatcher waits here for a request or a finished batch.
@@ -250,11 +237,6 @@ private:
   std::vector<std::thread> Workers;
   std::thread Dispatcher;
 };
-
-/// FNV-1a over a request's source text — the cache key half that
-/// changes when a file's contents do. Exposed for tests asserting
-/// key semantics.
-uint64_t sourceDigest(std::string_view Source);
 
 /// Drives one NDJSON request stream (a connection or stdin): reads lines
 /// off \p Fd, answers protocol errors — malformed JSON, missing fields,

@@ -23,9 +23,21 @@ const Value *Value::find(std::string_view Key) const {
   return nullptr;
 }
 
+std::optional<int64_t> Value::asInt(int64_t Lo, int64_t Hi) const {
+  // -2^63 and 2^63 are exact doubles, and every integral double in
+  // [-2^63, 2^63) converts to int64_t without overflow.
+  if (!isNumber() || Num != std::trunc(Num) || !(Num >= -0x1p63) ||
+      !(Num < 0x1p63))
+    return std::nullopt;
+  int64_t I = static_cast<int64_t>(Num);
+  if (I < Lo || I > Hi)
+    return std::nullopt;
+  return I;
+}
+
 int64_t Value::getInt(std::string_view Key, int64_t Default) const {
   const Value *V = find(Key);
-  return V && V->isNumber() ? V->asInt() : Default;
+  return V ? V->asInt().value_or(Default) : Default;
 }
 
 std::string Value::getString(std::string_view Key,

@@ -18,6 +18,7 @@
 #define TYPILUS_SUPPORT_JSON_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -44,8 +45,11 @@ public:
 
   bool asBool() const { return B; }
   double asNumber() const { return Num; }
-  /// The number truncated toward zero (request ids, limits).
-  int64_t asInt() const { return static_cast<int64_t>(Num); }
+  /// The number when it is an integer in [\p Lo, \p Hi]; nothing for a
+  /// non-number, a fraction or a value outside the range (request ids,
+  /// limits).
+  std::optional<int64_t> asInt(int64_t Lo = INT64_MIN,
+                               int64_t Hi = INT64_MAX) const;
   const std::string &asString() const { return Str; }
   const std::vector<Value> &array() const { return Arr; }
   const std::vector<std::pair<std::string, Value>> &members() const {
@@ -55,8 +59,9 @@ public:
   /// First member named \p Key, or null when absent / not an object.
   const Value *find(std::string_view Key) const;
 
-  /// Typed member accessors with defaults (absent or wrongly-typed members
-  /// yield the default — callers validate presence with find()).
+  /// Typed member accessors with defaults (absent or wrongly-typed members,
+  /// and for getInt non-integers, yield the default — callers validate
+  /// presence with find()).
   int64_t getInt(std::string_view Key, int64_t Default) const;
   std::string getString(std::string_view Key, std::string_view Default) const;
   bool getBool(std::string_view Key, bool Default) const;

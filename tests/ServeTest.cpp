@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 
@@ -344,6 +346,49 @@ TEST_F(ServeTest, MalformedJsonRequestGetsErrorResponse) {
   S.stop();
 }
 
+TEST_F(ServeTest, OutOfRangeProtocolIntegersGetErrorResponses) {
+  Server S(*Pred, *WB->U);
+  StreamHarness H(S);
+  // JSON numbers are doubles: an id or limit that is not an integer in
+  // its range is a request error, never a silent truncation.
+  for (const char *Id : {"1e300", "-1e300", "1.5", "9223372036854775808"}) {
+    H.send(std::string("{\"id\":") + Id + ",\"method\":\"ping\"}\n");
+    std::string Resp = H.readLine();
+    EXPECT_EQ(Resp.rfind("{\"id\":-1,\"ok\":false,", 0), 0u) << Id << Resp;
+    EXPECT_NE(Resp.find("\\\"id\\\""), std::string::npos) << Resp;
+  }
+  for (const char *Limit :
+       {"4294967296", "2147483648", "-2", "0.5", "1e300", "\"3\""}) {
+    H.send(std::string("{\"id\":3,\"method\":\"predict\",\"source\":\"\","
+                       "\"limit\":") +
+           Limit + "}\n");
+    std::string Resp = H.readLine();
+    EXPECT_EQ(Resp.rfind("{\"id\":3,\"ok\":false,", 0), 0u) << Limit << Resp;
+    EXPECT_NE(Resp.find("\\\"limit\\\""), std::string::npos) << Resp;
+  }
+  // Both ranges keep their end points.
+  Request R;
+  std::string Err;
+  EXPECT_TRUE(parseRequest(
+      "{\"id\":-9223372036854775808,\"method\":\"ping\"}", R, &Err))
+      << Err;
+  EXPECT_EQ(R.Id, INT64_MIN);
+  EXPECT_TRUE(parseRequest("{\"id\":4,\"method\":\"predict\",\"source\":\"\","
+                           "\"limit\":2147483647}",
+                           R, &Err))
+      << Err;
+  EXPECT_EQ(R.Limit, INT_MAX);
+  EXPECT_TRUE(parseRequest("{\"id\":5,\"method\":\"predict\",\"source\":\"\","
+                           "\"limit\":-1}",
+                           R, &Err))
+      << Err;
+  EXPECT_EQ(R.Limit, -1);
+
+  H.send("{\"id\":11,\"method\":\"ping\"}\n");
+  EXPECT_NE(H.readLine().find("\"pong\":true"), std::string::npos);
+  S.stop();
+}
+
 TEST_F(ServeTest, OversizedRequestIsRejectedAndStreamRecovers) {
   Server S(*Pred, *WB->U);
   StreamHarness H(S, /*MaxRequestBytes=*/256);
@@ -605,6 +650,150 @@ TEST_F(ServeTest, DuplicatesJoinTheBatchAlreadyInFlight) {
       ++Duplicates;
     }
   EXPECT_EQ(Duplicates, 10);
+}
+
+/// Holds the dispatcher inside its first `reload` until open(), so every
+/// request submitted before that queues up behind it and the batches
+/// that follow are fixed by the queue alone. Each reload then fails
+/// (the artifact stays), which keeps later reloads plain barriers.
+class ReloadGate {
+public:
+  std::function<std::shared_ptr<Predictor>(std::string *)> hook() {
+    return [this](std::string *Err) -> std::shared_ptr<Predictor> {
+      Opened.wait();
+      *Err = "barrier only";
+      return nullptr;
+    };
+  }
+  void open() { Opening.set_value(); }
+
+private:
+  std::promise<void> Opening;
+  std::shared_future<void> Opened = Opening.get_future().share();
+};
+
+Request reloadRequest(int64_t Id) {
+  Request R;
+  R.Id = Id;
+  R.M = Method::Reload;
+  return R;
+}
+
+/// Serves \p Trace behind a ReloadGate: a gated reload first, then the
+/// trace, answered in order. With MaxBatch = 2 and two batches allowed in
+/// flight, a run of three predicts is admitted as two overlapping
+/// batches, so the second joins what the first is predicting.
+std::vector<std::string> serveGated(Predictor &P, TypeUniverse &U,
+                                    ServerOptions SO,
+                                    const std::vector<Request> &Trace,
+                                    ServerStats *OutStats) {
+  ReloadGate Gate;
+  SO.OnReload = Gate.hook();
+  std::vector<std::string> Responses(Trace.size() + 1);
+  setGlobalNumThreads(2);
+  {
+    Server S(P, U, SO);
+    std::vector<Request> All = {reloadRequest(0)};
+    All.insert(All.end(), Trace.begin(), Trace.end());
+    for (size_t I = 0; I != All.size(); ++I)
+      EXPECT_TRUE(S.submit(All[I], [&Responses, I](std::string R) {
+        Responses[I] = std::move(R);
+      }));
+    Gate.open();
+    S.stop();
+    *OutStats = S.stats();
+  }
+  setGlobalNumThreads(0);
+  Responses.erase(Responses.begin());
+  return Responses;
+}
+
+/// Each response carries its request's id; each predict, the one-shot
+/// predictSource digest.
+void expectServedFromPredictSource(Predictor &P,
+                                   const std::vector<Request> &Trace,
+                                   const std::vector<std::string> &Responses) {
+  ASSERT_EQ(Responses.size(), Trace.size());
+  for (size_t I = 0; I != Trace.size(); ++I) {
+    const Request &R = Trace[I];
+    EXPECT_EQ(responseId(Responses[I]), "{\"id\":" + std::to_string(R.Id));
+    if (R.M == Method::Predict) {
+      EXPECT_EQ(digestOf(Responses[I]),
+                hexDigest(P.predictSource(R.Path, R.Source)))
+          << R.Path;
+    }
+  }
+}
+
+TEST_F(ServeTest, CountersFollowADeterministicTrace) {
+  // Files 0..2 under their own ids; 90+ are barriers.
+  std::vector<Request> Trace = {
+      requestFor(0, 1), requestFor(1, 2), // batch: two misses
+      requestFor(0, 3),                   // next batch: joins file 0
+      reloadRequest(90),
+      requestFor(0, 4), requestFor(0, 5), // one hit, one duplicate
+      reloadRequest(91),
+      requestFor(2, 6), // miss; the LRU holds 2, so file 1 goes
+      reloadRequest(92),
+      requestFor(1, 7), // miss again; file 0 goes
+  };
+  ServerOptions SO;
+  SO.MaxBatch = 2;
+  SO.CacheEntries = 2;
+  ServerStats St;
+  uint64_t Embeds0 = Pred->embedCalls();
+  std::vector<std::string> Responses =
+      serveGated(*Pred, *WB->U, SO, Trace, &St);
+  EXPECT_EQ(Pred->embedCalls() - Embeds0, 4u);
+  EXPECT_EQ(St.Requests, 7u);
+  EXPECT_EQ(St.Batches, 5u);
+  EXPECT_EQ(St.CacheHits, 1u);
+  EXPECT_EQ(St.CacheMisses, 4u);
+  EXPECT_EQ(St.Collapsed, 2u);
+  EXPECT_EQ(St.CacheEvictions, 2u);
+  expectServedFromPredictSource(*Pred, Trace, Responses);
+
+  // Cache off: the same overlap embeds file 0 twice (no join), only an
+  // in-batch duplicate collapses, and the cache counters stay 0.
+  Trace = {requestFor(0, 1), requestFor(1, 2), requestFor(0, 3),
+           reloadRequest(90), requestFor(2, 4), requestFor(2, 5)};
+  SO.CacheEntries = 0;
+  Embeds0 = Pred->embedCalls();
+  Responses = serveGated(*Pred, *WB->U, SO, Trace, &St);
+  EXPECT_EQ(Pred->embedCalls() - Embeds0, 4u);
+  EXPECT_EQ(St.Requests, 5u);
+  EXPECT_EQ(St.Batches, 3u);
+  EXPECT_EQ(St.Collapsed, 1u);
+  EXPECT_EQ(St.CacheHits, 0u);
+  EXPECT_EQ(St.CacheMisses, 0u);
+  EXPECT_EQ(St.CacheEvictions, 0u);
+  expectServedFromPredictSource(*Pred, Trace, Responses);
+}
+
+TEST_F(ServeTest, RejectedFileFailsAloneInItsBatch) {
+  // A file the parser rejects and a valid one, forced into one batch:
+  // the rejection is that file's outcome, and its batch mate is served.
+  std::string Deep = "x = " + std::string(20000, '(') + "1" +
+                     std::string(20000, ')') + "\n";
+  Request Bad;
+  Bad.Id = 1;
+  Bad.M = Method::Predict;
+  Bad.Path = "deep.py";
+  Bad.Source = Deep;
+  Request Good = requestFor(0, 2);
+  ServerStats St;
+  std::vector<std::string> Responses =
+      serveGated(*Pred, *WB->U, ServerOptions(), {Bad, Good}, &St);
+  EXPECT_EQ(St.Batches, 1u);
+  EXPECT_EQ(Responses[0].rfind("{\"id\":1,\"ok\":false,", 0), 0u)
+      << Responses[0];
+  EXPECT_NE(Responses[0].find("deep.py:1: nesting deeper than"),
+            std::string::npos)
+      << Responses[0];
+  EXPECT_EQ(responseId(Responses[1]), "{\"id\":2");
+  EXPECT_EQ(digestOf(Responses[1]),
+            hexDigest(Pred->predictSource(Good.Path, Good.Source)))
+      << Responses[1].substr(0, 200);
 }
 
 TEST_F(ServeTest, OverlappedServingKeepsOrderAndBits) {
