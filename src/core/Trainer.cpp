@@ -90,13 +90,15 @@ Trainer::Trainer(TypeModel &Model, const TrainOptions &Opts)
 namespace {
 
 /// Keeps the training step's memory mapped between steps. Each step
-/// builds and frees a ~50 MB autograd graph; with glibc's defaults the
-/// large tensors are mmapped and munmapped individually and the freed
-/// heap top is trimmed back to the OS at every step end, so every step
-/// page-faults its whole footprint in again. Both thresholds sit well
-/// above one step's footprint: the trim threshold alone recovers only a
-/// fraction of that cost, the mmap threshold alone none, together all of
-/// it. A tensor pool would do the same job at a higher peak RSS; glibc's
+/// builds and frees an autograd graph of a few MB (the whole perfbench
+/// train process peaks at ~26 MiB), and most of its tensors and the
+/// fused GGNN ops' scratch buffers (0.2-1.3 MB each) are above glibc's
+/// 128 KiB mmap threshold. With glibc's defaults they are mmapped and
+/// munmapped individually and the freed heap top is trimmed back to the
+/// OS at every step end, so every step page-faults its footprint in
+/// again: without this setting perfbench train's p50 and p99 rose ~5%
+/// at equal RSS. Both thresholds sit well above one step's footprint. A
+/// tensor pool would do the same job at a higher peak RSS; glibc's
 /// coalescing heap keeps the peak flat. Process-wide and set once: the
 /// serve and LSP processes never train, so they keep the defaults.
 void keepStepHeapMapped() {

@@ -266,41 +266,36 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
   const int64_t N = static_cast<int64_t>(Labels.size());
   Value H = statesForLabels(Labels);
 
-  // Build the per-edge-label index lists once; every timestep reuses them
-  // instead of re-scanning the edge set. Forward direction gathers sources
-  // and delivers to destinations (transform E_k); backward gathers
-  // destinations and delivers to sources (transform E_{k+L}).
-  std::vector<std::vector<int>> FwdSrcs(NumEdgeLabels), RevSrcs(NumEdgeLabels);
-  std::vector<int> Dsts;
+  // Build the message pass's index lists once; every timestep, and every
+  // step's backward closure, shares them. Each edge label K makes two
+  // parts: forward gathers sources and delivers to destinations
+  // (transform E_K); backward gathers destinations and delivers to sources
+  // (transform E_{K+L}).
+  auto MsgEdges = std::make_shared<MessageEdges>();
+  std::vector<Value> Transforms;
   for (size_t K = 0; K != NumEdgeLabels; ++K) {
-    const auto &EK = Edges[K];
-    if (EK.empty())
-      continue;
-    FwdSrcs[K].reserve(EK.size());
-    RevSrcs[K].reserve(EK.size());
-    for (auto [S, T] : EK) {
-      FwdSrcs[K].push_back(S);
-      Dsts.push_back(T);
+    std::vector<int> Fwd, Rev;
+    Fwd.reserve(Edges[K].size());
+    Rev.reserve(Edges[K].size());
+    for (auto [S, T] : Edges[K]) {
+      Fwd.push_back(S);
+      MsgEdges->Dst.push_back(T);
     }
-    for (auto [S, T] : EK) {
-      RevSrcs[K].push_back(T);
-      Dsts.push_back(S);
+    for (auto [S, T] : Edges[K]) {
+      Rev.push_back(T);
+      MsgEdges->Dst.push_back(S);
     }
+    MsgEdges->Srcs.push_back(std::move(Fwd));
+    Transforms.push_back(EdgeTransforms[K]);
+    MsgEdges->Srcs.push_back(std::move(Rev));
+    Transforms.push_back(EdgeTransforms[NumEdgeLabels + K]);
   }
 
-  for (int Step = 0; Step != Config.TimeSteps && !Dsts.empty(); ++Step) {
-    std::vector<Value> Msgs;
-    for (size_t K = 0; K != NumEdgeLabels; ++K) {
-      if (FwdSrcs[K].empty())
-        continue;
-      Msgs.push_back(matmul(gatherRows(H, FwdSrcs[K]), EdgeTransforms[K]));
-      Msgs.push_back(matmul(gatherRows(H, RevSrcs[K]),
-                            EdgeTransforms[NumEdgeLabels + K]));
-    }
-    // Max-pooling aggregation (the paper's meet-like operator).
-    Value A = scatterMax(concatRows(Msgs), Dsts, N);
-    H = GraphGru.step(A, H);
-  }
+  // Max-pooling aggregation (the paper's meet-like operator), then the
+  // GRU update.
+  for (int Step = 0; Step != Config.TimeSteps && !MsgEdges->Dst.empty();
+       ++Step)
+    H = GraphGru.step(messagePass(H, MsgEdges, Transforms, N), H);
   return gatherRows(H, SupIdx);
 }
 

@@ -140,6 +140,48 @@ Value pairwiseL1(Value A);
 /// matrix. TypeIds[i] is the type label of row i (< 0 = unlabeled, skipped).
 Value spaceLoss(Value Dists, const std::vector<int> &TypeIds, float Margin);
 
+//===----------------------------------------------------------------------===//
+// Fused GGNN timestep. Each op below records one node in place of the
+// dozens its composed form records, stores only what its backward reads,
+// and computes values and gradients bit-identical to the composed form
+// (tests/ComposedGgnn.h): the same kernels in the same per-element order.
+//===----------------------------------------------------------------------===//
+
+/// The edge index lists of one message pass, shared by every timestep
+/// (and every backward closure) of a batch. Part k gathers the state rows
+/// Srcs[k] and transforms them with the k-th edge transform; Dst holds
+/// each message's destination row, parts concatenated in order.
+struct MessageEdges {
+  std::vector<std::vector<int>> Srcs;
+  std::vector<int> Dst;
+};
+
+/// The GGNN message pass (Sec. 4.3): Out[n] is the elementwise max over
+/// every message H[Srcs[k][i]] x Transforms[k] with destination n, taken
+/// in message order (ties and NaNs keep the first); 0 when none arrives.
+/// Equals scatterMax(concatRows({matmul(gatherRows(H, Srcs[k]),
+/// Transforms[k])...}), Dst, NumRows), empty parts skipped. Stores only
+/// the argmax table; the backward recomputes the gathers from H. H is the
+/// node's first parent.
+Value messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
+                  const std::vector<Value> &Transforms, int64_t NumRows);
+
+/// The nine weights of a GRU cell: input transform W, state transform U
+/// and bias B of the reset (r), update (z) and candidate (n) gates.
+struct GruWeights {
+  Value Wr, Ur, Br;
+  Value Wz, Uz, Bz;
+  Value Wn, Un, Bn;
+};
+
+/// One GRU step (X:[N,In], H:[N,Hid]) -> [N,Hid] given XWz = X x Wz:
+///   r = sigmoid(X Wr + H Ur + Br),  z = sigmoid(XWz + H Uz + Bz),
+///   n = tanh(X Wn + r * (H Un) + Bn),  H' = z * H + (1 - z) * n.
+/// Stores r, z, n and H Un. XWz stays a separate matmul node and is the
+/// first parent (then X, then H), so the gradient order of the composed
+/// step, where the DFS reaches X Wz before H, is kept.
+Value gruCell(Value XWz, Value X, Value H, const GruWeights &W);
+
 /// Runs reverse-mode accumulation from scalar \p Root.
 void backward(Value Root);
 

@@ -34,27 +34,15 @@ GruCell::GruCell(int64_t In, int64_t HidDim, ParamSet &PS, Rng &R)
     : Hid(HidDim) {
   float SIn = 1.f / std::sqrt(static_cast<float>(In));
   float SHid = 1.f / std::sqrt(static_cast<float>(HidDim));
-  Wr = PS.make(Tensor::randn(In, HidDim, R, SIn));
-  Ur = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
-  Br = PS.make(Tensor(HidDim));
-  Wz = PS.make(Tensor::randn(In, HidDim, R, SIn));
-  Uz = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
-  Bz = PS.make(Tensor(HidDim));
-  Wn = PS.make(Tensor::randn(In, HidDim, R, SIn));
-  Un = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
-  Bn = PS.make(Tensor(HidDim));
-}
-
-Value GruCell::step(Value X, Value H) const {
-  assert(X.val().rows() == H.val().rows() && "GRU batch mismatch");
-  Value Rt = sigmoid(add(add(matmul(X, Wr), matmul(H, Ur)), Br));
-  Value Zt = sigmoid(add(add(matmul(X, Wz), matmul(H, Uz)), Bz));
-  Value Nt = tanhOp(add(add(matmul(X, Wn), mul(Rt, matmul(H, Un))), Bn));
-  // h' = z*h + (1-z)*n.
-  Tensor Ones(H.val().rows(), Hid);
-  Ones.fill(1.f);
-  Value OneMinusZ = sub(Value::constant(std::move(Ones)), Zt);
-  return add(mul(Zt, H), mul(OneMinusZ, Nt));
+  W.Wr = PS.make(Tensor::randn(In, HidDim, R, SIn));
+  W.Ur = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
+  W.Br = PS.make(Tensor(HidDim));
+  W.Wz = PS.make(Tensor::randn(In, HidDim, R, SIn));
+  W.Uz = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
+  W.Bz = PS.make(Tensor(HidDim));
+  W.Wn = PS.make(Tensor::randn(In, HidDim, R, SIn));
+  W.Un = PS.make(Tensor::randn(HidDim, HidDim, R, SHid));
+  W.Bn = PS.make(Tensor(HidDim));
 }
 
 CharCnn::CharCnn(int64_t CharDimIn, int64_t OutDim, ParamSet &PS, Rng &R)

@@ -65,20 +65,21 @@ public:
   Value W;
 };
 
-/// A standard GRU cell; `step` maps (X:[N,In], H:[N,Hid]) -> H':[N,Hid].
+/// A standard GRU cell; `step` maps (X:[N,In], H:[N,Hid]) -> H':[N,Hid]
+/// through the fused gruCell op.
 class GruCell {
 public:
   GruCell() = default;
   GruCell(int64_t In, int64_t Hid, ParamSet &PS, Rng &R);
 
-  Value step(Value X, Value H) const;
+  Value step(Value X, Value H) const {
+    return gruCell(matmul(X, W.Wz), X, H, W);
+  }
 
   int64_t hiddenDim() const { return Hid; }
 
 private:
-  Value Wr, Ur, Br;
-  Value Wz, Uz, Bz;
-  Value Wn, Un, Bn;
+  GruWeights W;
   int64_t Hid = 0;
 };
 

@@ -54,6 +54,49 @@ std::shared_ptr<Node> makeOut(Tensor Val,
   return makeOut(std::move(Val), Parents.begin(), Parents.size());
 }
 
+/// The bias broadcast: Out[r, c] += Bias[c] over [Rows, Cols].
+void addBias(float *Out, const float *Bias, int64_t Rows, int64_t Cols) {
+  for (int64_t R = 0; R != Rows; ++R)
+    for (int64_t C = 0; C != Cols; ++C)
+      Out[R * Cols + C] += Bias[C];
+}
+
+/// The bias-broadcast backward: column sums, one whole row at a time, so
+/// each column's contributions still arrive row-ascending.
+void addRowSums(float *DBias, const float *G, int64_t Rows, int64_t Cols) {
+  const simd::KernelTable &KT = simd::active();
+  for (int64_t R = 0; R != Rows; ++R)
+    KT.Add(DBias, G + R * Cols, Cols);
+}
+
+/// Out[Dst[e]] = elementwise max over the [|Dst|, D] messages, in message
+/// order; Arg records the winning message per (row, dim), -1 for none (Out
+/// must be zeros and Arg all -1 on entry, and stay so for such cells).
+/// Destination-conflicting writes: serial, in edge order. The update is a
+/// select, not a branch (which would mispredict on every element): a
+/// message is taken when its slot is empty or it is strictly greater, so
+/// ties and NaNs keep the first maximum, and the backward routes the
+/// gradient to it.
+void maxAggregate(const float *Msgs, const std::vector<int> &Dst, int64_t D,
+                  int64_t NumRows, float *Out, int *Arg) {
+  (void)NumRows;
+  for (size_t E = 0; E != Dst.size(); ++E) {
+    int64_t Nd = Dst[E];
+    assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
+    const float *Src = Msgs + static_cast<int64_t>(E) * D;
+    float *OutRow = Out + Nd * D;
+    int *ArgRow = Arg + Nd * D;
+    const int Msg = static_cast<int>(E);
+    for (int64_t J = 0; J != D; ++J) {
+      float V = Src[J], Cur = OutRow[J];
+      int Slot = ArgRow[J];
+      bool Take = (Slot < 0) | (V > Cur);
+      OutRow[J] = Take ? V : Cur;
+      ArgRow[J] = Take ? Msg : Slot;
+    }
+  }
+}
+
 } // namespace
 
 NoRecordScope::NoRecordScope() { ++NoRecordDepth; }
@@ -69,9 +112,7 @@ Value nn::add(Value A, Value B) {
     assert(TB.rank() == 1 && TB.rows() == TA.cols() && "bad add broadcast");
     int64_t Cols = TA.cols();
     parallelFor(0, TA.rows(), rowGrain(Cols), [&](int64_t Lo, int64_t Hi) {
-      for (int64_t R = Lo; R != Hi; ++R)
-        for (int64_t C = 0; C != Cols; ++C)
-          Out.at(R, C) += TB[C];
+      addBias(Out.data() + Lo * Cols, TB.data(), Hi - Lo, Cols);
     });
   }
   auto N = makeOut(std::move(Out), {A, B});
@@ -86,16 +127,11 @@ Value nn::add(Value A, Value B) {
       }
       if (NB->NeedsGrad) {
         NB->ensureGrad();
-        if (!Broadcast) {
+        if (!Broadcast)
           addInPlace(NB->Grad.data(), O->Grad.data(), O->Grad.numel());
-        } else {
-          // Column sums, one whole row at a time: each column's
-          // contributions still arrive row-ascending.
-          const simd::KernelTable &KT = simd::active();
-          int64_t Rows = O->Grad.rows(), Cols = O->Grad.cols();
-          for (int64_t R = 0; R != Rows; ++R)
-            KT.Add(NB->Grad.data(), O->Grad.data() + R * Cols, Cols);
-        }
+        else
+          addRowSums(NB->Grad.data(), O->Grad.data(), O->Grad.rows(),
+                     O->Grad.cols());
       }
     };
   }
@@ -170,8 +206,8 @@ Value nn::matmul(Value A, Value B) {
   assert(TA.rank() == 2 && TB.rank() == 2 && TA.cols() == TB.rows() &&
          "matmul shape mismatch");
   int64_t M = TA.rows(), K = TA.cols(), Nc = TB.cols();
-  Tensor Out(M, Nc);
-  gemm(false, false, M, Nc, K, 1.f, TA.data(), TB.data(), 0.f, Out.data());
+  Tensor Out(M, Nc); // zeros: gemm accumulates onto them (Beta = 1)
+  gemm(false, false, M, Nc, K, 1.f, TA.data(), TB.data(), 1.f, Out.data());
   auto N = makeOut(std::move(Out), {A, B});
   if (N->NeedsGrad) {
     Node *O = N.get();
@@ -199,8 +235,8 @@ Value nn::matmulNT(Value A, Value B) {
   assert(TA.rank() == 2 && TB.rank() == 2 && TA.cols() == TB.cols() &&
          "matmulNT shape mismatch");
   int64_t M = TA.rows(), K = TA.cols(), Nc = TB.rows();
-  Tensor Out(M, Nc);
-  gemm(false, true, M, Nc, K, 1.f, TA.data(), TB.data(), 0.f, Out.data());
+  Tensor Out(M, Nc); // zeros: gemm accumulates onto them (Beta = 1)
+  gemm(false, true, M, Nc, K, 1.f, TA.data(), TB.data(), 1.f, Out.data());
   auto N = makeOut(std::move(Out), {A, B});
   if (N->NeedsGrad) {
     Node *O = N.get();
@@ -427,28 +463,8 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
          "scatterMax shape mismatch");
   int64_t D = TM.cols();
   Tensor Out(NumRows, D);
-  // Argmax message per (row, dim); -1 = no message (output stays 0).
-  // Destination-conflicting writes: serial, in edge order. The update is
-  // a select, not a branch (which would mispredict on every element): a
-  // message is taken when its slot is empty or it is strictly greater,
-  // so ties and NaNs keep the first maximum, and the backward routes the
-  // gradient to it.
   std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
-  for (size_t E = 0; E != Dst.size(); ++E) {
-    int64_t Nd = Dst[E];
-    assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
-    const float *Src = TM.data() + static_cast<int64_t>(E) * D;
-    float *OutRow = Out.data() + Nd * D;
-    int *ArgRow = Arg.data() + Nd * D;
-    const int Msg = static_cast<int>(E);
-    for (int64_t J = 0; J != D; ++J) {
-      float V = Src[J], Cur = OutRow[J];
-      int Slot = ArgRow[J];
-      bool Take = (Slot < 0) | (V > Cur);
-      OutRow[J] = Take ? V : Cur;
-      ArgRow[J] = Take ? Msg : Slot;
-    }
-  }
+  maxAggregate(TM.data(), Dst, D, NumRows, Out.data(), Arg.data());
   auto N = makeOut(std::move(Out), {Msgs});
   if (N->NeedsGrad) {
     Node *O = N.get();
@@ -816,6 +832,348 @@ Value nn::spaceLoss(Value Dists, const std::vector<int> &TypeIds,
     };
   }
   return Value(std::move(Out));
+}
+
+//===----------------------------------------------------------------------===//
+// Fused GGNN timestep
+//
+// Both ops replay the kernel calls of their composed form (the ops above,
+// in the order nn::backward runs their closures) block by block, so every
+// element sees the same operation sequence, and every gradient the
+// composed form accumulates from +0 starts at +0 here too. Where the
+// composed form only passes a gradient on (an add's +0 + g), g is itself
+// a +0-started sum, so never -0, and +0 + g == g bit for bit: the fused
+// backward reads g instead of copying it. Row-local work runs on
+// the pool by blocks of rows; the reductions over rows (weight and bias
+// gradients) walk rows in ascending order, and writes that conflict
+// across rows (the max-aggregation, the gather backward) stay serial in
+// message order.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Rows per block of the fused ops: one block's gate buffers stay in L1.
+constexpr int64_t FusedBlockRows = 64;
+
+/// Runs Body(FirstRow, NumRows, Scratch) over [0, Rows) in blocks of
+/// FusedBlockRows on the pool; Scratch holds \p ScratchFloats floats per
+/// chunk of blocks.
+template <typename Fn>
+void forRowBlocks(int64_t Rows, int64_t ScratchFloats, const Fn &Body) {
+  const int64_t Blocks = (Rows + FusedBlockRows - 1) / FusedBlockRows;
+  parallelFor(0, Blocks, 1, [&](int64_t Lo, int64_t Hi) {
+    std::vector<float> Scratch(static_cast<size_t>(ScratchFloats));
+    for (int64_t B = Lo; B != Hi; ++B) {
+      int64_t First = B * FusedBlockRows;
+      Body(First, std::min(FusedBlockRows, Rows - First), Scratch.data());
+    }
+  });
+}
+
+/// One block of messages: part Part's sources [First, First + Rows).
+struct MessageBlock {
+  size_t Part;
+  int64_t First, Rows;
+};
+
+std::vector<MessageBlock> messageBlocks(const MessageEdges &E) {
+  std::vector<MessageBlock> Blocks;
+  for (size_t K = 0; K != E.Srcs.size(); ++K) {
+    int64_t M = static_cast<int64_t>(E.Srcs[K].size());
+    for (int64_t First = 0; First < M; First += FusedBlockRows)
+      Blocks.push_back({K, First, std::min(FusedBlockRows, M - First)});
+  }
+  return Blocks;
+}
+
+/// Copies rows Idx[0, Rows) of the [*, D] matrix A into Out.
+void gatherBlock(float *Out, const float *A, const int *Idx, int64_t Rows,
+                 int64_t D) {
+  for (int64_t I = 0; I != Rows; ++I)
+    std::memcpy(Out + I * D, A + static_cast<int64_t>(Idx[I]) * D,
+                static_cast<size_t>(D) * sizeof(float));
+}
+
+} // namespace
+
+Value nn::messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
+                      const std::vector<Value> &Transforms, int64_t NumRows) {
+  const Tensor &TH = H.val();
+  assert(TH.rank() == 2 && Edges->Srcs.size() == Transforms.size() &&
+         "messagePass needs one transform per part");
+  const int64_t D = TH.cols();
+  const size_t Parts = Transforms.size();
+  // Part K's messages are rows [Begin[K], Begin[K + 1]) of the message
+  // matrix, as in the composed form's concatRows.
+  std::vector<int64_t> Begin(Parts + 1, 0);
+  for (size_t K = 0; K != Parts; ++K) {
+    assert(Transforms[K].val().rows() == D && Transforms[K].val().cols() == D &&
+           "edge transforms are [D, D]");
+#ifndef NDEBUG
+    for (int I : Edges->Srcs[K])
+      assert(I >= 0 && I < TH.rows() && "gather index out of range");
+    for (size_t J = 0; J != K; ++J)
+      assert(Transforms[J].node() != Transforms[K].node() &&
+             "messagePass transforms must be distinct nodes");
+#endif
+    Begin[K + 1] = Begin[K] + static_cast<int64_t>(Edges->Srcs[K].size());
+  }
+  assert(Begin[Parts] == static_cast<int64_t>(Edges->Dst.size()) &&
+         "one destination per message");
+  const std::vector<MessageBlock> Blocks = messageBlocks(*Edges);
+  const simd::KernelTable &KT = simd::active();
+
+  // The messages, gathered and transformed block by block on the pool.
+  std::vector<float> Msgs(static_cast<size_t>(Begin[Parts] * D), 0.f);
+  parallelFor(0, static_cast<int64_t>(Blocks.size()), 1,
+              [&](int64_t Lo, int64_t Hi) {
+                std::vector<float> G(static_cast<size_t>(FusedBlockRows * D));
+                for (int64_t B = Lo; B != Hi; ++B) {
+                  const MessageBlock &Bk = Blocks[static_cast<size_t>(B)];
+                  gatherBlock(G.data(), TH.data(),
+                              Edges->Srcs[Bk.Part].data() + Bk.First, Bk.Rows,
+                              D);
+                  KT.GemmRow(Msgs.data() + (Begin[Bk.Part] + Bk.First) * D,
+                             Bk.Rows, D, D, 1.f, G.data(), D, 1,
+                             Transforms[Bk.Part].val().data(), D);
+                }
+              });
+  Tensor Out(NumRows, D);
+  std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
+  maxAggregate(Msgs.data(), Edges->Dst, D, NumRows, Out.data(), Arg.data());
+
+  std::vector<Value> Parents{H};
+  Parents.insert(Parents.end(), Transforms.begin(), Transforms.end());
+  auto N = makeOut(std::move(Out), Parents.data(), Parents.size());
+  if (N->NeedsGrad) {
+    Node *O = N.get();
+    N->BackwardFn = [O, NH = H.node(), Edges = std::move(Edges),
+                     Transforms = std::vector<Value>(Transforms),
+                     Arg = std::move(Arg), Begin = std::move(Begin), NumRows,
+                     D] {
+      const simd::KernelTable &KT = simd::active();
+      const size_t Parts = Transforms.size();
+      const int64_t Total = Begin[Parts];
+      // The max-aggregation backward: each message's gradient is the
+      // output gradient where it won, else +0 (each cell written once).
+      std::vector<float> DMsg(static_cast<size_t>(Total * D), 0.f);
+      parallelFor(0, NumRows, rowGrain(D), [&](int64_t Lo, int64_t Hi) {
+        for (int64_t R = Lo; R != Hi; ++R)
+          for (int64_t J = 0; J != D; ++J) {
+            int E = Arg[static_cast<size_t>(R * D + J)];
+            if (E >= 0)
+              DMsg[static_cast<size_t>(E * D + J)] += O->Grad.at(R, J);
+          }
+      });
+      // Per block: the gathered sources again (for the transforms'
+      // gradients) and dG = dMsg x E^T, the gathers' gradients.
+      const std::vector<MessageBlock> Blocks = messageBlocks(*Edges);
+      std::vector<float> G(static_cast<size_t>(Total * D));
+      std::vector<float> DG(NH->NeedsGrad ? static_cast<size_t>(Total * D) : 0,
+                            0.f);
+      parallelFor(0, static_cast<int64_t>(Blocks.size()), 1,
+                  [&](int64_t Lo, int64_t Hi) {
+                    for (int64_t B = Lo; B != Hi; ++B) {
+                      const MessageBlock &Bk = Blocks[static_cast<size_t>(B)];
+                      int64_t Row = Begin[Bk.Part] + Bk.First;
+                      gatherBlock(G.data() + Row * D, NH->Val.data(),
+                                  Edges->Srcs[Bk.Part].data() + Bk.First,
+                                  Bk.Rows, D);
+                      if (!DG.empty())
+                        KT.GemmDotRow(DG.data() + Row * D, Bk.Rows, D, D, 1.f,
+                                      DMsg.data() + Row * D, D,
+                                      Transforms[Bk.Part].val().data(), D);
+                    }
+                  });
+      // dE_K += G_K^T x dMsg_K, rows ascending; parts are independent.
+      parallelFor(0, static_cast<int64_t>(Parts), 1,
+                  [&](int64_t Lo, int64_t Hi) {
+                    for (int64_t K = Lo; K != Hi; ++K) {
+                      const Value &E = Transforms[static_cast<size_t>(K)];
+                      int64_t Row = Begin[static_cast<size_t>(K)];
+                      int64_t M = Begin[static_cast<size_t>(K) + 1] - Row;
+                      if (M == 0 || !E.needsGrad())
+                        continue;
+                      gemm(true, false, D, D, M, 1.f, G.data() + Row * D,
+                           DMsg.data() + Row * D, 1.f, E.grad().data());
+                    }
+                  });
+      if (DG.empty())
+        return;
+      // The gathers' backward, last part first (the composed form's
+      // reverse post-order), each in source order: serial, since sources
+      // repeat.
+      NH->ensureGrad();
+      for (size_t K = Parts; K-- != 0;) {
+        const std::vector<int> &Idx = Edges->Srcs[K];
+        for (size_t I = 0; I != Idx.size(); ++I)
+          KT.Add(NH->Grad.data() + static_cast<int64_t>(Idx[I]) * D,
+                 DG.data() + (Begin[K] + static_cast<int64_t>(I)) * D, D);
+      }
+    };
+  }
+  return Value(std::move(N));
+}
+
+Value nn::gruCell(Value XWz, Value X, Value H, const GruWeights &W) {
+  const Tensor &TX = X.val(), &TH = H.val();
+  const int64_t Rows = TH.rows(), In = TX.cols(), Hid = TH.cols();
+  assert(TX.rows() == Rows && XWz.val().rows() == Rows &&
+         XWz.val().cols() == Hid && W.Wr.val().rows() == In &&
+         W.Ur.val().rows() == Hid && "gruCell shape mismatch");
+  const simd::KernelTable &KT = simd::active();
+  // What the backward reads besides X and H: the gates r, z, n and H Un.
+  Tensor R(Rows, Hid), Z(Rows, Hid), Cand(Rows, Hid), HUn(Rows, Hid);
+  Tensor Out(Rows, Hid);
+  forRowBlocks(Rows, FusedBlockRows * Hid, [&](int64_t First, int64_t NR,
+                                                float *Tmp) {
+    const int64_t Off = First * Hid, L = NR * Hid;
+    const float *XB = TX.data() + First * In, *HB = TH.data() + Off;
+    float *RB = R.data() + Off, *ZB = Z.data() + Off;
+    float *NB = Cand.data() + Off, *UB = HUn.data() + Off;
+    float *OB = Out.data() + Off;
+    // A x W for this block, onto +0 (matmul's fresh output).
+    auto Mat = [&](float *C, const float *A, int64_t K, const Value &Wt) {
+      KT.GemmRow(C, NR, Hid, K, 1.f, A, K, 1, Wt.val().data(), Hid);
+    };
+    auto Zeroed = [&] {
+      std::fill(Tmp, Tmp + L, 0.f);
+      return Tmp;
+    };
+    // r = sigmoid(X Wr + H Ur + Br).
+    Mat(RB, XB, In, W.Wr);
+    Mat(Zeroed(), HB, Hid, W.Ur);
+    KT.Add(RB, Tmp, L);
+    addBias(RB, W.Br.val().data(), NR, Hid);
+    KT.Sigmoid(RB, L);
+    // z = sigmoid(XWz + H Uz + Bz).
+    std::memcpy(ZB, XWz.val().data() + Off,
+                static_cast<size_t>(L) * sizeof(float));
+    Mat(Zeroed(), HB, Hid, W.Uz);
+    KT.Add(ZB, Tmp, L);
+    addBias(ZB, W.Bz.val().data(), NR, Hid);
+    KT.Sigmoid(ZB, L);
+    // n = tanh(X Wn + r * (H Un) + Bn).
+    Mat(UB, HB, Hid, W.Un);
+    Mat(NB, XB, In, W.Wn);
+    std::memcpy(Tmp, RB, static_cast<size_t>(L) * sizeof(float));
+    KT.Mul(Tmp, UB, L);
+    KT.Add(NB, Tmp, L);
+    addBias(NB, W.Bn.val().data(), NR, Hid);
+    KT.Tanh(NB, L);
+    // H' = z * H + (1 - z) * n.
+    std::memcpy(OB, ZB, static_cast<size_t>(L) * sizeof(float));
+    KT.Mul(OB, HB, L);
+    std::fill(Tmp, Tmp + L, 1.f);
+    KT.Sub(Tmp, ZB, L);
+    KT.Mul(Tmp, NB, L);
+    KT.Add(OB, Tmp, L);
+  });
+
+  auto N = makeOut(std::move(Out), {XWz, X, H, W.Wr, W.Ur, W.Br, W.Uz, W.Bz,
+                                    W.Wn, W.Un, W.Bn});
+  if (N->NeedsGrad) {
+    Node *O = N.get();
+    N->BackwardFn = [O, NXWz = XWz.node(), NX = X.node(), NH = H.node(), W,
+                     R = std::move(R), Z = std::move(Z),
+                     Cand = std::move(Cand), HUn = std::move(HUn), Rows, In,
+                     Hid] {
+      const simd::KernelTable &KT = simd::active();
+      const bool GXWz = NXWz->NeedsGrad, GX = NX->NeedsGrad,
+                 GH = NH->NeedsGrad;
+      if (GXWz)
+        NXWz->ensureGrad();
+      if (GX)
+        NX->ensureGrad();
+      if (GH)
+        NH->ensureGrad();
+      // The gradients the row reductions read, whole-matrix (named after
+      // the composed form's nodes): a2 = X Wr + H Ur + Br and a1 without
+      // Br, c2 = X Wn + r * (H Un) + Bn and c1 without Bn, b2/b1 the same
+      // for z, and H Un.
+      const int64_t Len = Rows * Hid;
+      std::vector<float> Buf(static_cast<size_t>(7 * Len), 0.f);
+      float *DA2 = Buf.data(), *DA1 = DA2 + Len, *DC2 = DA1 + Len,
+            *DC1 = DC2 + Len, *DB2 = DC1 + Len, *DB1 = DB2 + Len,
+            *DHUn = DB1 + Len;
+      forRowBlocks(Rows, 7 * FusedBlockRows * Hid, [&](int64_t First,
+                                                       int64_t NR,
+                                                       float *Tmp) {
+        const int64_t Off = First * Hid, L = NR * Hid;
+        std::fill(Tmp, Tmp + 7 * L, 0.f);
+        float *DP = Tmp, *DQ = DP + L, *OmZ = DQ + L, *DOmZ = OmZ + L,
+              *DN = DOmZ + L, *DR = DN + L, *DZ = DR + L;
+        const float *G = O->Grad.data() + Off, *RB = R.data() + Off,
+                    *ZB = Z.data() + Off, *NB = Cand.data() + Off,
+                    *UB = HUn.data() + Off, *HB = NH->Val.data() + Off;
+        float *DH = GH ? NH->Grad.data() + Off : nullptr;
+        float *DX = GX ? NX->Grad.data() + First * In : nullptr;
+        float *DA2B = DA2 + Off, *DA1B = DA1 + Off, *DC2B = DC2 + Off,
+              *DC1B = DC1 + Off, *DB2B = DB2 + Off, *DB1B = DB1 + Off,
+              *DHUnB = DHUn + Off;
+        // dA += dC x Wt^T for this block (matmul's dA).
+        auto MatBwd = [&](float *DA, int64_t K, const float *DC,
+                          const Value &Wt) {
+          KT.GemmDotRow(DA, NR, K, Hid, 1.f, DC, Hid, Wt.val().data(), Hid);
+        };
+        // H' = p + q, q = (1 - z) * n.
+        KT.Add(DP, G, L);
+        KT.Add(DQ, G, L);
+        std::fill(OmZ, OmZ + L, 1.f);
+        KT.Sub(OmZ, ZB, L);
+        KT.MulAcc(DOmZ, DQ, NB, L);
+        KT.MulAcc(DN, DQ, OmZ, L);
+        // n = tanh(c2), c2 = c1 + Bn, c1 = X Wn + m (both take dc1).
+        KT.TanhBwd(DC2B, DN, NB, L);
+        KT.Add(DC1B, DC2B, L);
+        // m = r * (H Un).
+        KT.MulAcc(DR, DC1B, UB, L);
+        KT.MulAcc(DHUnB, DC1B, RB, L);
+        if (GH)
+          MatBwd(DH, Hid, DHUnB, W.Un);
+        // r = sigmoid(a2), a2 = a1 + Br, a1 = X Wr + H Ur (both take da1).
+        KT.SigmoidBwd(DA2B, DR, RB, L);
+        KT.Add(DA1B, DA2B, L);
+        if (GH)
+          MatBwd(DH, Hid, DA1B, W.Ur);
+        if (GX) {
+          MatBwd(DX, In, DA1B, W.Wr);
+          MatBwd(DX, In, DC1B, W.Wn);
+        }
+        // 1 - z, then p = z * H.
+        KT.Sub(DZ, DOmZ, L);
+        KT.MulAcc(DZ, DP, HB, L);
+        if (GH)
+          KT.MulAcc(DH, DP, ZB, L);
+        // z = sigmoid(b2), b2 = b1 + Bz, b1 = XWz + H Uz (both take db1).
+        KT.SigmoidBwd(DB2B, DZ, ZB, L);
+        KT.Add(DB1B, DB2B, L);
+        if (GXWz)
+          KT.Add(NXWz->Grad.data() + Off, DB1B, L);
+        if (GH)
+          MatBwd(DH, Hid, DB1B, W.Uz);
+      });
+      // The weight and bias gradients: reductions over rows, ascending.
+      auto BiasBwd = [&](const Value &B, const float *DC) {
+        if (B.needsGrad())
+          addRowSums(B.grad().data(), DC, Rows, Hid);
+      };
+      auto WeightBwd = [&](const Value &Wt, const Tensor &A, const float *DC) {
+        if (Wt.needsGrad())
+          gemm(true, false, A.cols(), Hid, Rows, 1.f, A.data(), DC, 1.f,
+               Wt.grad().data());
+      };
+      BiasBwd(W.Bn, DC2);
+      WeightBwd(W.Un, NH->Val, DHUn);
+      BiasBwd(W.Br, DA2);
+      WeightBwd(W.Ur, NH->Val, DA1);
+      WeightBwd(W.Wr, NX->Val, DA1);
+      WeightBwd(W.Wn, NX->Val, DC1);
+      BiasBwd(W.Bz, DB2);
+      WeightBwd(W.Uz, NH->Val, DB1);
+    };
+  }
+  return Value(std::move(N));
 }
 
 void nn::backward(Value Root) {

@@ -1456,3 +1456,330 @@ TEST(NoRecordTest, ScopeIsPerThreadNestedAndRestoredOnExit) {
   backward(meanAll(mul(P, P)));
   EXPECT_NE(P.grad()[0], 0.f);
 }
+
+//===----------------------------------------------------------------------===//
+// The fused GGNN timestep (nn::messagePass, nn::gruCell) must reproduce
+// its composed form (tests/ComposedGgnn.h) bit for bit: the values and
+// the gradient of every input and weight, on every kernel table this CPU
+// offers and for any thread count.
+//===----------------------------------------------------------------------===//
+
+#include "ComposedGgnn.h"
+
+namespace {
+
+/// Builds a graph over parameters \p P in the fused or the composed form.
+using TwinGraph = std::function<Value(bool Fused, const std::vector<Value> &P)>;
+
+/// Runs \p F fused and composed, each over fresh parameters initialised
+/// from \p Init and with a backward from the same random projection of
+/// its output, and expects the outputs and every parameter's gradient
+/// (named by \p Names) to match bit for bit on every table, at 1 and 4
+/// threads.
+void expectFusedMatchesComposed(const std::vector<Tensor> &Init,
+                                const std::vector<std::string> &Names,
+                                const TwinGraph &F) {
+  ASSERT_EQ(Init.size(), Names.size());
+  for (const simd::KernelTable *KT : offeredTables()) {
+    SimdGuard Pin(KT->WhichIsa != simd::Isa::Scalar);
+    for (int Threads : {1, 4}) {
+      setGlobalNumThreads(Threads);
+      Tensor Out[2];
+      std::vector<Tensor> Grads[2];
+      for (int Fused : {0, 1}) {
+        std::vector<Value> P;
+        for (const Tensor &T : Init)
+          P.push_back(Value::param(T));
+        Value Y = F(Fused == 1, P);
+        Rng R(97);
+        Tensor Proj = randomTensor(Y.val().rows(), Y.val().cols(), R);
+        backward(meanAll(mul(Y, Value::constant(std::move(Proj)))));
+        Out[Fused] = Y.val();
+        for (const Value &V : P)
+          Grads[Fused].push_back(V.grad());
+      }
+      const char *Isa = simd::isaName(KT->WhichIsa);
+      ASSERT_TRUE(Out[0].sameShape(Out[1]));
+      EXPECT_EQ(firstBitMismatch(Out[1].data(), Out[0].data(), Out[0].numel()),
+                -1)
+          << "value, " << Isa << " threads=" << Threads;
+      for (size_t I = 0; I != Init.size(); ++I)
+        EXPECT_EQ(firstBitMismatch(Grads[1][I].data(), Grads[0][I].data(),
+                                   Grads[0][I].numel()),
+                  -1)
+            << "d" << Names[I] << ", " << Isa << " threads=" << Threads;
+    }
+  }
+  setGlobalNumThreads(0);
+}
+
+const std::vector<std::string> &gruNames() {
+  static const std::vector<std::string> Names{"Wr", "Ur", "Br", "Wz", "Uz",
+                                              "Bz", "Wn", "Un", "Bn"};
+  return Names;
+}
+
+/// Initial values for an In -> Hid GRU's weights, biases non-zero.
+std::vector<Tensor> gruInit(int64_t In, int64_t Hid, Rng &R) {
+  const float SIn = 1.f / std::sqrt(static_cast<float>(In));
+  const float SHid = 1.f / std::sqrt(static_cast<float>(Hid));
+  std::vector<Tensor> W;
+  for (int Gate = 0; Gate != 3; ++Gate) {
+    W.push_back(Tensor::randn(In, Hid, R, SIn));
+    W.push_back(Tensor::randn(Hid, Hid, R, SHid));
+    Tensor B(Hid);
+    for (int64_t I = 0; I != Hid; ++I)
+      B[I] = static_cast<float>(R.normal()) * 0.5f;
+    W.push_back(std::move(B));
+  }
+  return W;
+}
+
+GruWeights gruWeights(const std::vector<Value> &P, size_t First) {
+  return {P[First],     P[First + 1], P[First + 2],
+          P[First + 3], P[First + 4], P[First + 5],
+          P[First + 6], P[First + 7], P[First + 8]};
+}
+
+/// One GRU step in either form; the fused one as GruCell::step builds it.
+Value gruStep(bool Fused, Value X, Value H, const GruWeights &W) {
+  return Fused ? gruCell(matmul(X, W.Wz), X, H, W) : composedGruStep(X, H, W);
+}
+
+/// Inits and names: {X, H} then the GRU weights.
+std::vector<Tensor> stepInit(int64_t Rows, int64_t In, int64_t Hid, Rng &R,
+                             std::vector<std::string> &Names) {
+  std::vector<Tensor> Init{randomTensor(Rows, In, R),
+                           randomTensor(Rows, Hid, R)};
+  Names = {"X", "H"};
+  for (Tensor &T : gruInit(In, Hid, R))
+    Init.push_back(std::move(T));
+  Names.insert(Names.end(), gruNames().begin(), gruNames().end());
+  return Init;
+}
+
+} // namespace
+
+TEST(FusedGgnnTest, GruCellMatchesTheComposedStepAcrossBlockEdges) {
+  // One row, a block minus one, one, plus one, and a batch-sized matrix.
+  for (int64_t Rows : {1, 63, 64, 65, 1500}) {
+    SCOPED_TRACE("rows=" + std::to_string(Rows));
+    Rng R(101);
+    std::vector<std::string> Names;
+    std::vector<Tensor> Init = stepInit(Rows, 32, 32, R, Names);
+    expectFusedMatchesComposed(Init, Names,
+                               [](bool Fused, const std::vector<Value> &P) {
+                                 return gruStep(Fused, P[0], P[1],
+                                                gruWeights(P, 2));
+                               });
+  }
+}
+
+TEST(FusedGgnnTest, GruCellMatchesWhenInputAndHiddenWidthsDiffer) {
+  // The Seq encoder's cells map 32 -> 16.
+  Rng R(102);
+  std::vector<std::string> Names;
+  std::vector<Tensor> Init = stepInit(70, 32, 16, R, Names);
+  expectFusedMatchesComposed(Init, Names,
+                             [](bool Fused, const std::vector<Value> &P) {
+                               return gruStep(Fused, P[0], P[1],
+                                              gruWeights(P, 2));
+                             });
+}
+
+TEST(FusedGgnnTest, GruCellMatchesFromAConstantState) {
+  // The Seq and Path encoders start from a constant zero state; a
+  // constant non-zero state covers the no-gradient branch for H alone.
+  Rng R(103);
+  for (bool Zero : {true, false}) {
+    SCOPED_TRACE(Zero ? "zero state" : "random state");
+    Tensor H0 = Zero ? Tensor(65, 32) : randomTensor(65, 32, R);
+    std::vector<Tensor> Init{randomTensor(65, 32, R)};
+    std::vector<std::string> Names{"X"};
+    for (Tensor &T : gruInit(32, 32, R))
+      Init.push_back(std::move(T));
+    Names.insert(Names.end(), gruNames().begin(), gruNames().end());
+    expectFusedMatchesComposed(
+        Init, Names, [&H0](bool Fused, const std::vector<Value> &P) {
+          return gruStep(Fused, P[0], Value::constant(H0), gruWeights(P, 1));
+        });
+  }
+}
+
+TEST(FusedGgnnTest, GruCellMatchesWithOneInputSharedByChainedSteps) {
+  // X feeds both steps, so its gradient and dWz collect contributions
+  // from two gruCell nodes and two X Wz nodes, in the composed DFS order.
+  Rng R(104);
+  std::vector<std::string> Names;
+  std::vector<Tensor> Init = stepInit(65, 32, 32, R, Names);
+  expectFusedMatchesComposed(Init, Names,
+                             [](bool Fused, const std::vector<Value> &P) {
+                               GruWeights W = gruWeights(P, 2);
+                               Value H1 = gruStep(Fused, P[0], P[1], W);
+                               return gruStep(Fused, P[0], H1, W);
+                             });
+}
+
+TEST(FusedGgnnTest, GruSequencesMatchInBothDirections) {
+  // runGruSequence's shape: one-row inputs gathered from a shared source,
+  // a constant initial state, every state concatenated. Read backwards,
+  // the DFS reaches each step's X Wz before its state, so dWz collects
+  // the steps in the opposite order to the other weights.
+  const int L = 6;
+  for (bool Reverse : {false, true}) {
+    SCOPED_TRACE(Reverse ? "reverse" : "forward");
+    Rng R(105);
+    std::vector<Tensor> Init{randomTensor(L, 32, R)};
+    std::vector<std::string> Names{"Source"};
+    for (Tensor &T : gruInit(32, 16, R))
+      Init.push_back(std::move(T));
+    Names.insert(Names.end(), gruNames().begin(), gruNames().end());
+    expectFusedMatchesComposed(
+        Init, Names, [&](bool Fused, const std::vector<Value> &P) {
+          GruWeights W = gruWeights(P, 1);
+          Value State = Value::constant(Tensor(int64_t{1}, int64_t{16}));
+          std::vector<Value> Rows(L);
+          for (int S = 0; S != L; ++S) {
+            int I = Reverse ? L - 1 - S : S;
+            State = gruStep(Fused, gatherRows(P[0], {I}), State, W);
+            Rows[static_cast<size_t>(I)] = State;
+          }
+          return concatRows(Rows);
+        });
+  }
+}
+
+namespace {
+
+/// Random edges over \p NumRows rows in the encoder's part layout: per
+/// label a forward part (sources to destinations) and a reverse part.
+/// Labels in \p EmptyLabels get no edges.
+std::shared_ptr<MessageEdges>
+randomEdges(int64_t NumRows, int EdgesPerLabel, const std::vector<int> &Rows,
+            const std::vector<size_t> &EmptyLabels, Rng &R) {
+  auto E = std::make_shared<MessageEdges>();
+  for (size_t K = 0; K != 8; ++K) {
+    std::vector<int> Fwd, Rev, FwdDst, RevDst;
+    bool Empty = std::find(EmptyLabels.begin(), EmptyLabels.end(), K) !=
+                 EmptyLabels.end();
+    for (int I = 0; I != (Empty ? 0 : EdgesPerLabel); ++I) {
+      int S = static_cast<int>(R.uniformInt(static_cast<uint64_t>(NumRows)));
+      int T = Rows[R.uniformInt(Rows.size())];
+      Fwd.push_back(S);
+      FwdDst.push_back(T);
+      Rev.push_back(T);
+      RevDst.push_back(S);
+    }
+    E->Dst.insert(E->Dst.end(), FwdDst.begin(), FwdDst.end());
+    E->Dst.insert(E->Dst.end(), RevDst.begin(), RevDst.end());
+    E->Srcs.push_back(std::move(Fwd));
+    E->Srcs.push_back(std::move(Rev));
+  }
+  return E;
+}
+
+/// One message pass in either form.
+Value passMessages(bool Fused, Value H,
+                   const std::shared_ptr<MessageEdges> &E,
+                   const std::vector<Value> &Transforms, int64_t NumRows) {
+  return Fused ? messagePass(H, E, Transforms, NumRows)
+               : composedMessagePass(H, *E, Transforms, NumRows);
+}
+
+} // namespace
+
+TEST(FusedGgnnTest, MessagePassMatchesOnEdgeCases) {
+  // Label 3 has no edges; sources repeat; rows 0, 5 and 11 receive no
+  // message (they are never a destination and never a source, so no
+  // reverse edge reaches them either); rows 2 and 3 are equal, so
+  // messages from them tie; row 7 holds a NaN, so its messages are NaN.
+  const int64_t NumRows = 12, D = 9;
+  const std::vector<int> Rows{1, 2, 3, 4, 6, 7, 8, 9, 10};
+  Rng R(106);
+  auto E = randomEdges(NumRows, 25, Rows, {3}, R);
+  for (std::vector<int> &Srcs : E->Srcs)
+    for (int &S : Srcs)
+      if (S == 0 || S == 5 || S == 11)
+        S = 2;
+  E->Srcs[0][1] = E->Srcs[0][2] = E->Srcs[0][0]; // back-to-back repeats
+  Tensor H = randomTensor(NumRows, D, R);
+  for (int64_t J = 0; J != D; ++J)
+    H.at(3, J) = H.at(2, J);
+  H.at(7, 4) = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Tensor> Init{H};
+  std::vector<std::string> Names{"H"};
+  for (int K = 0; K != 16; ++K) {
+    Init.push_back(Tensor::randn(D, D, R, 1.f / 3));
+    Names.push_back("E" + std::to_string(K));
+  }
+  expectFusedMatchesComposed(
+      Init, Names, [&](bool Fused, const std::vector<Value> &P) {
+        std::vector<Value> T(P.begin() + 1, P.end());
+        return passMessages(Fused, P[0], E, T, NumRows);
+      });
+}
+
+TEST(FusedGgnnTest, GgnnTimestepsMatchTheComposedEncoder) {
+  // Two timesteps as encodeGraphBatch runs them on a batch-sized graph:
+  // gradients for the initial states, the 16 edge transforms and the 9
+  // GRU weights.
+  const int64_t NumRows = 1500, D = 32;
+  Rng R(107);
+  std::vector<int> Rows;
+  for (int I = 0; I != NumRows; ++I)
+    if (I % 7 != 3) // some rows never receive a message
+      Rows.push_back(I);
+  auto E = randomEdges(NumRows, 200, Rows, {5}, R);
+  std::vector<Tensor> Init{randomTensor(NumRows, D, R)};
+  std::vector<std::string> Names{"H"};
+  for (int K = 0; K != 16; ++K) {
+    Init.push_back(
+        Tensor::randn(D, D, R, 1.f / std::sqrt(static_cast<float>(D))));
+    Names.push_back("E" + std::to_string(K));
+  }
+  for (Tensor &T : gruInit(D, D, R))
+    Init.push_back(std::move(T));
+  Names.insert(Names.end(), gruNames().begin(), gruNames().end());
+  expectFusedMatchesComposed(
+      Init, Names, [&](bool Fused, const std::vector<Value> &P) {
+        std::vector<Value> T(P.begin() + 1, P.begin() + 17);
+        GruWeights W = gruWeights(P, 17);
+        Value H = P[0];
+        for (int Step = 0; Step != 2; ++Step)
+          H = gruStep(Fused, passMessages(Fused, H, E, T, NumRows), H, W);
+        return H;
+      });
+}
+
+TEST(FusedGgnnTest, TimestepRecordsThreeNodes) {
+  // messagePass, X Wz and gruCell: the composed timestep recorded 54.
+  Rng R(108);
+  auto E = randomEdges(10, 4, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, {}, R);
+  std::vector<Value> T;
+  for (int K = 0; K != 16; ++K)
+    T.push_back(Value::param(Tensor::randn(4, 4, R, 0.5f)));
+  ParamSet PS;
+  GruCell Cell(4, 4, PS, R);
+  Value H0 = Value::param(randomTensor(10, 4, R));
+  Value H1 = Cell.step(messagePass(H0, E, T, 10), H0);
+  // Walk the recorded nodes between H1 and H0.
+  std::vector<const Node *> Stack{H1.node().get()}, Seen;
+  while (!Stack.empty()) {
+    const Node *N = Stack.back();
+    Stack.pop_back();
+    if (N == H0.node().get() || !N->BackwardFn ||
+        std::find(Seen.begin(), Seen.end(), N) != Seen.end())
+      continue;
+    Seen.push_back(N);
+    for (const auto &P : N->Prev)
+      Stack.push_back(P.get());
+  }
+  EXPECT_EQ(Seen.size(), 3u);
+  // The parent order the gradient order depends on.
+  ASSERT_GE(H1.node()->Prev.size(), 3u);
+  const Node *XWz = H1.node()->Prev[0].get();
+  const Node *Msg = H1.node()->Prev[1].get();
+  EXPECT_EQ(XWz->Prev[0].get(), Msg);
+  EXPECT_EQ(H1.node()->Prev[2].get(), H0.node().get());
+  EXPECT_EQ(Msg->Prev[0].get(), H0.node().get());
+}
