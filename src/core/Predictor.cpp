@@ -31,12 +31,12 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
 
   // Pre-size from the stream's metadata (a shard set knows its target
   // totals without decoding anything), then fill window by window: pin a
-  // window of files, embed it data-parallel when the encoder is
-  // thread-safe (each file's forward pass only reads the trained
-  // parameters), and append markers in file order. Windowing changes no
-  // bits — every file goes through the same single-file embed, and the
-  // marker layout is file order either way — while residency stays one
-  // window of decoded shards instead of the whole corpus.
+  // window of files, embed it data-parallel (each file's forward pass
+  // only reads the trained parameters), and append markers in file
+  // order. Windowing changes no bits — every file goes through the same
+  // single-file embed, and the marker layout is file order either way —
+  // while residency stays one window of decoded shards instead of the
+  // whole corpus.
   P.Map->reserve(MapFiles.numTargets());
   constexpr size_t WindowFiles = 32;
   size_t N = MapFiles.size();
@@ -423,11 +423,11 @@ Predictor::Embedded
 Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
   // File-level data parallelism: each file goes through the exact
   // single-file embed call predictFile would make — bit-identity with
-  // single-shot prediction holds by construction — and thread-safe
-  // encoders embed files concurrently through the pool. (A merged
-  // multi-file batch graph was measured slower here: the batched node
-  // matrix blows the cache while the small per-request GEMMs were never
-  // parallel to begin with. File granularity scales with cores instead.)
+  // single-shot prediction holds by construction — and files embed
+  // concurrently through the pool. (A merged multi-file batch graph was
+  // measured slower here: the batched node matrix blows the cache while
+  // the small per-request GEMMs were never parallel to begin with. File
+  // granularity scales with cores instead.)
   size_t N = Files.size();
   Embedded E;
   E.Embs.resize(N);
@@ -441,20 +441,13 @@ Predictor::embedFiles(const std::vector<const FileExample *> &Files) {
       E.Embs[I] = Emb.val();
   };
   auto EmbedT0 = std::chrono::steady_clock::now();
-  if (Model->supportsParallelEmbed()) {
-    parallelFor(
-        0, static_cast<int64_t>(N), 1,
-        [&](int64_t Lo, int64_t Hi) {
-          for (int64_t I = Lo; I != Hi; ++I)
-            EmbedOne(static_cast<size_t>(I));
-        },
-        Knn.NumThreads);
-  } else {
-    // Path consumes its sampling RNG sequentially — file order here is
-    // the same order separate predictFile calls would consume it in.
-    for (size_t I = 0; I != N; ++I)
-      EmbedOne(I);
-  }
+  parallelFor(
+      0, static_cast<int64_t>(N), 1,
+      [&](int64_t Lo, int64_t Hi) {
+        for (int64_t I = Lo; I != Hi; ++I)
+          EmbedOne(static_cast<size_t>(I));
+      },
+      Knn.NumThreads);
   E.Micros = microsSince(EmbedT0);
   EmbedCalls.add(N);
   EmbedMicros.add(E.Micros);

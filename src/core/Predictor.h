@@ -22,9 +22,7 @@
 /// daemon runs up to --threads batches in flight). The encoder pass, the
 /// index probe and Eq. 5 scoring only read shared state, and the one
 /// shared write, interning annotation types into the universe, is
-/// serialized by a lock the predictor owns. Concurrent predictions of a
-/// Path-encoder model race on its sampling stream; callers check
-/// TypeModel::supportsParallelEmbed first. τmap mutation
+/// serialized by a lock the predictor owns. τmap mutation
 /// (annotateIncremental, removeMarkersForFile, addMarker, compaction,
 /// setKnnOptions, setMarkerStore) must not overlap any other call.
 ///

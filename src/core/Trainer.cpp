@@ -119,10 +119,10 @@ double Trainer::run(ExampleSource &Train) {
   keepStepHeapMapped();
   // Size the process-wide pool for the run and restore it afterwards (so
   // e.g. NumThreads=1 training does not leave later prediction serial).
-  // Minibatch files embed data-parallel (for thread-safe encoders) and the
-  // tensor kernels fan out below that, with gradients accumulated by the
-  // single backward pass over the merged graph. All of it is
-  // bit-reproducible for any NumThreads.
+  // Minibatch files embed data-parallel and the tensor kernels fan out
+  // below that, with gradients accumulated by the single backward pass
+  // over the merged graph. All of it is bit-reproducible for any
+  // NumThreads.
   struct PoolSizeGuard {
     int Prev = globalNumThreads();
     ~PoolSizeGuard() { setGlobalNumThreads(Prev); }

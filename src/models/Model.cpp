@@ -33,7 +33,7 @@ const char *typilus::lossKindName(LossKind K) {
 
 TypeModel::TypeModel(const ModelConfig &C, LabelVocab VocabIn, TypeVocabs TVIn)
     : Config(C), Vocab(std::move(VocabIn)), TV(std::move(TVIn)),
-      ParamRng(C.Seed), PathRng(C.Seed ^ 0x9E3779B9ull) {
+      ParamRng(C.Seed) {
   const int64_t D = Config.HiddenDim;
   if (Config.NodeRep == NodeRepKind::Character)
     CharEnc = CharCnn(16, D, PS, ParamRng);
@@ -150,14 +150,18 @@ void TypeModel::save(ArchiveWriter &W,
   saveWeights(W);
 }
 
+/// The seed every Path sampler forks from (see encodePathFile).
+static uint64_t pathSeed(const ModelConfig &C) {
+  return C.Seed ^ 0x9E3779B9ull;
+}
+
 void TypeModel::saveWeights(ArchiveWriter &W) const {
-  // The RNG stream positions. ParamRng is spent after construction, but
-  // PathRng keeps advancing with every Path-encoder embed(): restoring it
-  // is what makes a loaded Path model predict bit-identically to the
-  // in-process one from this point on.
+  // ParamRng's position after construction, then the Path sampling seed;
+  // both are fixed once the model is built. Load ignores the second word,
+  // which older artifacts filled with an advanced stream position.
   W.beginChunk("rngs");
   W.writeU64(ParamRng.state());
-  W.writeU64(PathRng.state());
+  W.writeU64(pathSeed(Config));
   W.endChunk();
 
   W.beginChunk("parm");
@@ -168,7 +172,7 @@ void TypeModel::saveWeights(ArchiveWriter &W) const {
 bool TypeModel::loadWeights(const ArchiveReader &R, std::string *Err) {
   ArchiveCursor RngC = R.chunk("rngs", Err);
   uint64_t ParamState = RngC.readU64();
-  uint64_t PathState = RngC.readU64();
+  RngC.readU64(); // the Path seed, derived from the config
   if (!RngC.ok()) {
     if (Err && Err->empty())
       *Err = "malformed RNG state chunk";
@@ -178,7 +182,6 @@ bool TypeModel::loadWeights(const ArchiveReader &R, std::string *Err) {
   if (!nn::readParams(ParmC, PS, Err))
     return false;
   ParamRng.setState(ParamState);
-  PathRng.setState(PathState);
   return true;
 }
 
@@ -431,8 +434,11 @@ Value TypeModel::encodePathFile(const FileExample &F,
       TargetRows.push_back(nameFallback(T));
       continue;
     }
-    Rng R = PathRng.fork(static_cast<uint64_t>(T.NodeIdx) * 7919u +
-                         static_cast<uint64_t>(F.Targets.size()));
+    // A pure function of the model seed and the target: the same file
+    // samples the same paths in any call order, batch or thread.
+    uint64_t Salt = static_cast<uint64_t>(T.NodeIdx) * 7919u +
+                    static_cast<uint64_t>(F.Targets.size());
+    Rng R = Rng(pathSeed(Config)).fork(Salt);
     std::vector<Value> PathVecs;
     for (int P = 0; P != Config.MaxPathsPerSymbol; ++P) {
       int A = OccIt->second[static_cast<size_t>(P) % OccIt->second.size()];
@@ -501,23 +507,14 @@ Value TypeModel::encodeNamesFile(const FileExample &F,
 // Shared entry points
 //===----------------------------------------------------------------------===//
 
-bool TypeModel::supportsParallelEmbed() const {
-  // Graph/Seq/NamesOnly forwards only read model state, so concurrent
-  // embed() calls are safe (Graph additionally batches the files of one
-  // call into a single graph and relies on the kernels for parallelism).
-  // Path samples from the mutable PathRng stream, so concurrent calls
-  // would race and break determinism.
-  return Config.Encoder != EncoderKind::Path;
-}
-
 Value TypeModel::embed(const std::vector<const FileExample *> &Files,
                        std::vector<const Target *> *OutTargets) {
   if (Config.Encoder == EncoderKind::Graph)
     return encodeGraphBatch(Files, OutTargets);
   // Per-file encoders: forward graphs of distinct files are independent
-  // (parameters are only read), so thread-safe encoders embed files
-  // data-parallel. Parts and targets are merged in file order, making the
-  // result identical to the serial loop.
+  // (parameters are only read), so files embed data-parallel. Parts and
+  // targets are merged in file order, making the result identical to the
+  // serial loop.
   std::vector<Value> PerFilePart(Files.size());
   std::vector<std::vector<const Target *>> PerFileTargets(Files.size());
   auto EncodeOne = [&](size_t I) {
@@ -536,16 +533,11 @@ Value TypeModel::embed(const std::vector<const FileExample *> &Files,
       break;
     }
   };
-  if (supportsParallelEmbed()) {
-    parallelFor(0, static_cast<int64_t>(Files.size()), 1,
-                [&](int64_t Lo, int64_t Hi) {
-                  for (int64_t I = Lo; I != Hi; ++I)
-                    EncodeOne(static_cast<size_t>(I));
-                });
-  } else {
-    for (size_t I = 0; I != Files.size(); ++I)
-      EncodeOne(I);
-  }
+  parallelFor(0, static_cast<int64_t>(Files.size()), 1,
+              [&](int64_t Lo, int64_t Hi) {
+                for (int64_t I = Lo; I != Hi; ++I)
+                  EncodeOne(static_cast<size_t>(I));
+              });
   std::vector<Value> Parts;
   for (size_t I = 0; I != Files.size(); ++I) {
     if (PerFilePart[I].defined())

@@ -87,7 +87,11 @@ public:
 
   /// Embeds every target of \p Files into the TypeSpace.
   /// \returns a [T, HiddenDim] Value; \p OutTargets (if non-null) receives
-  /// the targets in row order.
+  /// the targets in row order. Reads no mutable state: each file's rows
+  /// depend only on the parameters and that file (Path samples each
+  /// target's paths from a stream seeded by the model seed and the
+  /// target), so concurrent calls are safe and a file embeds the same
+  /// whatever was embedded before it.
   nn::Value embed(const std::vector<const FileExample *> &Files,
                   std::vector<const Target *> *OutTargets);
 
@@ -98,13 +102,8 @@ public:
   /// (the prediction path of the *2Class baselines).
   Tensor classProbs(nn::Value Emb);
 
-  /// True when concurrent embed() calls (and the parallel per-file path
-  /// inside one call) are safe: the encoder must not touch mutable model
-  /// state. Path samples from PathRng, so it must stay serial.
-  bool supportsParallelEmbed() const;
-
   /// Appends the whole model — config ("mcfg"), label vocabulary
-  /// ("lvoc"), type vocabularies ("tvoc"), RNG streams ("rngs") and every
+  /// ("lvoc"), type vocabularies ("tvoc"), RNG seeds ("rngs") and every
   /// parameter tensor ("parm") — as chunks of \p W. \p TypeIds is the
   /// artifact's type table (TypeUniverse::save).
   void save(ArchiveWriter &W, const std::map<TypeRef, int> &TypeIds) const;
@@ -118,8 +117,8 @@ public:
   /// Reconstructs a model from chunks written by save(). \p ById is the
   /// loaded type table; its types (and therefore the model's vocabulary
   /// TypeRefs) belong to the universe that loaded it. The restored
-  /// parameters, vocabularies and RNG streams are bit-identical to the
-  /// saved model's, so it predicts exactly like the original.
+  /// parameters and vocabularies are bit-identical to the saved model's,
+  /// so it predicts exactly like the original.
   static std::unique_ptr<TypeModel> load(const ArchiveReader &R,
                                          const std::vector<TypeRef> &ById,
                                          std::string *Err);
@@ -148,7 +147,6 @@ private:
   TypeVocabs TV;
   nn::ParamSet PS;
   Rng ParamRng;
-  Rng PathRng;
 
   // Shared input representation.
   nn::Embedding SubEmb;

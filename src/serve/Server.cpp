@@ -97,12 +97,6 @@ ServerStats Server::stats() const {
   return Stats;
 }
 
-size_t Server::flightLimit() const {
-  // A Path encoder consumes its sampling stream in call order, so its
-  // batches run one at a time, in arrival order, as they always did.
-  return Pred->model().supportsParallelEmbed() ? Workers.size() : 1;
-}
-
 void Server::dispatchLoop() {
   std::unique_lock<std::mutex> L(Mu);
   for (;;) {
@@ -114,7 +108,7 @@ void Server::dispatchLoop() {
         return true;
       if (!Queue.empty())
         return Queue.front().R.M == Method::Predict
-                   ? Flight.size() < flightLimit()
+                   ? Flight.size() < Workers.size()
                    : Flight.empty();
       return Stopping && Flight.empty();
     });

@@ -16,12 +16,11 @@
 /// pops the queue, owns the prediction table, swaps the predictor on
 /// reload and writes responses. A small set of batch workers owned by
 /// the server runs only the prediction itself, so up to
-/// globalNumThreads() batches are in flight at once (1 when the encoder
-/// is not safe to run concurrently, TypeModel::supportsParallelEmbed).
-/// Finished batches return to the dispatcher, which releases them
-/// strictly in arrival order. Responses are therefore bit-identical to
-/// single-shot prediction, and in the same order, for any thread count
-/// and any batch composition; only the overlap changes.
+/// globalNumThreads() batches are in flight at once. Finished batches
+/// return to the dispatcher, which releases them strictly in arrival
+/// order. Responses are therefore bit-identical to single-shot
+/// prediction, and in the same order, for any thread count and any
+/// batch composition; only the overlap changes.
 ///
 /// The **prediction table** is how no work is done twice. It maps
 /// `path + '\0' + FNV-1a(source)` to an entry that is either *pending*
@@ -196,8 +195,6 @@ private:
   /// Answers a ping/stats/reload/shutdown request. Dispatcher-only.
   void serveControl(Pending &P);
   void serveReload(Pending &P);
-  /// Most batches in flight for the current predictor. Dispatcher-only.
-  size_t flightLimit() const;
   /// Looks every request up in the table and adds the keys this batch
   /// will predict. Dispatcher-only.
   std::shared_ptr<Batch> admit(std::vector<Pending> Reqs);

@@ -115,9 +115,11 @@ TEST_P(NineVariantsTest, LoadedPredictorIsBitIdentical) {
   std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
   Predictor P = makePredictor(WB, *M);
 
-  // Save BEFORE the in-process predictions: the Path encoder's sampling
-  // RNG advances on every embed, and the loaded model must replay the
-  // exact same stream from the snapshot point.
+  // Predict both before and after the save: prediction leaves no state
+  // behind, so neither the save point nor earlier predictions may change
+  // what the loaded model answers.
+  auto BeforeSave = P.predictAll(WB.DS.Test);
+  ASSERT_FALSE(BeforeSave.empty());
   std::string Path = tempArtifactPath(std::string(encoderKindName(Encoder)) +
                                       lossKindName(Loss));
   std::string Err;
@@ -131,6 +133,7 @@ TEST_P(NineVariantsTest, LoadedPredictorIsBitIdentical) {
   EXPECT_EQ(L->isKnn(), Loss != LossKind::Class);
   auto Served = L->predictAll(WB.DS.Test);
   expectBitIdentical(InProc, Served);
+  expectBitIdentical(BeforeSave, Served);
   std::remove(Path.c_str());
 }
 

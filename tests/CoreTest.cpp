@@ -9,12 +9,14 @@
 #include "core/Experiments.h"
 #include "core/Trainer.h"
 #include "knn/TypeMap.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 using namespace typilus;
 
@@ -480,18 +482,17 @@ TEST(NoRecordPredictorTest, KnnMarkersMatchRecordedEmbedForEveryEncoder) {
     MC.Encoder = E;
     MC.HiddenDim = 8;
     MC.TimeSteps = 2;
-    // Two identical models: the Path encoder advances its sampling RNG
-    // on every embed, so each side replays its own copy of the stream.
-    std::unique_ptr<TypeModel> Served = makeModel(MC, WB.DS, *WB.U);
-    std::unique_ptr<TypeModel> Recorded = makeModel(MC, WB.DS, *WB.U);
+    // One model for both sides: embedding reads no mutable state, so the
+    // predictor's pass leaves nothing behind for the reference to see.
+    std::unique_ptr<TypeModel> M = makeModel(MC, WB.DS, *WB.U);
     KnnOptions KO;
     KO.NumThreads = 4;
-    Predictor P = Predictor::knn(*Served, MapFiles, KO);
+    Predictor P = Predictor::knn(*M, MapFiles, KO);
 
     TypeMap Want(MC.HiddenDim);
     for (const FileExample *F : MapFiles) {
       std::vector<const Target *> Targets;
-      nn::Value Emb = Recorded->embed({F}, &Targets);
+      nn::Value Emb = M->embed({F}, &Targets);
       if (!Emb.defined())
         continue;
       ASSERT_FALSE(Emb.node()->Prev.empty()) << "reference must record";
@@ -509,5 +510,75 @@ TEST(NoRecordPredictorTest, KnnMarkersMatchRecordedEmbedForEveryEncoder) {
                 0)
           << "marker " << I;
     }
+  }
+}
+
+TEST(OneAnswerTest, EveryEncoderAnswersAFileAloneAsInAnyCompany) {
+  // A file's predictions are a function of the model and that file
+  // alone: no encoder may carry state from one embed to the next, so
+  // neither what ran before, nor the batch around it, nor the thread
+  // count may change its digest.
+  CorpusConfig CC;
+  CC.NumFiles = 14;
+  CC.NumUdts = 8;
+  DatasetConfig DC;
+  DC.CommonThreshold = 2;
+  Workbench WB = Workbench::make(CC, DC);
+  std::vector<const FileExample *> MapFiles;
+  for (const FileExample &F : WB.DS.Train)
+    MapFiles.push_back(&F);
+  const CorpusFile *A = sourceOf(WB, WB.DS.Test.front().Path);
+  const CorpusFile *B = sourceOf(WB, WB.DS.Train.front().Path);
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
+  for (EncoderKind E : {EncoderKind::Graph, EncoderKind::Seq,
+                        EncoderKind::Path, EncoderKind::NamesOnly}) {
+    SCOPED_TRACE(encoderKindName(E));
+    ModelConfig MC;
+    MC.Encoder = E;
+    MC.HiddenDim = 8;
+    MC.TimeSteps = 2;
+    TrainOptions TO;
+    TO.Epochs = 1;
+    TO.BatchFiles = 4;
+    std::unique_ptr<TypeModel> M = makeModel(MC, WB.DS, *WB.U);
+    trainModel(*M, WB.DS.Train, TO);
+    Predictor P = Predictor::knn(*M, MapFiles);
+    P.setUniverse(*WB.U);
+
+    auto Digest = [&](const CorpusFile &F) {
+      std::vector<PredictionResult> Preds = P.predictSource(F.Path, F.Source);
+      EXPECT_FALSE(Preds.empty()) << F.Path;
+      return predictionDigest(Preds);
+    };
+    auto BatchDigests = [&](const CorpusFile &First,
+                            const CorpusFile &Second) {
+      std::vector<SourcePrediction> Out = P.predictSources({First, Second});
+      EXPECT_EQ(Out.size(), 2u);
+      std::vector<uint64_t> D;
+      for (const SourcePrediction &SP : Out) {
+        EXPECT_EQ(SP.Err, "");
+        D.push_back(predictionDigest(SP.Preds));
+      }
+      return D;
+    };
+
+    // Each file's first answer, alone on a fresh predictor, is the one
+    // every later call must repeat.
+    setGlobalNumThreads(1);
+    const uint64_t WantA = Digest(*A);
+    const uint64_t WantB = Digest(*B);
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      setGlobalNumThreads(Threads);
+      EXPECT_EQ(Digest(*A), WantA) << "after another file";
+      EXPECT_EQ(Digest(*A), WantA) << "twice in a row";
+      EXPECT_EQ(Digest(*B), WantB) << "after another file";
+      EXPECT_EQ(BatchDigests(*A, *B), (std::vector<uint64_t>{WantA, WantB}))
+          << "batch A, B";
+      EXPECT_EQ(BatchDigests(*B, *A), (std::vector<uint64_t>{WantB, WantA}))
+          << "batch B, A";
+    }
+    setGlobalNumThreads(0);
   }
 }

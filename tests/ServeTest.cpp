@@ -852,16 +852,31 @@ TEST_F(ServeTest, StatsSplitStaysWithinEachBatchUnderOverlap) {
 }
 
 TEST_F(ServeTest, OverlappedClassifierServingMatchesPredictFile) {
-  ModelConfig MC;
-  MC.Loss = LossKind::Class;
-  MC.HiddenDim = 8;
-  MC.TimeSteps = 2;
-  TrainOptions TO;
-  TO.Epochs = 1;
-  TO.BatchFiles = 4;
-  std::unique_ptr<TypeModel> M = makeModel(MC, WB->DS, *WB->U);
-  trainModel(*M, WB->DS.Train, TO);
-  Predictor P = Predictor::classifier(*M);
+  // A Graph classifier and a Path kNN predictor. Neither encoder keeps
+  // state between embeds, so both overlap up to the worker count and
+  // still answer every file as one-shot prediction does.
+  auto TrainTiny = [](EncoderKind E, LossKind L) {
+    ModelConfig MC;
+    MC.Encoder = E;
+    MC.Loss = L;
+    MC.HiddenDim = 8;
+    MC.TimeSteps = 2;
+    TrainOptions TO;
+    TO.Epochs = 1;
+    TO.BatchFiles = 4;
+    std::unique_ptr<TypeModel> M = makeModel(MC, WB->DS, *WB->U);
+    trainModel(*M, WB->DS.Train, TO);
+    return M;
+  };
+  std::unique_ptr<TypeModel> Classifier =
+      TrainTiny(EncoderKind::Graph, LossKind::Class);
+  std::unique_ptr<TypeModel> PathKnn =
+      TrainTiny(EncoderKind::Path, LossKind::Typilus);
+  std::vector<const FileExample *> MapFiles;
+  for (const FileExample &F : WB->DS.Train)
+    MapFiles.push_back(&F);
+  Predictor Preds[] = {Predictor::classifier(*Classifier),
+                       Predictor::knn(*PathKnn, MapFiles)};
 
   std::vector<Request> Reqs[2];
   for (int T = 0; T != 2; ++T)
@@ -869,20 +884,24 @@ TEST_F(ServeTest, OverlappedClassifierServingMatchesPredictFile) {
       size_t I = static_cast<size_t>(T * 10 + K);
       Reqs[T].push_back(variant(requestFor(I, T * 100 + K), I));
     }
-  setGlobalNumThreads(4);
-  TwoClientRun Run = serveFromTwoThreads(P, *WB->U, Reqs);
-  setGlobalNumThreads(0);
-  // The encoder decides the in-flight limit; a Graph classifier may
-  // overlap.
-  EXPECT_LE(Run.Stats.MaxInFlight, 4u);
-  for (int T = 0; T != 2; ++T) {
-    ASSERT_EQ(Run.Responses[T].size(), Reqs[T].size());
-    for (size_t K = 0; K != Reqs[T].size(); ++K) {
-      const Request &R = Reqs[T][K];
-      const std::string &Resp = Run.Responses[T][K];
-      FileExample Ex = buildExample(CorpusFile{R.Path, R.Source}, *WB->U, {});
-      EXPECT_EQ(responseId(Resp), "{\"id\":" + std::to_string(R.Id));
-      EXPECT_EQ(digestOf(Resp), hexDigest(P.predictFile(Ex))) << R.Path;
+  for (Predictor &P : Preds) {
+    SCOPED_TRACE(encoderKindName(P.model().config().Encoder));
+    setGlobalNumThreads(4);
+    TwoClientRun Run = serveFromTwoThreads(P, *WB->U, Reqs);
+    setGlobalNumThreads(0);
+    EXPECT_LE(Run.Stats.MaxInFlight, 4u);
+    for (int T = 0; T != 2; ++T) {
+      ASSERT_EQ(Run.Responses[T].size(), Reqs[T].size());
+      for (size_t K = 0; K != Reqs[T].size(); ++K) {
+        const Request &R = Reqs[T][K];
+        const std::string &Resp = Run.Responses[T][K];
+        FileExample Ex = buildExample(CorpusFile{R.Path, R.Source}, *WB->U, {});
+        EXPECT_EQ(responseId(Resp), "{\"id\":" + std::to_string(R.Id));
+        EXPECT_EQ(digestOf(Resp), hexDigest(P.predictFile(Ex))) << R.Path;
+        EXPECT_EQ(digestOf(Resp),
+                  hexDigest(P.predictSource(R.Path, R.Source)))
+            << R.Path;
+      }
     }
   }
 }
