@@ -433,9 +433,12 @@ BENCHMARK(BM_BiRnnTrainEpoch)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
+// Inference as Predictor::embedFiles runs it: no autograd graph recorded,
+// so the Graph encoder computes only its targets' backward slice.
 void BM_GnnInferencePerGraph(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   const FileExample &F = E.WB.DS.Test.front();
+  nn::NoRecordScope NoRecord;
   for (auto _ : State) {
     std::vector<const Target *> Targets;
     benchmark::DoNotOptimize(E.GraphModel->embed({&F}, &Targets));
@@ -446,6 +449,7 @@ BENCHMARK(BM_GnnInferencePerGraph)->Unit(benchmark::kMillisecond)->Iterations(3)
 void BM_BiRnnInferencePerFile(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   const FileExample &F = E.WB.DS.Test.front();
+  nn::NoRecordScope NoRecord;
   for (auto _ : State) {
     std::vector<const Target *> Targets;
     benchmark::DoNotOptimize(E.SeqModel->embed({&F}, &Targets));

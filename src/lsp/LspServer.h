@@ -19,8 +19,11 @@
 ///    When the checker gate is on, a prediction whose substitution
 ///    introduces new type errors (the Sec. 6.3 protocol) is suppressed;
 ///  - `typilus/types`: a custom notification carrying every prediction
-///    plus the FNV-1a digest `typilus_cli predict --source` prints for
-///    the same text — the bit-identity contract, observable per edit.
+///    plus its FNV-1a digest. In a single-document session that is the
+///    digest `typilus_cli predict --source` prints for the same text.
+///    Other open documents fold their annotations into the τmap, so
+///    their markers can move the answer (ROADMAP: "One answer per
+///    workspace").
 ///
 /// `didClose` retires the document's markers. Methods dispatch through
 /// a serve::MethodRegistry, with the unknown-method error text the NDJSON

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <string_view>
+#include <unordered_map>
 
 using namespace typilus;
 using namespace typilus::nn;
@@ -234,12 +236,20 @@ Value TypeModel::statesForLabels(const std::vector<std::string> &Labels) {
     return gatherRows(CharEnc.encodeBatch(Unique), RowOf);
   }
   // Subtoken / whole-token: mean of the (learned) id embeddings, Eq. 7.
+  // A file's labels repeat (keywords, punctuation, every occurrence of a
+  // name: about a third are distinct), so each distinct label is split and
+  // looked up once.
+  std::unordered_map<std::string_view, std::vector<int>> IdsOf;
   std::vector<int> FlatIds, Owner;
-  for (size_t I = 0; I != Labels.size(); ++I)
-    for (int Id : Vocab.idsOf(Labels[I])) {
+  for (size_t I = 0; I != Labels.size(); ++I) {
+    auto [It, Inserted] = IdsOf.try_emplace(Labels[I]);
+    if (Inserted)
+      It->second = Vocab.idsOf(Labels[I]);
+    for (int Id : It->second) {
       FlatIds.push_back(Id);
       Owner.push_back(static_cast<int>(I));
     }
+  }
   return scatterMean(SubEmb.rows(std::move(FlatIds)), std::move(Owner), N);
 }
 
@@ -267,14 +277,14 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
     }
   }
   const int64_t N = static_cast<int64_t>(Labels.size());
-  Value H = statesForLabels(Labels);
 
-  // Build the message pass's index lists once; every timestep, and every
+  // The message pass's index lists, built once; every timestep, and every
   // step's backward closure, shares them. Each edge label K makes two
   // parts: forward gathers sources and delivers to destinations
   // (transform E_K); backward gathers destinations and delivers to sources
   // (transform E_{K+L}).
-  auto MsgEdges = std::make_shared<MessageEdges>();
+  std::vector<std::vector<int>> Srcs;
+  std::vector<int> Dst;
   std::vector<Value> Transforms;
   for (size_t K = 0; K != NumEdgeLabels; ++K) {
     std::vector<int> Fwd, Rev;
@@ -282,24 +292,67 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
     Rev.reserve(Edges[K].size());
     for (auto [S, T] : Edges[K]) {
       Fwd.push_back(S);
-      MsgEdges->Dst.push_back(T);
+      Dst.push_back(T);
     }
     for (auto [S, T] : Edges[K]) {
       Rev.push_back(T);
-      MsgEdges->Dst.push_back(S);
+      Dst.push_back(S);
     }
-    MsgEdges->Srcs.push_back(std::move(Fwd));
+    Srcs.push_back(std::move(Fwd));
     Transforms.push_back(EdgeTransforms[K]);
-    MsgEdges->Srcs.push_back(std::move(Rev));
+    Srcs.push_back(std::move(Rev));
     Transforms.push_back(EdgeTransforms[NumEdgeLabels + K]);
   }
-
+  auto MsgEdges =
+      std::make_shared<const MessageEdges>(std::move(Srcs), std::move(Dst));
   // Max-pooling aggregation (the paper's meet-like operator), then the
-  // GRU update.
-  for (int Step = 0; Step != Config.TimeSteps && !MsgEdges->Dst.empty();
-       ++Step)
-    H = GraphGru.step(messagePass(H, MsgEdges, Transforms, N), H);
-  return gatherRows(H, SupIdx);
+  // GRU update; a graph without messages takes no steps.
+  const int Steps = MsgEdges->Dst.empty() ? 0 : Config.TimeSteps;
+
+  if (isRecording()) {
+    Value H = statesForLabels(Labels);
+    for (int Step = 0; Step != Steps; ++Step)
+      H = GraphGru.step(messagePass(H, MsgEdges, Transforms, N), H);
+    return gatherRows(H, SupIdx);
+  }
+
+  // Inference reads only the targets' final states, so each step computes
+  // just the rows the targets' backward slice needs from it. A row's GEMM,
+  // GRU and max-fold arithmetic does not depend on the rows beside it, and
+  // each sliced row folds its messages in the original order, so every
+  // target state is bit-identical to the full pass.
+  const std::vector<std::vector<int>> Slice =
+      backwardSlice(*MsgEdges, SupIdx, Steps, N);
+  if (Slice[0].empty())
+    return Value::constant(Tensor(int64_t{0}, Config.HiddenDim));
+  std::vector<std::string> SliceLabels;
+  SliceLabels.reserve(Slice[0].size());
+  for (int Row : Slice[0])
+    SliceLabels.push_back(Labels[static_cast<size_t>(Row)]);
+  Value H = statesForLabels(SliceLabels);
+  // Positions of rows Sub within the ascending rows Super, which hold them.
+  auto PositionsIn = [](const std::vector<int> &Super,
+                        const std::vector<int> &Sub) {
+    std::vector<int> Pos;
+    Pos.reserve(Sub.size());
+    for (int Row : Sub)
+      Pos.push_back(static_cast<int>(
+          std::lower_bound(Super.begin(), Super.end(), Row) - Super.begin()));
+    return Pos;
+  };
+  for (int Step = 1; Step <= Steps; ++Step) {
+    const std::vector<int> &From = Slice[static_cast<size_t>(Step) - 1];
+    const std::vector<int> &To = Slice[static_cast<size_t>(Step)];
+    auto StepEdges = std::make_shared<const MessageEdges>(
+        sliceEdges(*MsgEdges, From, To, N));
+    Value Msgs = messagePass(H, std::move(StepEdges), Transforms,
+                             static_cast<int64_t>(To.size()));
+    // To is a subset of From; equal sizes mean equal rows.
+    Value Prev =
+        From.size() == To.size() ? H : gatherRows(H, PositionsIn(From, To));
+    H = GraphGru.step(Msgs, Prev);
+  }
+  return gatherRows(H, PositionsIn(Slice.back(), SupIdx));
 }
 
 //===----------------------------------------------------------------------===//

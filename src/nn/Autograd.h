@@ -90,6 +90,10 @@ public:
   NoRecordScope &operator=(const NoRecordScope &) = delete;
 };
 
+/// False while a NoRecordScope is alive on this thread, when no op result
+/// needs a gradient.
+bool isRecording();
+
 //===----------------------------------------------------------------------===//
 // Ops. Unless noted, tensors are rank-2 [rows, cols].
 //===----------------------------------------------------------------------===//
@@ -150,19 +154,49 @@ Value spaceLoss(Value Dists, const std::vector<int> &TypeIds, float Margin);
 /// The edge index lists of one message pass, shared by every timestep
 /// (and every backward closure) of a batch. Part k gathers the state rows
 /// Srcs[k] and transforms them with the k-th edge transform; Dst holds
-/// each message's destination row, parts concatenated in order.
+/// each message's destination row, parts concatenated in order. The
+/// constructor also indexes each part's distinct sources, so the forward
+/// transforms every one of them once however many messages it sends.
 struct MessageEdges {
+  MessageEdges(std::vector<std::vector<int>> Srcs, std::vector<int> Dst);
+
   std::vector<std::vector<int>> Srcs;
   std::vector<int> Dst;
+  /// Part k's distinct sources in first-occurrence order. Their products
+  /// with the part's transform, parts concatenated, are the forward's
+  /// product rows.
+  std::vector<std::vector<int>> Sources;
+  /// Message e's row among the product rows.
+  std::vector<int> Product;
 };
+
+/// The backward slice of rows \p Targets in the message graph of \p E
+/// over \p Steps timesteps: Slice[Steps] holds the distinct targets, and
+/// Slice[t - 1] adds to Slice[t] every source of a message into it. Step
+/// t then needs the states Slice[t - 1] and must compute Slice[t]; the
+/// targets come out exact from the initial states Slice[0] alone. Every
+/// list is ascending.
+std::vector<std::vector<int>> backwardSlice(const MessageEdges &E,
+                                            const std::vector<int> &Targets,
+                                            int Steps, int64_t NumRows);
+
+/// The messages of \p E into rows \p To, renumbered: sources become
+/// positions in \p From, destinations positions in \p To. Both lists are
+/// ascending and From holds every source of a message into To (a step of
+/// backwardSlice). Parts and the order of messages within each part are
+/// kept, so every destination folds its messages in the original order.
+MessageEdges sliceEdges(const MessageEdges &E, const std::vector<int> &From,
+                        const std::vector<int> &To, int64_t NumRows);
 
 /// The GGNN message pass (Sec. 4.3): Out[n] is the elementwise max over
 /// every message H[Srcs[k][i]] x Transforms[k] with destination n, taken
 /// in message order (ties and NaNs keep the first); 0 when none arrives.
 /// Equals scatterMax(concatRows({matmul(gatherRows(H, Srcs[k]),
-/// Transforms[k])...}), Dst, NumRows), empty parts skipped. Stores only
-/// the argmax table; the backward recomputes the gathers from H. H is the
-/// node's first parent.
+/// Transforms[k])...}), Dst, NumRows), empty parts skipped: a GEMM row
+/// does not depend on the rows beside it, so the forward multiplies each
+/// of Sources[k] once and folds the products through Product. The argmax
+/// table still names messages, and it is all the op stores; the backward
+/// recomputes the gathers from H. H is the node's first parent.
 Value messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
                   const std::vector<Value> &Transforms, int64_t NumRows);
 

@@ -87,22 +87,25 @@ inline void maxSelect(const float *__restrict Src, float *__restrict OutRow,
   }
 }
 
-/// Out[Dst[e]] = elementwise max over the [|Dst|, D] messages, in message
-/// order; Arg records the winning message per (row, dim), -1 for none (Out
-/// must be zeros and Arg all -1 on entry, and stay so for such cells).
-/// Destination-conflicting writes: serial, in edge order; the backward
-/// routes the gradient to the first maximum. Each row folds its first
-/// D - D mod 8 columns in one vectorizable pass, then the rest.
+/// Out[Dst[e]] = elementwise max over the |Dst| messages, in message
+/// order; message e is row Row[e] of the [*, D] matrix Msgs (row e when
+/// Row is null). Arg records the winning message per (row, dim), -1 for
+/// none (Out must be zeros and Arg all -1 on entry, and stay so for such
+/// cells). Destination-conflicting writes: serial, in edge order; the
+/// backward routes the gradient to the first maximum. Each row folds its
+/// first D - D mod 8 columns in one vectorizable pass, then the rest.
 /// (Separate 8-wide calls vectorize at -O2 too, but GCC 12's -O3 unrolls
 /// them completely and then leaves them scalar, 10x slower.)
-void maxAggregate(const float *Msgs, const std::vector<int> &Dst, int64_t D,
-                  int64_t NumRows, float *Out, int *Arg) {
+void maxAggregate(const float *Msgs, const int *Row,
+                  const std::vector<int> &Dst, int64_t D, int64_t NumRows,
+                  float *Out, int *Arg) {
   (void)NumRows;
   const int64_t Body = D & ~int64_t(7);
   for (size_t E = 0; E != Dst.size(); ++E) {
     int64_t Nd = Dst[E];
     assert(Nd >= 0 && Nd < NumRows && "scatter destination out of range");
-    const float *Src = Msgs + static_cast<int64_t>(E) * D;
+    const float *Src =
+        Msgs + static_cast<int64_t>(Row ? Row[E] : static_cast<int>(E)) * D;
     float *OutRow = Out + Nd * D;
     int *ArgRow = Arg + Nd * D;
     const int Msg = static_cast<int>(E);
@@ -115,6 +118,7 @@ void maxAggregate(const float *Msgs, const std::vector<int> &Dst, int64_t D,
 
 NoRecordScope::NoRecordScope() { ++NoRecordDepth; }
 NoRecordScope::~NoRecordScope() { --NoRecordDepth; }
+bool nn::isRecording() { return NoRecordDepth == 0; }
 
 Value nn::add(Value A, Value B) {
   const Tensor &TA = A.val(), &TB = B.val();
@@ -478,7 +482,7 @@ Value nn::scatterMax(Value Msgs, const std::vector<int> &Dst,
   int64_t D = TM.cols();
   Tensor Out(NumRows, D);
   std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
-  maxAggregate(TM.data(), Dst, D, NumRows, Out.data(), Arg.data());
+  maxAggregate(TM.data(), nullptr, Dst, D, NumRows, Out.data(), Arg.data());
   auto N = makeOut(std::move(Out), {Msgs});
   if (N->NeedsGrad) {
     Node *O = N.get();
@@ -884,16 +888,19 @@ void forRowBlocks(int64_t Rows, int64_t ScratchFloats, const Fn &Body) {
   });
 }
 
-/// One block of messages: part Part's sources [First, First + Rows).
+/// One block of gathered rows: part Part's indices [First, First + Rows).
 struct MessageBlock {
   size_t Part;
   int64_t First, Rows;
 };
 
-std::vector<MessageBlock> messageBlocks(const MessageEdges &E) {
+/// Blocks over per-part index lists: the messages (MessageEdges::Srcs) or
+/// the distinct sources (MessageEdges::Sources).
+std::vector<MessageBlock>
+messageBlocks(const std::vector<std::vector<int>> &Parts) {
   std::vector<MessageBlock> Blocks;
-  for (size_t K = 0; K != E.Srcs.size(); ++K) {
-    int64_t M = static_cast<int64_t>(E.Srcs[K].size());
+  for (size_t K = 0; K != Parts.size(); ++K) {
+    int64_t M = static_cast<int64_t>(Parts[K].size());
     for (int64_t First = 0; First < M; First += FusedBlockRows)
       Blocks.push_back({K, First, std::min(FusedBlockRows, M - First)});
   }
@@ -909,6 +916,101 @@ void gatherBlock(float *Out, const float *A, const int *Idx, int64_t Rows,
 }
 
 } // namespace
+
+MessageEdges::MessageEdges(std::vector<std::vector<int>> SrcsIn,
+                           std::vector<int> DstIn)
+    : Srcs(std::move(SrcsIn)), Dst(std::move(DstIn)), Sources(Srcs.size()) {
+  int MaxSrc = -1;
+  for (const std::vector<int> &Part : Srcs)
+    for (int S : Part)
+      MaxSrc = std::max(MaxSrc, S);
+  // Slot[s]: source s's index in the current part's Sources, -1 if new.
+  // Whether a source is new is unpredictable, so it is not a branch.
+  std::vector<int> Slot(static_cast<size_t>(MaxSrc + 1), -1);
+  Product.resize(Dst.size());
+  size_t Msg = 0;
+  int Base = 0;
+  for (size_t K = 0; K != Srcs.size(); ++K) {
+    std::vector<int> &Distinct = Sources[K];
+    Distinct.resize(Srcs[K].size());
+    int Count = 0;
+    for (int S : Srcs[K]) {
+      int &Sl = Slot[static_cast<size_t>(S)];
+      const bool New = Sl < 0;
+      Distinct[static_cast<size_t>(Count)] = S;
+      Sl = New ? Count : Sl;
+      Count += New;
+      Product[Msg++] = Base + Sl;
+    }
+    Distinct.resize(static_cast<size_t>(Count));
+    for (int S : Distinct)
+      Slot[static_cast<size_t>(S)] = -1;
+    Base += Count;
+  }
+}
+
+std::vector<std::vector<int>>
+nn::backwardSlice(const MessageEdges &E, const std::vector<int> &Targets,
+                  int Steps, int64_t NumRows) {
+  // The loops below keep or drop by arithmetic, not by branch: about half
+  // of the rows and messages go each way, unpredictably.
+  std::vector<char> In(static_cast<size_t>(NumRows), 0);
+  for (int T : Targets)
+    In[static_cast<size_t>(T)] = 1;
+  auto Rows = [&] {
+    std::vector<int> R(static_cast<size_t>(NumRows));
+    size_t Kept = 0;
+    for (int64_t I = 0; I != NumRows; ++I) {
+      R[Kept] = static_cast<int>(I);
+      Kept += static_cast<size_t>(In[static_cast<size_t>(I)]);
+    }
+    R.resize(Kept);
+    return R;
+  };
+  std::vector<std::vector<int>> Slice(static_cast<size_t>(Steps) + 1);
+  Slice[static_cast<size_t>(Steps)] = Rows();
+  for (int Step = Steps; Step != 0; --Step) {
+    std::vector<char> Prev = In;
+    size_t Msg = 0;
+    for (const std::vector<int> &Part : E.Srcs)
+      for (int S : Part)
+        Prev[static_cast<size_t>(S)] |= In[static_cast<size_t>(E.Dst[Msg++])];
+    In = std::move(Prev);
+    Slice[static_cast<size_t>(Step) - 1] = Rows();
+  }
+  return Slice;
+}
+
+MessageEdges nn::sliceEdges(const MessageEdges &E, const std::vector<int> &From,
+                            const std::vector<int> &To, int64_t NumRows) {
+  std::vector<int> FromPos(static_cast<size_t>(NumRows), -1);
+  std::vector<int> ToPos(static_cast<size_t>(NumRows), -1);
+  for (size_t I = 0; I != From.size(); ++I)
+    FromPos[static_cast<size_t>(From[I])] = static_cast<int>(I);
+  for (size_t I = 0; I != To.size(); ++I)
+    ToPos[static_cast<size_t>(To[I])] = static_cast<int>(I);
+  // Every message is written; only those into To advance the cursors.
+  std::vector<std::vector<int>> Srcs(E.Srcs.size());
+  std::vector<int> Dst(E.Dst.size());
+  size_t Msg = 0, Kept = 0;
+  for (size_t K = 0; K != E.Srcs.size(); ++K) {
+    std::vector<int> &Part = Srcs[K];
+    Part.resize(E.Srcs[K].size());
+    size_t PartKept = 0;
+    for (int S : E.Srcs[K]) {
+      int T = ToPos[static_cast<size_t>(E.Dst[Msg++])];
+      assert((T < 0 || FromPos[static_cast<size_t>(S)] >= 0) &&
+             "a source of a sliced message lies outside From");
+      Part[PartKept] = FromPos[static_cast<size_t>(S)];
+      Dst[Kept] = T;
+      PartKept += static_cast<size_t>(T >= 0);
+      Kept += static_cast<size_t>(T >= 0);
+    }
+    Part.resize(PartKept);
+  }
+  Dst.resize(Kept);
+  return MessageEdges(std::move(Srcs), std::move(Dst));
+}
 
 Value nn::messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
                       const std::vector<Value> &Transforms, int64_t NumRows) {
@@ -933,28 +1035,37 @@ Value nn::messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
     Begin[K + 1] = Begin[K] + static_cast<int64_t>(Edges->Srcs[K].size());
   }
   assert(Begin[Parts] == static_cast<int64_t>(Edges->Dst.size()) &&
+         Edges->Product.size() == Edges->Dst.size() &&
          "one destination per message");
-  const std::vector<MessageBlock> Blocks = messageBlocks(*Edges);
   const simd::KernelTable &KT = simd::active();
 
-  // The messages, gathered and transformed block by block on the pool.
-  std::vector<float> Msgs(static_cast<size_t>(Begin[Parts] * D), 0.f);
+  // The product rows: each part's distinct sources, gathered and
+  // transformed block by block on the pool.
+  std::vector<int64_t> ProductBegin(Parts + 1, 0);
+  for (size_t K = 0; K != Parts; ++K)
+    ProductBegin[K + 1] =
+        ProductBegin[K] + static_cast<int64_t>(Edges->Sources[K].size());
+  const std::vector<MessageBlock> Blocks = messageBlocks(Edges->Sources);
+  std::vector<float> Products(static_cast<size_t>(ProductBegin[Parts] * D),
+                              0.f);
   parallelFor(0, static_cast<int64_t>(Blocks.size()), 1,
               [&](int64_t Lo, int64_t Hi) {
                 std::vector<float> G(static_cast<size_t>(FusedBlockRows * D));
                 for (int64_t B = Lo; B != Hi; ++B) {
                   const MessageBlock &Bk = Blocks[static_cast<size_t>(B)];
                   gatherBlock(G.data(), TH.data(),
-                              Edges->Srcs[Bk.Part].data() + Bk.First, Bk.Rows,
-                              D);
-                  KT.GemmRow(Msgs.data() + (Begin[Bk.Part] + Bk.First) * D,
+                              Edges->Sources[Bk.Part].data() + Bk.First,
+                              Bk.Rows, D);
+                  KT.GemmRow(Products.data() +
+                                 (ProductBegin[Bk.Part] + Bk.First) * D,
                              Bk.Rows, D, D, 1.f, G.data(), D, 1,
                              Transforms[Bk.Part].val().data(), D);
                 }
               });
   Tensor Out(NumRows, D);
   std::vector<int> Arg(static_cast<size_t>(NumRows * D), -1);
-  maxAggregate(Msgs.data(), Edges->Dst, D, NumRows, Out.data(), Arg.data());
+  maxAggregate(Products.data(), Edges->Product.data(), Edges->Dst, D, NumRows,
+               Out.data(), Arg.data());
 
   std::vector<Value> Parents{H};
   Parents.insert(Parents.end(), Transforms.begin(), Transforms.end());
@@ -981,7 +1092,7 @@ Value nn::messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,
       });
       // Per block: the gathered sources again (for the transforms'
       // gradients) and dG = dMsg x E^T, the gathers' gradients.
-      const std::vector<MessageBlock> Blocks = messageBlocks(*Edges);
+      const std::vector<MessageBlock> Blocks = messageBlocks(Edges->Srcs);
       std::vector<float> G(static_cast<size_t>(Total * D));
       std::vector<float> DG(NH->NeedsGrad ? static_cast<size_t>(Total * D) : 0,
                             0.f);

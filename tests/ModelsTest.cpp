@@ -3,10 +3,14 @@
 #include "corpus/Dataset.h"
 #include "corpus/Generator.h"
 #include "models/Model.h"
+#include "nn/Simd.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 using namespace typilus;
 
@@ -226,4 +230,220 @@ TEST_F(ModelsTest, ClassProbsAreDistributions) {
       Sum += Probs.at(R, C);
     EXPECT_NEAR(Sum, 1.f, 1e-4f);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The GGNN's inference slice
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Rows = std::vector<int>;
+
+/// Edges as encodeGraphBatch lays them out for one label: a forward part
+/// (sources to destinations) and its reverse.
+nn::MessageEdges bothWays(const std::vector<std::pair<int, int>> &Edges) {
+  std::vector<std::vector<int>> Srcs(2);
+  std::vector<int> Dst;
+  for (auto [S, T] : Edges) {
+    Srcs[0].push_back(S);
+    Dst.push_back(T);
+  }
+  for (auto [S, T] : Edges) {
+    Srcs[1].push_back(T);
+    Dst.push_back(S);
+  }
+  return nn::MessageEdges(std::move(Srcs), std::move(Dst));
+}
+
+} // namespace
+
+TEST(GgnnSliceTest, ChainSliceGrowsOneHopPerStep) {
+  // 0 -> 1 -> 2 -> 3 -> 4, forward messages only.
+  nn::MessageEdges Fwd({{0, 1, 2, 3}}, {1, 2, 3, 4});
+  EXPECT_EQ(nn::backwardSlice(Fwd, {4}, 3, 5),
+            (std::vector<Rows>{{1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}}));
+  // Row 0 receives nothing: its slice is itself at every step.
+  EXPECT_EQ(nn::backwardSlice(Fwd, {0}, 2, 5),
+            (std::vector<Rows>{{0}, {0}, {0}}));
+  // Both directions: the middle row reaches the whole chain in two steps,
+  // and a third step adds nothing.
+  nn::MessageEdges Both = bothWays({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  EXPECT_EQ(nn::backwardSlice(Both, {2}, 3, 5),
+            (std::vector<Rows>{
+                {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}, {1, 2, 3}, {2}}));
+  // No steps: the targets alone, once each and ascending.
+  EXPECT_EQ(nn::backwardSlice(Both, {3, 1, 3}, 0, 5),
+            (std::vector<Rows>{{1, 3}}));
+  // No targets: every step is empty.
+  EXPECT_EQ(nn::backwardSlice(Both, {}, 2, 5),
+            (std::vector<Rows>{{}, {}, {}}));
+}
+
+TEST(GgnnSliceTest, StarSliceReachesTheLeavesThroughTheCentre) {
+  // Leaves 1..5 point at centre 0; row 6 is isolated.
+  nn::MessageEdges Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  EXPECT_EQ(nn::backwardSlice(Star, {0}, 1, 7),
+            (std::vector<Rows>{{0, 1, 2, 3, 4, 5}, {0}}));
+  EXPECT_EQ(nn::backwardSlice(Star, {3}, 2, 7),
+            (std::vector<Rows>{{0, 1, 2, 3, 4, 5}, {0, 3}, {3}}));
+  EXPECT_EQ(nn::backwardSlice(Star, {6, 3}, 1, 7),
+            (std::vector<Rows>{{0, 3, 6}, {3, 6}}));
+  // Forward messages alone never reach a leaf.
+  nn::MessageEdges In({{1, 2, 3, 4, 5}}, {0, 0, 0, 0, 0});
+  EXPECT_EQ(nn::backwardSlice(In, {3}, 2, 7),
+            (std::vector<Rows>{{3}, {3}, {3}}));
+}
+
+TEST(GgnnSliceTest, SliceEdgesKeepsMessageOrderAndRenumbers) {
+  nn::MessageEdges Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  // Step 2 of the slice of leaf 3: states {0, 3} in, row 3 out.
+  nn::MessageEdges Step = nn::sliceEdges(Star, {0, 3}, {3}, 7);
+  EXPECT_EQ(Step.Srcs, (std::vector<Rows>{{}, {0}}));
+  EXPECT_EQ(Step.Dst, Rows({0}));
+  // Step 1: states {0..5} in, rows {0, 3} out; the centre's five
+  // messages stay in their order, then the reverse message into 3.
+  Step = nn::sliceEdges(Star, {0, 1, 2, 3, 4, 5}, {0, 3}, 7);
+  EXPECT_EQ(Step.Srcs, (std::vector<Rows>{{1, 2, 3, 4, 5}, {0}}));
+  EXPECT_EQ(Step.Dst, Rows({0, 0, 0, 0, 0, 1}));
+}
+
+TEST(GgnnSliceTest, EachPartTransformsEachDistinctSourceOnce) {
+  // Part 0 repeats sources, part 1 sends everything from one row, part 2
+  // is empty and part 3 has no repeats; a source shared across parts is
+  // a product row in each.
+  nn::MessageEdges E({{4, 2, 4, 4, 7, 2}, {5, 5, 5}, {}, {4, 1}},
+                     {0, 1, 2, 3, 4, 5, 0, 1, 2, 6, 7});
+  EXPECT_EQ(E.Sources, (std::vector<Rows>{{4, 2, 7}, {5}, {}, {4, 1}}));
+  EXPECT_EQ(E.Product, Rows({0, 1, 0, 0, 2, 1, 3, 3, 3, 4, 5}));
+}
+
+namespace {
+
+/// Pins the kernel dispatch to one table for a test's lifetime.
+struct SimdGuard {
+  explicit SimdGuard(bool Enabled) : Was(nn::simd::simdEnabled()) {
+    nn::simd::setSimdEnabled(Enabled);
+  }
+  ~SimdGuard() { nn::simd::setSimdEnabled(Was); }
+  bool Was;
+};
+
+/// A hand-built file: node labels, labelled edges and target nodes.
+FileExample
+handFile(const std::string &Path, const std::vector<std::string> &Labels,
+         const std::vector<std::tuple<int, int, EdgeLabel>> &Edges,
+         const std::vector<int> &Targets) {
+  FileExample F;
+  F.Path = Path;
+  for (const std::string &L : Labels) {
+    GraphNode N;
+    N.Label = L;
+    F.Graph.Nodes.push_back(N);
+  }
+  for (auto [S, T, L] : Edges)
+    F.Graph.Edges.push_back({S, T, L});
+  for (int Node : Targets) {
+    Target T;
+    T.NodeIdx = Node;
+    T.Name = Labels[static_cast<size_t>(Node)];
+    F.Targets.push_back(T);
+  }
+  return F;
+}
+
+} // namespace
+
+TEST_F(ModelsTest, SlicedInferenceEqualsTheRecordedFullPass) {
+  // Under a NoRecordScope the Graph encoder runs only the targets'
+  // backward slice; with recording on it runs every row. Target states
+  // must agree bit for bit.
+  using E = EdgeLabel;
+  const FileExample Lone = handFile("lone.py", {"a", "b", "c"}, {}, {0, 2});
+  const FileExample NoTargets = handFile(
+      "none.py", {"p", "q", "r", "s"},
+      {{0, 1, E::NextToken}, {1, 2, E::NextToken}, {2, 3, E::NextToken}}, {});
+  // Row 6 neither sends nor receives; rows 0 and 3 send several messages
+  // in one part (CHILD forward, OCCURRENCE_OF reverse).
+  const FileExample Mixed = handFile(
+      "mixed.py", {"def", "count", "items", "total", "x", "y", "orphan", "z"},
+      {{0, 1, E::NextToken},
+       {1, 2, E::NextToken},
+       {2, 3, E::NextToken},
+       {3, 4, E::NextToken},
+       {0, 4, E::Child},
+       {0, 5, E::Child},
+       {0, 1, E::Child},
+       {1, 3, E::OccurrenceOf},
+       {2, 3, E::OccurrenceOf},
+       {5, 3, E::OccurrenceOf},
+       {4, 7, E::SubtokenOf},
+       {5, 7, E::SubtokenOf}},
+      {3, 6, 7});
+  // At four steps the middle row's slice is the whole chain.
+  const FileExample Chain = handFile(
+      "chain.py", {"u", "v", "w", "x", "y"},
+      {{0, 1, E::NextToken},
+       {1, 2, E::NextToken},
+       {2, 3, E::NextToken},
+       {3, 4, E::NextToken}},
+      {2});
+
+  std::vector<const TypilusGraph *> Graphs{&Lone.Graph, &NoTargets.Graph,
+                                           &Mixed.Graph, &Chain.Graph};
+  for (const FileExample &F : DS->Train)
+    Graphs.push_back(&F.Graph);
+  const std::vector<std::vector<const FileExample *>> Batches{
+      {&Lone},
+      {&NoTargets},
+      {&Mixed},
+      {&Chain},
+      {&Lone, &Mixed},
+      {&Mixed, &NoTargets, &Chain},
+      {&DS->Train[0], &DS->Train[1], &DS->Train[2]}};
+
+  std::vector<bool> Tables{false};
+  if (nn::simd::simdAvailable())
+    Tables.push_back(true);
+  for (int Steps : {0, 1, 4}) {
+    ModelConfig MC;
+    MC.Encoder = EncoderKind::Graph;
+    MC.HiddenDim = 32;
+    MC.TimeSteps = Steps;
+    TypeModel M(MC, LabelVocab::build(Graphs, LabelVocab::Mode::Subtoken),
+                TypeVocabs());
+    for (bool Simd : Tables) {
+      SimdGuard Pin(Simd);
+      for (int Threads : {1, 4}) {
+        setGlobalNumThreads(Threads);
+        for (size_t B = 0; B != Batches.size(); ++B) {
+          SCOPED_TRACE("T=" + std::to_string(Steps) +
+                       (Simd ? " simd" : " scalar") +
+                       " threads=" + std::to_string(Threads) +
+                       " batch=" + std::to_string(B));
+          std::vector<const Target *> FullTargets, SlicedTargets;
+          nn::Value Full = M.embed(Batches[B], &FullTargets);
+          nn::Value Sliced;
+          {
+            nn::NoRecordScope NoRecord;
+            Sliced = M.embed(Batches[B], &SlicedTargets);
+          }
+          EXPECT_EQ(SlicedTargets, FullTargets);
+          ASSERT_TRUE(Full.defined() && Sliced.defined());
+          ASSERT_TRUE(Sliced.val().sameShape(Full.val()));
+          ASSERT_EQ(Full.val().rows(),
+                    static_cast<int64_t>(FullTargets.size()));
+          EXPECT_TRUE(Sliced.node()->Prev.empty());
+          if (Full.val().rows() == 0)
+            continue;
+          EXPECT_FALSE(Full.node()->Prev.empty()) << "reference records";
+          EXPECT_EQ(std::memcmp(Sliced.val().data(), Full.val().data(),
+                                sizeof(float) *
+                                    static_cast<size_t>(Full.val().numel())),
+                    0);
+        }
+      }
+    }
+  }
+  setGlobalNumThreads(0);
 }

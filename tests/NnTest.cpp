@@ -1657,7 +1657,8 @@ namespace {
 std::shared_ptr<MessageEdges>
 randomEdges(int64_t NumRows, int EdgesPerLabel, const std::vector<int> &Rows,
             const std::vector<size_t> &EmptyLabels, Rng &R) {
-  auto E = std::make_shared<MessageEdges>();
+  std::vector<std::vector<int>> Srcs;
+  std::vector<int> Dst;
   for (size_t K = 0; K != 8; ++K) {
     std::vector<int> Fwd, Rev, FwdDst, RevDst;
     bool Empty = std::find(EmptyLabels.begin(), EmptyLabels.end(), K) !=
@@ -1670,12 +1671,12 @@ randomEdges(int64_t NumRows, int EdgesPerLabel, const std::vector<int> &Rows,
       Rev.push_back(T);
       RevDst.push_back(S);
     }
-    E->Dst.insert(E->Dst.end(), FwdDst.begin(), FwdDst.end());
-    E->Dst.insert(E->Dst.end(), RevDst.begin(), RevDst.end());
-    E->Srcs.push_back(std::move(Fwd));
-    E->Srcs.push_back(std::move(Rev));
+    Dst.insert(Dst.end(), FwdDst.begin(), FwdDst.end());
+    Dst.insert(Dst.end(), RevDst.begin(), RevDst.end());
+    Srcs.push_back(std::move(Fwd));
+    Srcs.push_back(std::move(Rev));
   }
-  return E;
+  return std::make_shared<MessageEdges>(std::move(Srcs), std::move(Dst));
 }
 
 /// One message pass in either form.
@@ -1697,11 +1698,13 @@ TEST(FusedGgnnTest, MessagePassMatchesOnEdgeCases) {
   const std::vector<int> Rows{1, 2, 3, 4, 6, 7, 8, 9, 10};
   Rng R(106);
   auto E = randomEdges(NumRows, 25, Rows, {3}, R);
-  for (std::vector<int> &Srcs : E->Srcs)
-    for (int &S : Srcs)
+  std::vector<std::vector<int>> Srcs = E->Srcs;
+  for (std::vector<int> &Part : Srcs)
+    for (int &S : Part)
       if (S == 0 || S == 5 || S == 11)
         S = 2;
-  E->Srcs[0][1] = E->Srcs[0][2] = E->Srcs[0][0]; // back-to-back repeats
+  Srcs[0][1] = Srcs[0][2] = Srcs[0][0]; // back-to-back repeats
+  E = std::make_shared<MessageEdges>(std::move(Srcs), E->Dst);
   Tensor H = randomTensor(NumRows, D, R);
   for (int64_t J = 0; J != D; ++J)
     H.at(3, J) = H.at(2, J);
@@ -1717,6 +1720,34 @@ TEST(FusedGgnnTest, MessagePassMatchesOnEdgeCases) {
         std::vector<Value> T(P.begin() + 1, P.end());
         return passMessages(Fused, P[0], E, T, NumRows);
       });
+}
+
+TEST(FusedGgnnTest, MessagePassMatchesWithRepeatedSources) {
+  // The forward multiplies each part's distinct sources once and folds
+  // the products through MessageEdges::Product. Part 0 sends every
+  // message from row 4, so the messages it sends into rows 2 and 4 tie
+  // and the first must win; part 1 mixes repeated and unique sources;
+  // row 3 is a source in both parts.
+  std::vector<std::vector<int>> Srcs{{4, 4, 4, 4, 4, 4, 4},
+                                     {1, 7, 1, 3, 7, 7, 9, 0, 3}};
+  std::vector<int> Dst{0, 2, 2, 5, 9, 4, 4, 2, 2, 6, 0, 5, 8, 4, 4, 3};
+  auto E = std::make_shared<MessageEdges>(Srcs, Dst);
+  ASSERT_EQ(E->Sources,
+            (std::vector<std::vector<int>>{{4}, {1, 7, 3, 9, 0}}));
+  for (int64_t D : {12, 32}) {
+    SCOPED_TRACE("D=" + std::to_string(D));
+    Rng R(109);
+    std::vector<Tensor> Init{randomTensor(10, D, R)};
+    std::vector<std::string> Names{"H"};
+    for (int K = 0; K != 2; ++K) {
+      Init.push_back(Tensor::randn(D, D, R, 1.f / 3));
+      Names.push_back("E" + std::to_string(K));
+    }
+    expectFusedMatchesComposed(
+        Init, Names, [&](bool Fused, const std::vector<Value> &P) {
+          return passMessages(Fused, P[0], E, {P[1], P[2]}, 10);
+        });
+  }
 }
 
 TEST(FusedGgnnTest, GgnnTimestepsMatchTheComposedEncoder) {

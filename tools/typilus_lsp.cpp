@@ -5,8 +5,9 @@
 // Unix-domain socket. Every didOpen/didChange runs the incremental loop
 // — tombstone the file's τmap markers, re-embed only that file, answer
 // through the shared kNN kernel — and publishes predicted types as
-// diagnostics plus a `typilus/types` notification whose digest matches
-// `typilus_cli predict --source` on the same text.
+// diagnostics plus a `typilus/types` notification. In a single-document
+// session its digest matches `typilus_cli predict --source` on the same
+// text; other open documents' τmap markers can move it.
 //
 //   typilus_lsp --model model.typilus --stdio
 //   typilus_lsp --model model.typilus --socket /tmp/typilus-lsp.sock
