@@ -118,8 +118,9 @@ BENCHMARK(BM_MatmulKernel)
     ->ArgNames({"dim", "threads"})
     ->Unit(benchmark::kMicrosecond);
 
-/// One full GGNN forward pass (T=8 message-passing steps) over the whole
-/// train split merged into a single batch graph. Arg0 = threads.
+/// One GGNN forward pass (T=8 message-passing steps) over the whole train
+/// split merged into a single batch graph: every row in the targets'
+/// backward slice. Arg0 = threads.
 void BM_GgnnStep(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   setGlobalNumThreads(static_cast<int>(State.range(0)));
@@ -433,8 +434,10 @@ BENCHMARK(BM_BiRnnTrainEpoch)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// Inference as Predictor::embedFiles runs it: no autograd graph recorded,
-// so the Graph encoder computes only its targets' backward slice.
+// Inference as Predictor::embedFiles runs it: no autograd graph recorded.
+// The Graph encoder computes only its targets' backward slice, as it does
+// when recording. One run of a few milliseconds swings with the host, so
+// both inference benches report aggregates over ten repetitions.
 void BM_GnnInferencePerGraph(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   const FileExample &F = E.WB.DS.Test.front();
@@ -444,7 +447,11 @@ void BM_GnnInferencePerGraph(benchmark::State &State) {
     benchmark::DoNotOptimize(E.GraphModel->embed({&F}, &Targets));
   }
 }
-BENCHMARK(BM_GnnInferencePerGraph)->Unit(benchmark::kMillisecond)->Iterations(3);
+BENCHMARK(BM_GnnInferencePerGraph)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 void BM_BiRnnInferencePerFile(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
@@ -455,7 +462,11 @@ void BM_BiRnnInferencePerFile(benchmark::State &State) {
     benchmark::DoNotOptimize(E.SeqModel->embed({&F}, &Targets));
   }
 }
-BENCHMARK(BM_BiRnnInferencePerFile)->Unit(benchmark::kMillisecond)->Iterations(3);
+BENCHMARK(BM_BiRnnInferencePerFile)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(3)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 void BM_GraphConstruction(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();

@@ -2,12 +2,10 @@
 
 #include "lsp/Transport.h"
 
+#include "support/Socket.h"
+
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-
-#include <poll.h>
-#include <unistd.h>
 
 using namespace typilus;
 using namespace typilus::lsp;
@@ -60,31 +58,18 @@ bool parseContentLength(std::string_view Headers, size_t *Out) {
 } // namespace
 
 FrameReader::Status FrameReader::fill() {
-  if (WakeFd >= 0) {
-    struct pollfd P[2];
-    P[0].fd = Fd;
-    P[0].events = POLLIN;
-    P[0].revents = 0;
-    P[1].fd = WakeFd;
-    P[1].events = POLLIN;
-    P[1].revents = 0;
-    int Rc = ::poll(P, 2, -1);
-    if (Rc < 0)
-      return errno == EINTR ? Status::Interrupted : Status::Error;
-    if (P[1].revents != 0)
-      return Status::Interrupted;
-  }
-  char Chunk[4096];
-  ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-  if (N > 0) {
-    Buf.append(Chunk, static_cast<size_t>(N));
+  switch (readChunk(Fd, WakeFd, Buf)) {
+  case ReadStatus::Data:
     return Status::Message; // bytes arrived: caller rescans
-  }
-  if (N == 0) {
+  case ReadStatus::Eof:
     SawEof = true;
     return Status::Eof;
+  case ReadStatus::Interrupted:
+    return Status::Interrupted;
+  case ReadStatus::Error:
+    break;
   }
-  return errno == EINTR ? Status::Interrupted : Status::Error;
+  return Status::Error;
 }
 
 FrameReader::Status FrameReader::next(std::string &Out) {

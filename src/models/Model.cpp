@@ -217,22 +217,33 @@ TypeModel::load(const ArchiveReader &R, const std::vector<TypeRef> &ById,
 // Initial representations (Eq. 7 and the Table 4 variants)
 //===----------------------------------------------------------------------===//
 
-Value TypeModel::statesForLabels(const std::vector<std::string> &Labels) {
-  const int64_t N = static_cast<int64_t>(Labels.size());
+Value TypeModel::statesForLabels(const std::vector<std::string> &Labels,
+                                 const std::vector<int> *Rows) {
+  const size_t N = Rows ? Rows->size() : Labels.size();
   assert(N > 0 && "no labels to embed");
+  auto LabelOf = [&](size_t I) -> const std::string & {
+    return Labels[Rows ? static_cast<size_t>((*Rows)[I]) : I];
+  };
   if (Config.NodeRep == NodeRepKind::Character) {
     // Encode all distinct labels in one batched kernel call, then gather
     // per node (a minibatch-wide graph hits this with thousands of nodes).
-    std::map<std::string, int> UniqueRow;
+    // They are numbered by first occurrence over all of Labels, the order
+    // the char-CNN sums its weight gradients in, so any subset of rows
+    // trains bit for bit like the whole.
+    std::map<std::string_view, int> UniqueRow;
+    for (size_t I = 0; I != N; ++I)
+      UniqueRow.emplace(LabelOf(I), -1);
     std::vector<std::string> Unique;
-    std::vector<int> RowOf(Labels.size());
-    for (size_t I = 0; I != Labels.size(); ++I) {
-      auto [It, Inserted] =
-          UniqueRow.emplace(Labels[I], static_cast<int>(Unique.size()));
-      if (Inserted)
-        Unique.push_back(Labels[I]);
-      RowOf[I] = It->second;
+    for (const std::string &L : Labels) {
+      auto It = UniqueRow.find(L);
+      if (It != UniqueRow.end() && It->second < 0) {
+        It->second = static_cast<int>(Unique.size());
+        Unique.push_back(L);
+      }
     }
+    std::vector<int> RowOf(N);
+    for (size_t I = 0; I != N; ++I)
+      RowOf[I] = UniqueRow.find(LabelOf(I))->second;
     return gatherRows(CharEnc.encodeBatch(Unique), RowOf);
   }
   // Subtoken / whole-token: mean of the (learned) id embeddings, Eq. 7.
@@ -241,16 +252,17 @@ Value TypeModel::statesForLabels(const std::vector<std::string> &Labels) {
   // looked up once.
   std::unordered_map<std::string_view, std::vector<int>> IdsOf;
   std::vector<int> FlatIds, Owner;
-  for (size_t I = 0; I != Labels.size(); ++I) {
-    auto [It, Inserted] = IdsOf.try_emplace(Labels[I]);
+  for (size_t I = 0; I != N; ++I) {
+    auto [It, Inserted] = IdsOf.try_emplace(LabelOf(I));
     if (Inserted)
-      It->second = Vocab.idsOf(Labels[I]);
+      It->second = Vocab.idsOf(LabelOf(I));
     for (int Id : It->second) {
       FlatIds.push_back(Id);
       Owner.push_back(static_cast<int>(I));
     }
   }
-  return scatterMean(SubEmb.rows(std::move(FlatIds)), std::move(Owner), N);
+  return scatterMean(SubEmb.rows(std::move(FlatIds)), std::move(Owner),
+                     static_cast<int64_t>(N));
 }
 
 //===----------------------------------------------------------------------===//
@@ -278,11 +290,9 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
   }
   const int64_t N = static_cast<int64_t>(Labels.size());
 
-  // The message pass's index lists, built once; every timestep, and every
-  // step's backward closure, shares them. Each edge label K makes two
-  // parts: forward gathers sources and delivers to destinations
-  // (transform E_K); backward gathers destinations and delivers to sources
-  // (transform E_{K+L}).
+  // The batch graph's messages. Each edge label K makes two parts:
+  // forward gathers sources and delivers to destinations (transform E_K);
+  // backward gathers destinations and delivers to sources (E_{K+L}).
   std::vector<std::vector<int>> Srcs;
   std::vector<int> Dst;
   std::vector<Value> Transforms;
@@ -303,33 +313,23 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
     Srcs.push_back(std::move(Rev));
     Transforms.push_back(EdgeTransforms[NumEdgeLabels + K]);
   }
-  auto MsgEdges =
-      std::make_shared<const MessageEdges>(std::move(Srcs), std::move(Dst));
   // Max-pooling aggregation (the paper's meet-like operator), then the
   // GRU update; a graph without messages takes no steps.
-  const int Steps = MsgEdges->Dst.empty() ? 0 : Config.TimeSteps;
+  const int Steps = Dst.empty() ? 0 : Config.TimeSteps;
 
-  if (isRecording()) {
-    Value H = statesForLabels(Labels);
-    for (int Step = 0; Step != Steps; ++Step)
-      H = GraphGru.step(messagePass(H, MsgEdges, Transforms, N), H);
-    return gatherRows(H, SupIdx);
-  }
-
-  // Inference reads only the targets' final states, so each step computes
-  // just the rows the targets' backward slice needs from it. A row's GEMM,
-  // GRU and max-fold arithmetic does not depend on the rows beside it, and
+  // Only the targets' final states are read, so each step computes just
+  // the rows the targets' backward slice needs from it. A row's GEMM, GRU
+  // and max-fold arithmetic does not depend on the rows beside it, and
   // each sliced row folds its messages in the original order, so every
-  // target state is bit-identical to the full pass.
+  // target state is bit-identical to a pass over every row. So is every
+  // gradient: the rows and messages left out would add only zero terms,
+  // in place, to sums that start at +0, and IEEE addition yields -0 only
+  // from (-0) + (-0).
   const std::vector<std::vector<int>> Slice =
-      backwardSlice(*MsgEdges, SupIdx, Steps, N);
+      backwardSlice(Srcs, Dst, SupIdx, Steps, N);
   if (Slice[0].empty())
     return Value::constant(Tensor(int64_t{0}, Config.HiddenDim));
-  std::vector<std::string> SliceLabels;
-  SliceLabels.reserve(Slice[0].size());
-  for (int Row : Slice[0])
-    SliceLabels.push_back(Labels[static_cast<size_t>(Row)]);
-  Value H = statesForLabels(SliceLabels);
+  Value H = statesForLabels(Labels, &Slice[0]);
   // Positions of rows Sub within the ascending rows Super, which hold them.
   auto PositionsIn = [](const std::vector<int> &Super,
                         const std::vector<int> &Sub) {
@@ -344,7 +344,7 @@ Value TypeModel::encodeGraphBatch(const std::vector<const FileExample *> &Files,
     const std::vector<int> &From = Slice[static_cast<size_t>(Step) - 1];
     const std::vector<int> &To = Slice[static_cast<size_t>(Step)];
     auto StepEdges = std::make_shared<const MessageEdges>(
-        sliceEdges(*MsgEdges, From, To, N));
+        sliceEdges(Srcs, Dst, From, To, N));
     Value Msgs = messagePass(H, std::move(StepEdges), Transforms,
                              static_cast<int64_t>(To.size()));
     // To is a subset of From; equal sizes mean equal rows.

@@ -129,7 +129,10 @@ public:
   const LabelVocab &labelVocab() const { return Vocab; }
 
 private:
-  nn::Value statesForLabels(const std::vector<std::string> &Labels);
+  /// The initial states of rows \p Rows of \p Labels (every row when
+  /// null).
+  nn::Value statesForLabels(const std::vector<std::string> &Labels,
+                            const std::vector<int> *Rows = nullptr);
   nn::Value encodeGraphBatch(const std::vector<const FileExample *> &Files,
                              std::vector<const Target *> *OutTargets);
   nn::Value encodeSeqFile(const FileExample &F,

@@ -90,10 +90,6 @@ public:
   NoRecordScope &operator=(const NoRecordScope &) = delete;
 };
 
-/// False while a NoRecordScope is alive on this thread, when no op result
-/// needs a gradient.
-bool isRecording();
-
 //===----------------------------------------------------------------------===//
 // Ops. Unless noted, tensors are rank-2 [rows, cols].
 //===----------------------------------------------------------------------===//
@@ -170,22 +166,27 @@ struct MessageEdges {
   std::vector<int> Product;
 };
 
-/// The backward slice of rows \p Targets in the message graph of \p E
-/// over \p Steps timesteps: Slice[Steps] holds the distinct targets, and
-/// Slice[t - 1] adds to Slice[t] every source of a message into it. Step
-/// t then needs the states Slice[t - 1] and must compute Slice[t]; the
-/// targets come out exact from the initial states Slice[0] alone. Every
-/// list is ascending.
-std::vector<std::vector<int>> backwardSlice(const MessageEdges &E,
-                                            const std::vector<int> &Targets,
-                                            int Steps, int64_t NumRows);
+/// The backward slice of rows \p Targets over \p Steps timesteps of the
+/// message graph whose part k sends rows Srcs[k] to Dst (parts
+/// concatenated, as in MessageEdges): Slice[Steps] holds the distinct
+/// targets, and Slice[t - 1] adds to Slice[t] every source of a message
+/// into it. Step t then needs the states Slice[t - 1] and must compute
+/// Slice[t]; the targets come out exact from the initial states Slice[0]
+/// alone. Every list is ascending.
+std::vector<std::vector<int>>
+backwardSlice(const std::vector<std::vector<int>> &Srcs,
+              const std::vector<int> &Dst, const std::vector<int> &Targets,
+              int Steps, int64_t NumRows);
 
-/// The messages of \p E into rows \p To, renumbered: sources become
-/// positions in \p From, destinations positions in \p To. Both lists are
-/// ascending and From holds every source of a message into To (a step of
-/// backwardSlice). Parts and the order of messages within each part are
-/// kept, so every destination folds its messages in the original order.
-MessageEdges sliceEdges(const MessageEdges &E, const std::vector<int> &From,
+/// The messages of Srcs/Dst (laid out as for backwardSlice) into rows
+/// \p To, renumbered: sources become positions in \p From, destinations
+/// positions in \p To. Both lists are ascending and From holds every
+/// source of a message into To (a step of backwardSlice). Parts and the
+/// order of messages within each part are kept, so every destination
+/// folds its messages in the original order.
+MessageEdges sliceEdges(const std::vector<std::vector<int>> &Srcs,
+                        const std::vector<int> &Dst,
+                        const std::vector<int> &From,
                         const std::vector<int> &To, int64_t NumRows);
 
 /// The GGNN message pass (Sec. 4.3): Out[n] is the elementwise max over

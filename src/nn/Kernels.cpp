@@ -6,6 +6,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -25,27 +26,12 @@ int64_t gemmRowGrain(int64_t N, int64_t K) {
   return std::max<int64_t>(1, kernels::GemmParallelFlops / FlopsPerRow);
 }
 
-/// Rows [RB, RE) of C for the transposed-A, transposed-B case. The A
-/// access is strided, so this stays a scalar loop on every ISA (it is
-/// bit-identical to the historical kernel by construction).
-void gemmRowsDotStrided(int64_t RB, int64_t RE, int64_t N, int64_t K,
-                        float Alpha, const float *A, int64_t Lda,
-                        const float *B, int64_t Ldb, float *C) {
-  for (int64_t I = RB; I != RE; ++I)
-    for (int64_t J = 0; J != N; ++J) {
-      const float *BRow = B + J * Ldb;
-      float Sum = 0.f;
-      for (int64_t P = 0; P != K; ++P)
-        Sum += A[P * Lda + I] * BRow[P];
-      C[I * N + J] += Alpha * Sum;
-    }
-}
-
 } // namespace
 
 void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
                    float Alpha, const float *A, const float *B, float Beta,
                    float *C) {
+  assert(!(TransA && TransB) && "gemm has no transposed-A, transposed-B case");
   if (Beta == 0.f)
     std::memset(C, 0, static_cast<size_t>(M * N) * sizeof(float));
   else if (Beta != 1.f)
@@ -56,7 +42,7 @@ void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
   const int64_t Lda = TransA ? M : K;
   const int64_t Ldb = TransB ? K : N;
 
-  // All four cases are parallelized over rows of C: each output row is
+  // All three cases are parallelized over rows of C: each output row is
   // produced by exactly one chunk with a fixed per-element operation
   // sequence (k ascending through the active kernel table), so the result
   // is bit-identical for any thread count. With the scalar table it is
@@ -76,17 +62,11 @@ void typilus::gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
     });
     return;
   }
-  if (!TransA)
-    // Both the A row and the B row are contiguous: the table's GemmDotRow
-    // runs its own Dot sequence per element.
-    parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
-      KT.GemmDotRow(C + RB * N, RE - RB, N, K, Alpha, A + RB * Lda, Lda, B,
-                    Ldb);
-    });
-  else
-    parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
-      gemmRowsDotStrided(RB, RE, N, K, Alpha, A, Lda, B, Ldb, C);
-    });
+  // Both the A row and the B row are contiguous: the table's GemmDotRow
+  // runs its own Dot sequence per element.
+  parallelFor(0, M, Grain, [&](int64_t RB, int64_t RE) {
+    KT.GemmDotRow(C + RB * N, RE - RB, N, K, Alpha, A + RB * Lda, Lda, B, Ldb);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -26,9 +26,10 @@
 namespace typilus {
 
 /// C = alpha * op(A) * op(B) + beta * C, where op transposes when the flag
-/// is set. Shapes: op(A) is MxK, op(B) is KxN, C is MxN. Row-parallel; the
+/// is set; at most one of TransA and TransB may be set (asserted). Shapes:
+/// op(A) is MxK, op(B) is KxN, C is MxN. Row-parallel; the
 /// non-transposed-B cases run through the kernel table's GemmRow and the
-/// transposed-B, non-transposed-A case through its GemmDotRow. The
+/// transposed-B case through its GemmDotRow. The
 /// per-element accumulation order (k ascending) is that of the naive i-k-j
 /// kernel, so on the scalar table the result is bit-identical to it.
 void gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,

@@ -118,7 +118,6 @@ void maxAggregate(const float *Msgs, const int *Row,
 
 NoRecordScope::NoRecordScope() { ++NoRecordDepth; }
 NoRecordScope::~NoRecordScope() { --NoRecordDepth; }
-bool nn::isRecording() { return NoRecordDepth == 0; }
 
 Value nn::add(Value A, Value B) {
   const Tensor &TA = A.val(), &TB = B.val();
@@ -950,7 +949,8 @@ MessageEdges::MessageEdges(std::vector<std::vector<int>> SrcsIn,
 }
 
 std::vector<std::vector<int>>
-nn::backwardSlice(const MessageEdges &E, const std::vector<int> &Targets,
+nn::backwardSlice(const std::vector<std::vector<int>> &Srcs,
+                  const std::vector<int> &Dst, const std::vector<int> &Targets,
                   int Steps, int64_t NumRows) {
   // The loops below keep or drop by arithmetic, not by branch: about half
   // of the rows and messages go each way, unpredictably.
@@ -972,16 +972,18 @@ nn::backwardSlice(const MessageEdges &E, const std::vector<int> &Targets,
   for (int Step = Steps; Step != 0; --Step) {
     std::vector<char> Prev = In;
     size_t Msg = 0;
-    for (const std::vector<int> &Part : E.Srcs)
+    for (const std::vector<int> &Part : Srcs)
       for (int S : Part)
-        Prev[static_cast<size_t>(S)] |= In[static_cast<size_t>(E.Dst[Msg++])];
+        Prev[static_cast<size_t>(S)] |= In[static_cast<size_t>(Dst[Msg++])];
     In = std::move(Prev);
     Slice[static_cast<size_t>(Step) - 1] = Rows();
   }
   return Slice;
 }
 
-MessageEdges nn::sliceEdges(const MessageEdges &E, const std::vector<int> &From,
+MessageEdges nn::sliceEdges(const std::vector<std::vector<int>> &Srcs,
+                            const std::vector<int> &Dst,
+                            const std::vector<int> &From,
                             const std::vector<int> &To, int64_t NumRows) {
   std::vector<int> FromPos(static_cast<size_t>(NumRows), -1);
   std::vector<int> ToPos(static_cast<size_t>(NumRows), -1);
@@ -990,26 +992,26 @@ MessageEdges nn::sliceEdges(const MessageEdges &E, const std::vector<int> &From,
   for (size_t I = 0; I != To.size(); ++I)
     ToPos[static_cast<size_t>(To[I])] = static_cast<int>(I);
   // Every message is written; only those into To advance the cursors.
-  std::vector<std::vector<int>> Srcs(E.Srcs.size());
-  std::vector<int> Dst(E.Dst.size());
+  std::vector<std::vector<int>> StepSrcs(Srcs.size());
+  std::vector<int> StepDst(Dst.size());
   size_t Msg = 0, Kept = 0;
-  for (size_t K = 0; K != E.Srcs.size(); ++K) {
-    std::vector<int> &Part = Srcs[K];
-    Part.resize(E.Srcs[K].size());
+  for (size_t K = 0; K != Srcs.size(); ++K) {
+    std::vector<int> &Part = StepSrcs[K];
+    Part.resize(Srcs[K].size());
     size_t PartKept = 0;
-    for (int S : E.Srcs[K]) {
-      int T = ToPos[static_cast<size_t>(E.Dst[Msg++])];
+    for (int S : Srcs[K]) {
+      int T = ToPos[static_cast<size_t>(Dst[Msg++])];
       assert((T < 0 || FromPos[static_cast<size_t>(S)] >= 0) &&
              "a source of a sliced message lies outside From");
       Part[PartKept] = FromPos[static_cast<size_t>(S)];
-      Dst[Kept] = T;
+      StepDst[Kept] = T;
       PartKept += static_cast<size_t>(T >= 0);
       Kept += static_cast<size_t>(T >= 0);
     }
     Part.resize(PartKept);
   }
-  Dst.resize(Kept);
-  return MessageEdges(std::move(Srcs), std::move(Dst));
+  StepDst.resize(Kept);
+  return MessageEdges(std::move(StepSrcs), std::move(StepDst));
 }
 
 Value nn::messagePass(Value H, std::shared_ptr<const MessageEdges> Edges,

@@ -234,7 +234,7 @@ void typilus::setTcpNoDelay(int Fd) {
 }
 
 //===----------------------------------------------------------------------===//
-// writeAll / LineReader
+// writeAll / readChunk / LineReader
 //===----------------------------------------------------------------------===//
 
 bool typilus::writeAll(int Fd, std::string_view Data) {
@@ -259,6 +259,28 @@ bool typilus::setSendTimeout(int Fd, int Seconds) {
   TV.tv_sec = Seconds;
   TV.tv_usec = 0;
   return ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &TV, sizeof(TV)) == 0;
+}
+
+ReadStatus typilus::readChunk(int Fd, int WakeFd, std::string &Buf) {
+  if (WakeFd >= 0) {
+    pollfd P[2];
+    P[0] = pollfd{Fd, POLLIN, 0};
+    P[1] = pollfd{WakeFd, POLLIN, 0};
+    int R = ::poll(P, 2, -1);
+    if (R < 0 && errno != EINTR)
+      return ReadStatus::Error;
+    if (R < 0 || P[1].revents)
+      return ReadStatus::Interrupted;
+    // Fall through to read(): P[0] is readable (or hung up, so Eof).
+  }
+  char Chunk[4096];
+  ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+  if (N < 0)
+    return errno == EINTR ? ReadStatus::Interrupted : ReadStatus::Error;
+  if (N == 0)
+    return ReadStatus::Eof;
+  Buf.append(Chunk, static_cast<size_t>(N));
+  return ReadStatus::Data;
 }
 
 LineReader::Status LineReader::next(std::string &Out) {
@@ -297,30 +319,16 @@ LineReader::Status LineReader::next(std::string &Out) {
       return Status::Eof;
     }
 
-    if (WakeFd >= 0) {
-      // Wait for data or the wake-up; a signal delivered between reads
-      // would otherwise be lost (read() only EINTRs when in progress).
-      pollfd P[2];
-      P[0] = pollfd{Fd, POLLIN, 0};
-      P[1] = pollfd{WakeFd, POLLIN, 0};
-      int R = ::poll(P, 2, -1);
-      if (R < 0 && errno != EINTR)
-        return Status::Error;
-      if (R < 0 || P[1].revents)
-        return Status::Interrupted;
-      // fall through to read(): P[0] is readable (or hung up → EOF)
-    }
-    char Chunk[4096];
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N < 0) {
-      if (errno == EINTR)
-        return Status::Interrupted;
+    switch (readChunk(Fd, WakeFd, Buf)) {
+    case ReadStatus::Data:
+      break;
+    case ReadStatus::Eof:
+      SawEof = true;
+      break;
+    case ReadStatus::Interrupted:
+      return Status::Interrupted;
+    case ReadStatus::Error:
       return Status::Error;
     }
-    if (N == 0) {
-      SawEof = true;
-      continue;
-    }
-    Buf.append(Chunk, static_cast<size_t>(N));
   }
 }

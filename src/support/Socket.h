@@ -142,6 +142,17 @@ bool writeAll(int Fd, std::string_view Data);
 /// continues.
 bool setSendTimeout(int Fd, int Seconds);
 
+/// The outcome of one readChunk call.
+enum class ReadStatus { Data, Eof, Interrupted, Error };
+
+/// One step of a buffered stream reader: waits for \p Fd to become
+/// readable, then appends at most 4 KiB of it to \p Buf. When \p WakeFd
+/// >= 0 it is polled alongside \p Fd, and its becoming readable returns
+/// Interrupted before any read; so does EINTR in the poll or the read,
+/// since a signal delivered between reads would otherwise be lost. A
+/// zero-byte read is Eof; any other failure is Error.
+ReadStatus readChunk(int Fd, int WakeFd, std::string &Buf);
+
 /// Buffered reader of '\n'-terminated lines with a hard per-line byte
 /// cap. An overlong line is discarded through its terminating newline
 /// (unbounded input cannot exhaust memory) and reported as TooLong; the

@@ -240,70 +240,77 @@ namespace {
 
 using Rows = std::vector<int>;
 
+/// A message graph in the slice functions' layout: part k sends rows
+/// Srcs[k], and Dst holds the destinations, parts concatenated.
+struct MessageLists {
+  std::vector<Rows> Srcs;
+  Rows Dst;
+};
+
 /// Edges as encodeGraphBatch lays them out for one label: a forward part
 /// (sources to destinations) and its reverse.
-nn::MessageEdges bothWays(const std::vector<std::pair<int, int>> &Edges) {
-  std::vector<std::vector<int>> Srcs(2);
-  std::vector<int> Dst;
+MessageLists bothWays(const std::vector<std::pair<int, int>> &Edges) {
+  MessageLists M{std::vector<Rows>(2), {}};
   for (auto [S, T] : Edges) {
-    Srcs[0].push_back(S);
-    Dst.push_back(T);
+    M.Srcs[0].push_back(S);
+    M.Dst.push_back(T);
   }
   for (auto [S, T] : Edges) {
-    Srcs[1].push_back(T);
-    Dst.push_back(S);
+    M.Srcs[1].push_back(T);
+    M.Dst.push_back(S);
   }
-  return nn::MessageEdges(std::move(Srcs), std::move(Dst));
+  return M;
+}
+
+std::vector<Rows> sliceOf(const MessageLists &M, const Rows &Targets,
+                          int Steps, int64_t NumRows) {
+  return nn::backwardSlice(M.Srcs, M.Dst, Targets, Steps, NumRows);
 }
 
 } // namespace
 
 TEST(GgnnSliceTest, ChainSliceGrowsOneHopPerStep) {
   // 0 -> 1 -> 2 -> 3 -> 4, forward messages only.
-  nn::MessageEdges Fwd({{0, 1, 2, 3}}, {1, 2, 3, 4});
-  EXPECT_EQ(nn::backwardSlice(Fwd, {4}, 3, 5),
+  MessageLists Fwd{{{0, 1, 2, 3}}, {1, 2, 3, 4}};
+  EXPECT_EQ(sliceOf(Fwd, {4}, 3, 5),
             (std::vector<Rows>{{1, 2, 3, 4}, {2, 3, 4}, {3, 4}, {4}}));
   // Row 0 receives nothing: its slice is itself at every step.
-  EXPECT_EQ(nn::backwardSlice(Fwd, {0}, 2, 5),
-            (std::vector<Rows>{{0}, {0}, {0}}));
+  EXPECT_EQ(sliceOf(Fwd, {0}, 2, 5), (std::vector<Rows>{{0}, {0}, {0}}));
   // Both directions: the middle row reaches the whole chain in two steps,
   // and a third step adds nothing.
-  nn::MessageEdges Both = bothWays({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  EXPECT_EQ(nn::backwardSlice(Both, {2}, 3, 5),
+  MessageLists Both = bothWays({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  EXPECT_EQ(sliceOf(Both, {2}, 3, 5),
             (std::vector<Rows>{
                 {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}, {1, 2, 3}, {2}}));
   // No steps: the targets alone, once each and ascending.
-  EXPECT_EQ(nn::backwardSlice(Both, {3, 1, 3}, 0, 5),
-            (std::vector<Rows>{{1, 3}}));
+  EXPECT_EQ(sliceOf(Both, {3, 1, 3}, 0, 5), (std::vector<Rows>{{1, 3}}));
   // No targets: every step is empty.
-  EXPECT_EQ(nn::backwardSlice(Both, {}, 2, 5),
-            (std::vector<Rows>{{}, {}, {}}));
+  EXPECT_EQ(sliceOf(Both, {}, 2, 5), (std::vector<Rows>{{}, {}, {}}));
 }
 
 TEST(GgnnSliceTest, StarSliceReachesTheLeavesThroughTheCentre) {
   // Leaves 1..5 point at centre 0; row 6 is isolated.
-  nn::MessageEdges Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
-  EXPECT_EQ(nn::backwardSlice(Star, {0}, 1, 7),
+  MessageLists Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  EXPECT_EQ(sliceOf(Star, {0}, 1, 7),
             (std::vector<Rows>{{0, 1, 2, 3, 4, 5}, {0}}));
-  EXPECT_EQ(nn::backwardSlice(Star, {3}, 2, 7),
+  EXPECT_EQ(sliceOf(Star, {3}, 2, 7),
             (std::vector<Rows>{{0, 1, 2, 3, 4, 5}, {0, 3}, {3}}));
-  EXPECT_EQ(nn::backwardSlice(Star, {6, 3}, 1, 7),
+  EXPECT_EQ(sliceOf(Star, {6, 3}, 1, 7),
             (std::vector<Rows>{{0, 3, 6}, {3, 6}}));
   // Forward messages alone never reach a leaf.
-  nn::MessageEdges In({{1, 2, 3, 4, 5}}, {0, 0, 0, 0, 0});
-  EXPECT_EQ(nn::backwardSlice(In, {3}, 2, 7),
-            (std::vector<Rows>{{3}, {3}, {3}}));
+  MessageLists In{{{1, 2, 3, 4, 5}}, {0, 0, 0, 0, 0}};
+  EXPECT_EQ(sliceOf(In, {3}, 2, 7), (std::vector<Rows>{{3}, {3}, {3}}));
 }
 
 TEST(GgnnSliceTest, SliceEdgesKeepsMessageOrderAndRenumbers) {
-  nn::MessageEdges Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  MessageLists Star = bothWays({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
   // Step 2 of the slice of leaf 3: states {0, 3} in, row 3 out.
-  nn::MessageEdges Step = nn::sliceEdges(Star, {0, 3}, {3}, 7);
+  nn::MessageEdges Step = nn::sliceEdges(Star.Srcs, Star.Dst, {0, 3}, {3}, 7);
   EXPECT_EQ(Step.Srcs, (std::vector<Rows>{{}, {0}}));
   EXPECT_EQ(Step.Dst, Rows({0}));
   // Step 1: states {0..5} in, rows {0, 3} out; the centre's five
   // messages stay in their order, then the reverse message into 3.
-  Step = nn::sliceEdges(Star, {0, 1, 2, 3, 4, 5}, {0, 3}, 7);
+  Step = nn::sliceEdges(Star.Srcs, Star.Dst, {0, 1, 2, 3, 4, 5}, {0, 3}, 7);
   EXPECT_EQ(Step.Srcs, (std::vector<Rows>{{1, 2, 3, 4, 5}, {0}}));
   EXPECT_EQ(Step.Dst, Rows({0, 0, 0, 0, 0, 1}));
 }
@@ -354,10 +361,13 @@ handFile(const std::string &Path, const std::vector<std::string> &Labels,
 
 } // namespace
 
-TEST_F(ModelsTest, SlicedInferenceEqualsTheRecordedFullPass) {
-  // Under a NoRecordScope the Graph encoder runs only the targets'
-  // backward slice; with recording on it runs every row. Target states
-  // must agree bit for bit.
+TEST_F(ModelsTest, GraphEncoderEqualsTheAllTargetsReference) {
+  // The Graph encoder runs only the targets' backward slice. The
+  // reference is the same model on a copy of the batch in which every
+  // node is a target: its slice is every row at every step, the
+  // whole-graph pass. The recorded embedding, every parameter's gradient
+  // under a fixed linear loss and the unrecorded embedding must all equal
+  // the reference bit for bit.
   using E = EdgeLabel;
   const FileExample Lone = handFile("lone.py", {"a", "b", "c"}, {}, {0, 2});
   const FileExample NoTargets = handFile(
@@ -402,48 +412,99 @@ TEST_F(ModelsTest, SlicedInferenceEqualsTheRecordedFullPass) {
       {&Mixed, &NoTargets, &Chain},
       {&DS->Train[0], &DS->Train[1], &DS->Train[2]}};
 
+  auto BitEqual = [](const Tensor &A, const Tensor &B) {
+    return A.sameShape(B) &&
+           (A.numel() == 0 ||
+            std::memcmp(A.data(), B.data(),
+                        sizeof(float) * static_cast<size_t>(A.numel())) == 0);
+  };
+  const char *const RepName[] = {"Subtoken", "WholeToken", "Character"};
   std::vector<bool> Tables{false};
   if (nn::simd::simdAvailable())
     Tables.push_back(true);
-  for (int Steps : {0, 1, 4}) {
-    ModelConfig MC;
-    MC.Encoder = EncoderKind::Graph;
-    MC.HiddenDim = 32;
-    MC.TimeSteps = Steps;
-    TypeModel M(MC, LabelVocab::build(Graphs, LabelVocab::Mode::Subtoken),
-                TypeVocabs());
-    for (bool Simd : Tables) {
-      SimdGuard Pin(Simd);
-      for (int Threads : {1, 4}) {
-        setGlobalNumThreads(Threads);
-        for (size_t B = 0; B != Batches.size(); ++B) {
-          SCOPED_TRACE("T=" + std::to_string(Steps) +
-                       (Simd ? " simd" : " scalar") +
-                       " threads=" + std::to_string(Threads) +
-                       " batch=" + std::to_string(B));
-          std::vector<const Target *> FullTargets, SlicedTargets;
-          nn::Value Full = M.embed(Batches[B], &FullTargets);
-          nn::Value Sliced;
-          {
-            nn::NoRecordScope NoRecord;
-            Sliced = M.embed(Batches[B], &SlicedTargets);
+  for (NodeRepKind Rep : {NodeRepKind::Subtoken, NodeRepKind::WholeToken,
+                          NodeRepKind::Character})
+    for (int Steps : {0, 1, 4}) {
+      ModelConfig MC;
+      MC.Encoder = EncoderKind::Graph;
+      MC.NodeRep = Rep;
+      MC.HiddenDim = 32;
+      MC.TimeSteps = Steps;
+      TypeModel M(MC,
+                  LabelVocab::build(Graphs, Rep == NodeRepKind::WholeToken
+                                                ? LabelVocab::Mode::WholeLabel
+                                                : LabelVocab::Mode::Subtoken),
+                  TypeVocabs());
+      // Every parameter's gradient of the linear loss <Emb, W>.
+      auto GradsOf = [&M](nn::Value Emb) {
+        Rng R(17);
+        Tensor W = Tensor::randn(Emb.val().rows(), Emb.val().cols(), R, 1.f);
+        M.params().zeroGrads();
+        nn::backward(nn::meanAll(nn::mul(Emb, nn::Value::constant(W))));
+        std::vector<Tensor> Grads;
+        for (const nn::Value &P : M.params().params())
+          Grads.push_back(P.grad());
+        return Grads;
+      };
+      for (bool Simd : Tables) {
+        SimdGuard Pin(Simd);
+        for (int Threads : {1, 4}) {
+          setGlobalNumThreads(Threads);
+          for (size_t B = 0; B != Batches.size(); ++B) {
+            SCOPED_TRACE(std::string("rep=") +
+                         RepName[static_cast<size_t>(Rep)] +
+                         " T=" + std::to_string(Steps) +
+                         (Simd ? " simd" : " scalar") +
+                         " threads=" + std::to_string(Threads) +
+                         " batch=" + std::to_string(B));
+            // The reference batch, and each target's row in it.
+            std::vector<FileExample> AllFiles;
+            std::vector<const FileExample *> AllBatch;
+            std::vector<int> RefRows;
+            int Offset = 0;
+            for (const FileExample *F : Batches[B]) {
+              FileExample All = *F;
+              All.Targets.clear();
+              for (size_t I = 0; I != F->Graph.Nodes.size(); ++I) {
+                Target T;
+                T.NodeIdx = static_cast<int>(I);
+                All.Targets.push_back(T);
+              }
+              for (const Target &T : F->Targets)
+                RefRows.push_back(Offset + T.NodeIdx);
+              Offset += static_cast<int>(F->Graph.Nodes.size());
+              AllFiles.push_back(std::move(All));
+            }
+            for (const FileExample &F : AllFiles)
+              AllBatch.push_back(&F);
+
+            std::vector<const Target *> Targets;
+            nn::Value Emb = M.embed(Batches[B], &Targets);
+            ASSERT_TRUE(Emb.defined());
+            ASSERT_EQ(Targets.size(), RefRows.size());
+            ASSERT_EQ(Emb.val().rows(), static_cast<int64_t>(RefRows.size()));
+            if (RefRows.empty())
+              continue;
+            nn::Value Ref =
+                nn::gatherRows(M.embed(AllBatch, nullptr), RefRows);
+            EXPECT_TRUE(BitEqual(Emb.val(), Ref.val())) << "embedding";
+
+            std::vector<Tensor> Got = GradsOf(Emb), Want = GradsOf(Ref);
+            ASSERT_EQ(Got.size(), Want.size());
+            for (size_t P = 0; P != Got.size(); ++P)
+              EXPECT_TRUE(BitEqual(Got[P], Want[P])) << "parameter " << P;
+
+            nn::Value Unrecorded;
+            {
+              nn::NoRecordScope NoRecord;
+              Unrecorded = M.embed(Batches[B], nullptr);
+            }
+            EXPECT_TRUE(Unrecorded.node()->Prev.empty());
+            EXPECT_TRUE(BitEqual(Unrecorded.val(), Ref.val()))
+                << "unrecorded embedding";
           }
-          EXPECT_EQ(SlicedTargets, FullTargets);
-          ASSERT_TRUE(Full.defined() && Sliced.defined());
-          ASSERT_TRUE(Sliced.val().sameShape(Full.val()));
-          ASSERT_EQ(Full.val().rows(),
-                    static_cast<int64_t>(FullTargets.size()));
-          EXPECT_TRUE(Sliced.node()->Prev.empty());
-          if (Full.val().rows() == 0)
-            continue;
-          EXPECT_FALSE(Full.node()->Prev.empty()) << "reference records";
-          EXPECT_EQ(std::memcmp(Sliced.val().data(), Full.val().data(),
-                                sizeof(float) *
-                                    static_cast<size_t>(Full.val().numel())),
-                    0);
         }
       }
     }
-  }
   setGlobalNumThreads(0);
 }
