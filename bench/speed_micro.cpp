@@ -120,7 +120,8 @@ BENCHMARK(BM_MatmulKernel)
 
 /// One GGNN forward pass (T=8 message-passing steps) over the whole train
 /// split merged into a single batch graph: every row in the targets'
-/// backward slice. Arg0 = threads.
+/// backward slice. Arg0 = threads. Reports aggregates over ten
+/// repetitions, like the epoch and inference benches below.
 void BM_GgnnStep(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   setGlobalNumThreads(static_cast<int>(State.range(0)));
@@ -141,7 +142,9 @@ BENCHMARK(BM_GgnnStep)
     ->Arg(0)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
+    ->Iterations(2)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 /// Bulk kNN queries through the pool, on the index the size rule picks
 /// for 20k markers (HNSW). Arg0 = threads.
@@ -400,6 +403,11 @@ BENCHMARK(BM_TmapScanSimd)
 // End-to-end benches (the paper's Sec. 6.1 comparison)
 //===--------------------------------------------------------------------===//
 
+// The epoch and inference benches run one to three iterations each, and
+// a single repetition swings with the host by about as much as the
+// effects read from it (100-115 ms for one train epoch), so they report
+// aggregates over ten repetitions.
+
 void BM_GnnTrainEpoch(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   TrainOptions TO;
@@ -415,7 +423,9 @@ BENCHMARK(BM_GnnTrainEpoch)
     ->Arg(0)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 void BM_BiRnnTrainEpoch(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
@@ -432,12 +442,13 @@ BENCHMARK(BM_BiRnnTrainEpoch)
     ->Arg(0)
     ->ArgNames({"threads"})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(10)
+    ->ReportAggregatesOnly(true);
 
 // Inference as Predictor::embedFiles runs it: no autograd graph recorded.
 // The Graph encoder computes only its targets' backward slice, as it does
-// when recording. One run of a few milliseconds swings with the host, so
-// both inference benches report aggregates over ten repetitions.
+// when recording.
 void BM_GnnInferencePerGraph(benchmark::State &State) {
   SpeedEnv &E = SpeedEnv::get();
   const FileExample &F = E.WB.DS.Test.front();

@@ -62,8 +62,7 @@ Predictor Predictor::knn(TypeModel &Model, ExampleSource &MapFiles,
   // build the index over whatever representation will actually serve.
   if (Opts.MaxMarkers > 0)
     P.Map->subsampleCoreset(Opts.MaxMarkers);
-  if (Opts.Store != MarkerStore::F32)
-    P.Map->quantize(Opts.Store);
+  P.Map->quantize(Opts.Store);
   P.rebuildIndex();
   return P;
 }
@@ -123,12 +122,7 @@ bool Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
   W.endChunk();
 
   if (IsKnn) {
-    // The chunk tag encodes the marker store, so a reader knows the
-    // payload layout before parsing it: "tmap" is the unchanged f32
-    // stream, "tm16"/"tmq8" the version-2 quantized forms.
-    W.beginChunk(Map->store() == MarkerStore::F32   ? "tmap"
-                 : Map->store() == MarkerStore::F16 ? "tm16"
-                                                    : "tmq8");
+    W.beginChunk(Map->snapshotTag());
     Map->save(W, TypeIds);
     W.endChunk();
     // The built index ships with the markers, so serving processes skip
@@ -145,8 +139,7 @@ bool Predictor::writeArtifact(ArchiveWriter &W, const TypeUniverse &U,
 uint32_t Predictor::artifactVersion() const {
   if (!IsKnn)
     return 1;
-  return std::max(Map->store() != MarkerStore::F32 ? 2u : 1u,
-                  Index->snapshotVersion());
+  return std::max(Map->snapshotVersion(), Index->snapshotVersion());
 }
 
 bool Predictor::save(const std::string &Path, const TypeUniverse &U,
@@ -203,20 +196,7 @@ std::unique_ptr<Predictor> Predictor::load(const ArchiveReader &R,
     return P;
 
   P->Map = std::make_unique<TypeMap>(P->Model->config().HiddenDim);
-  // Exactly one τmap chunk is present; its tag names the store. Probing
-  // for the quantized tags first keeps the common f32 miss cheap and
-  // makes the "missing chunk" error name the canonical tag.
-  MarkerStore Store = MarkerStore::F32;
-  const char *Tag = "tmap";
-  if (R.hasChunk("tm16")) {
-    Store = MarkerStore::F16;
-    Tag = "tm16";
-  } else if (R.hasChunk("tmq8")) {
-    Store = MarkerStore::Int8;
-    Tag = "tmq8";
-  }
-  ArchiveCursor TC = R.chunk(Tag, Err);
-  if (!P->Map->load(TC, ById, Err, Store))
+  if (!P->Map->load(R, ById, Err))
     return nullptr;
   P->Knn.Store = P->Map->store();
   if (P->Map->dim() != P->Model->config().HiddenDim) {
@@ -261,6 +241,9 @@ void Predictor::setKnnOptions(const KnnOptions &O) {
   bool NeedRebuild = Kind != Knn.Index;
   Knn = O;
   Knn.Index = Kind;
+  // The store is the τmap's own: only setMarkerStore changes it.
+  if (Map)
+    Knn.Store = Map->store();
   if (NeedRebuild && IsKnn)
     rebuildIndex();
 }
@@ -273,15 +256,8 @@ bool Predictor::setMarkerStore(MarkerStore S, std::string *Err) {
   }
   if (Map->store() == S)
     return true;
-  if (Map->store() != MarkerStore::F32) {
-    if (Err)
-      *Err = std::string("cannot requantize a ") +
-             markerStoreName(Map->store()) + " type map to " +
-             markerStoreName(S) +
-             "; quantization is one-way (start from the f32 artifact)";
+  if (!Map->quantize(S, Err))
     return false;
-  }
-  Map->quantize(S);
   Knn.Store = S;
   rebuildIndex();
   return true;

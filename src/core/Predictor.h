@@ -55,9 +55,9 @@ namespace typilus {
 ///
 /// Version history:
 ///   1 — initial chunked format (tuni/parm-family/pred/tmap/anny).
-///   2 — adds the quantized τmap chunks tm16/tmq8. Writers stamp 2 only
-///       when such a chunk is present, so f32 artifacts remain
-///       byte-identical to version-1 writers (Predictor::artifactVersion).
+///   2 — adds the quantized (f16, int8) τmap chunks. Writers stamp 2
+///       only when such a chunk is present, so f32 artifacts remain
+///       byte-identical to version-1 writers (TypeMap::snapshotVersion).
 ///   3 — adds the HNSW graph chunk hnsw (and index kind 2 in pred).
 ///       Stamped only when the chunk is present, so exact artifacts keep
 ///       their version-1/2 bytes.
@@ -135,9 +135,9 @@ struct KnnOptions {
   /// TrainOptions::NumThreads. Results are identical for any value.
   int NumThreads = 0;
   /// Marker storage format. Applied once by Predictor::knn after the map
-  /// is filled (subsample, then quantize, then build the index); on a
-  /// loaded predictor it reflects the artifact's actual store. Changing
-  /// it through setKnnOptions has no effect — quantization is one-way.
+  /// is filled (subsample, then quantize, then build the index); after
+  /// that a kNN predictor's knnOptions() always reports its τmap's store.
+  /// setKnnOptions leaves the store alone — setMarkerStore converts it.
   MarkerStore Store = MarkerStore::F32;
   /// Caps the τmap at this many markers via coreset subsampling before
   /// quantization (0 = keep every marker).
@@ -188,8 +188,9 @@ public:
   static std::unique_ptr<Predictor> load(const ArchiveReader &R,
                                          std::string *Err);
 
-  /// The payload format version save() stamps for *this* predictor: 1
-  /// unless a quantized τmap forces the new chunk kinds, so f32 artifacts
+  /// The payload format version save() stamps for *this* predictor: the
+  /// lowest that carries every chunk it writes (the τmap's and the
+  /// index's snapshotVersion; 1 for a classifier), so f32 exact artifacts
   /// stay byte-identical to what version-1 writers produced (the CI
   /// digest-equality checks pin exactly this).
   uint32_t artifactVersion() const;

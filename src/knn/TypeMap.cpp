@@ -91,86 +91,147 @@ std::vector<ScoredType> typilus::scoreNeighbors(const TypeMap &Map,
 }
 
 //===----------------------------------------------------------------------===//
-// TypeMap: storage, dedup, quantization
+// The marker row codec: the only code that knows the three encodings
 //===----------------------------------------------------------------------===//
 
-float TypeMap::coord(size_t I, int Dim) const {
-  size_t At = I * static_cast<size_t>(D) + static_cast<size_t>(Dim);
-  switch (Store) {
-  case MarkerStore::F32:
-    return Flat[At];
-  case MarkerStore::F16:
-    return f16BitsToF32(FlatF16[At]);
-  case MarkerStore::Int8:
-    return Scales[I] * static_cast<float>(FlatI8[At]);
-  }
-  return 0.f;
-}
+namespace {
 
-void TypeMap::decodeEmbedding(size_t I, float *Out) const {
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    std::memcpy(Out, Flat.data() + Base, static_cast<size_t>(D) * 4);
-    return;
-  case MarkerStore::F16:
+using nn::simd::KernelTable;
+
+/// One codec per MarkerStore: the row's size, the artifact chunk tag and
+/// version that carry it, and encode / decode / L1 over one row.
+struct F32Row {
+  static constexpr const char *Tag = "tmap";
+  static constexpr uint32_t Version = 1;
+  static size_t bytes(int D) { return static_cast<size_t>(D) * 4; }
+  static void encode(const float *Src, int D, uint8_t *Row) {
+    std::memcpy(Row, Src, bytes(D));
+  }
+  static void decode(const uint8_t *Row, int D, float *Out) {
+    std::memcpy(Out, Row, bytes(D));
+  }
+  static float l1(const KernelTable &KT, const float *Q, const uint8_t *Row,
+                  int D) {
+    return KT.L1(Q, reinterpret_cast<const float *>(Row), D);
+  }
+};
+
+struct F16Row {
+  static constexpr const char *Tag = "tm16";
+  static constexpr uint32_t Version = 2;
+  static size_t bytes(int D) { return static_cast<size_t>(D) * 2; }
+  static void encode(const float *Src, int D, uint8_t *Row) {
+    // Software RNE always (support/Float16.h), so the stored bytes do not
+    // depend on the host's F16C availability.
+    uint16_t *Bits = reinterpret_cast<uint16_t *>(Row);
     for (int K = 0; K != D; ++K)
-      Out[K] = f16BitsToF32(FlatF16[Base + static_cast<size_t>(K)]);
-    return;
-  case MarkerStore::Int8:
+      Bits[K] = f32ToF16Bits(Src[K]);
+  }
+  static void decode(const uint8_t *Row, int D, float *Out) {
+    const uint16_t *Bits = reinterpret_cast<const uint16_t *>(Row);
     for (int K = 0; K != D; ++K)
-      Out[K] =
-          Scales[I] * static_cast<float>(FlatI8[Base + static_cast<size_t>(K)]);
-    return;
+      Out[K] = f16BitsToF32(Bits[K]);
   }
-}
-
-float TypeMap::l1DistanceTo(const float *Q, size_t I) const {
-  const nn::simd::KernelTable &KT = nn::simd::active();
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    return KT.L1(Q, Flat.data() + Base, D);
-  case MarkerStore::F16:
-    return KT.L1F16(Q, FlatF16.data() + Base, D);
-  case MarkerStore::Int8:
-    return KT.L1I8(Q, FlatI8.data() + Base, Scales[I], D);
+  static float l1(const KernelTable &KT, const float *Q, const uint8_t *Row,
+                  int D) {
+    return KT.L1F16(Q, reinterpret_cast<const uint16_t *>(Row), D);
   }
-  return 0.f;
-}
+};
 
-uint64_t TypeMap::rowHash(const void *Row, size_t NumBytes, float Scale,
-                          TypeRef T) const {
-  uint64_t H = 0xCBF29CE484222325ull;
-  auto Mix = [&H](const void *Data, size_t N) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= P[I];
-      H *= 0x100000001B3ull;
+/// D int8 codes, then the f32 scale (maxabs/127, round to nearest), read
+/// and written bytewise: the scale's offset D need not be 4-aligned.
+struct I8Row {
+  static constexpr const char *Tag = "tmq8";
+  static constexpr uint32_t Version = 2;
+  static size_t bytes(int D) { return static_cast<size_t>(D) + 4; }
+  static float scale(const uint8_t *Row, int D) {
+    float S;
+    std::memcpy(&S, Row + D, 4);
+    return S;
+  }
+  static void encode(const float *Src, int D, uint8_t *Row) {
+    float MaxAbs = 0.f;
+    for (int K = 0; K != D; ++K)
+      MaxAbs = std::max(MaxAbs, std::fabs(Src[K]));
+    // All-zero rows get scale 0 and all-zero codes; decode reproduces
+    // them exactly.
+    float Scale = MaxAbs == 0.f ? 0.f : MaxAbs / 127.f;
+    int8_t *Codes = reinterpret_cast<int8_t *>(Row);
+    for (int K = 0; K != D; ++K) {
+      long Q = Scale == 0.f ? 0 : std::lround(Src[K] / Scale);
+      Codes[K] = static_cast<int8_t>(std::min(127l, std::max(-127l, Q)));
     }
-  };
-  if (Store == MarkerStore::Int8)
-    Mix(&Scale, sizeof(Scale));
-  Mix(Row, NumBytes);
+    std::memcpy(Row + D, &Scale, 4);
+  }
+  static void decode(const uint8_t *Row, int D, float *Out) {
+    const float Scale = scale(Row, D);
+    const int8_t *Codes = reinterpret_cast<const int8_t *>(Row);
+    for (int K = 0; K != D; ++K)
+      Out[K] = Scale * static_cast<float>(Codes[K]);
+  }
+  static float l1(const KernelTable &KT, const float *Q, const uint8_t *Row,
+                  int D) {
+    return KT.L1I8(Q, reinterpret_cast<const int8_t *>(Row), scale(Row, D),
+                   D);
+  }
+};
+
+/// Calls \p F with the codec of store \p S.
+template <typename Fn> auto withCodec(MarkerStore S, Fn &&F) {
+  switch (S) {
+  case MarkerStore::F16:
+    return F(F16Row{});
+  case MarkerStore::Int8:
+    return F(I8Row{});
+  case MarkerStore::F32:
+    break;
+  }
+  return F(F32Row{});
+}
+
+size_t rowBytesOf(MarkerStore S, int D) {
+  return withCodec(S, [D](auto C) { return C.bytes(D); });
+}
+
+const char *tagOf(MarkerStore S) {
+  return withCodec(S, [](auto C) { return C.Tag; });
+}
+
+/// FNV-1a over an encoded row's bytes, mixed with the interned type
+/// pointer (stable within a process, which is all the dedup index needs).
+uint64_t rowHash(const uint8_t *Row, size_t NumBytes, TypeRef T) {
+  uint64_t H = 0xCBF29CE484222325ull;
+  for (size_t I = 0; I != NumBytes; ++I) {
+    H ^= Row[I];
+    H *= 0x100000001B3ull;
+  }
   H ^= reinterpret_cast<uintptr_t>(T);
   H *= 0x100000001B3ull;
   return H;
 }
 
-uint64_t TypeMap::storedHash(size_t I) const {
-  size_t Base = I * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    return rowHash(Flat.data() + Base, static_cast<size_t>(D) * 4, 0.f,
-                   Types[I]);
-  case MarkerStore::F16:
-    return rowHash(FlatF16.data() + Base, static_cast<size_t>(D) * 2, 0.f,
-                   Types[I]);
-  case MarkerStore::Int8:
-    return rowHash(FlatI8.data() + Base, static_cast<size_t>(D), Scales[I],
-                   Types[I]);
-  }
-  return 0;
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// TypeMap: storage, dedup, quantization
+//===----------------------------------------------------------------------===//
+
+TypeMap::TypeMap(int Dim)
+    : D(Dim), RowBytes(rowBytesOf(MarkerStore::F32, Dim)) {}
+
+void TypeMap::decodeEmbedding(size_t I, float *Out) const {
+  withCodec(Store, [&](auto C) { C.decode(row(I), D, Out); });
+}
+
+float TypeMap::l1DistanceTo(const float *Q, size_t I) const {
+  const KernelTable &KT = nn::simd::active();
+  return withCodec(Store, [&](auto C) { return C.l1(KT, Q, row(I), D); });
+}
+
+const char *TypeMap::snapshotTag() const { return tagOf(Store); }
+
+uint32_t TypeMap::snapshotVersion() const {
+  return withCodec(Store, [](auto C) { return C.Version; });
 }
 
 void TypeMap::rebuildDedupIndex() {
@@ -179,51 +240,13 @@ void TypeMap::rebuildDedupIndex() {
   // adds dedupe against the loaded content without altering it).
   DedupIndex.clear();
   DedupIndexStale = false;
-  size_t RowBytes = static_cast<size_t>(D) *
-                    (Store == MarkerStore::F32   ? 4
-                     : Store == MarkerStore::F16 ? 2
-                                                 : 1);
-  auto RowPtr = [this](size_t I) -> const void * {
-    size_t Base = I * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      return Flat.data() + Base;
-    case MarkerStore::F16:
-      return FlatF16.data() + Base;
-    case MarkerStore::Int8:
-      return FlatI8.data() + Base;
-    }
-    return nullptr;
-  };
   for (size_t I = 0; I != Types.size(); ++I) {
-    std::vector<int> &Bucket = DedupIndex[storedHash(I)];
-    bool Seen = false;
-    for (int J : Bucket)
-      if (Types[static_cast<size_t>(J)] == Types[I] &&
-          (Store != MarkerStore::Int8 ||
-           Scales[static_cast<size_t>(J)] == Scales[I]) &&
-          std::memcmp(RowPtr(static_cast<size_t>(J)), RowPtr(I), RowBytes) ==
-              0) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
+    std::vector<int> &Bucket = DedupIndex[rowHash(row(I), RowBytes, Types[I])];
+    if (std::none_of(Bucket.begin(), Bucket.end(), [&](int J) {
+          return sameMarker(static_cast<size_t>(J), row(I), Types[I]);
+        }))
       Bucket.push_back(static_cast<int>(I));
   }
-}
-
-float TypeMap::encodeI8Row(const float *Src, int8_t *Dst) const {
-  float MaxAbs = 0.f;
-  for (int K = 0; K != D; ++K)
-    MaxAbs = std::max(MaxAbs, std::fabs(Src[K]));
-  // All-zero (or non-finite-free degenerate) rows get scale 0 and all-zero
-  // codes; decode reproduces them exactly.
-  float Scale = MaxAbs == 0.f ? 0.f : MaxAbs / 127.f;
-  for (int K = 0; K != D; ++K) {
-    long Q = Scale == 0.f ? 0 : std::lround(Src[K] / Scale);
-    Dst[K] = static_cast<int8_t>(std::min(127l, std::max(-127l, Q)));
-  }
-  return Scale;
 }
 
 int TypeMap::fileIdFor(std::string_view FileTag) {
@@ -282,52 +305,22 @@ size_t TypeMap::removeMarkersForFile(std::string_view FileTag) {
   return Removed;
 }
 
-bool TypeMap::compact() {
-  if (NumDead == 0)
-    return false;
+void TypeMap::keepRows(const std::vector<char> &Drop) {
   size_t Next = 0;
   for (size_t I = 0; I != Types.size(); ++I) {
-    if (Dead[I])
+    if (Drop[I])
       continue;
     if (Next != I) {
-      size_t DstBase = Next * static_cast<size_t>(D);
-      size_t SrcBase = I * static_cast<size_t>(D);
-      switch (Store) {
-      case MarkerStore::F32:
-        std::memmove(Flat.data() + DstBase, Flat.data() + SrcBase,
-                     static_cast<size_t>(D) * 4);
-        break;
-      case MarkerStore::F16:
-        std::memmove(FlatF16.data() + DstBase, FlatF16.data() + SrcBase,
-                     static_cast<size_t>(D) * 2);
-        break;
-      case MarkerStore::Int8:
-        std::memmove(FlatI8.data() + DstBase, FlatI8.data() + SrcBase,
-                     static_cast<size_t>(D));
-        Scales[Next] = Scales[I];
-        break;
-      }
+      std::memcpy(Rows.data() + Next * RowBytes, row(I), RowBytes);
       Types[Next] = Types[I];
       FileOf[Next] = FileOf[I];
     }
     ++Next;
   }
-  size_t Coords = Next * static_cast<size_t>(D);
-  switch (Store) {
-  case MarkerStore::F32:
-    Flat.resize(Coords);
-    break;
-  case MarkerStore::F16:
-    FlatF16.resize(Coords);
-    break;
-  case MarkerStore::Int8:
-    FlatI8.resize(Coords);
-    Scales.resize(Next);
-    break;
-  }
+  Rows.resize(Next * RowBytes);
   Types.resize(Next);
   FileOf.resize(Next);
-  Dead.assign(Next, 0);
+  Dead.assign(Next, 0); // after the loop: Drop may be Dead itself
   NumDead = 0;
   RowsOfFile.clear();
   for (size_t I = 0; I != FileOf.size(); ++I)
@@ -335,6 +328,12 @@ bool TypeMap::compact() {
       RowsOfFile[FileOf[I]].push_back(static_cast<int>(I));
   DedupIndex.clear();
   DedupIndexStale = true;
+}
+
+bool TypeMap::compact() {
+  if (NumDead == 0)
+    return false;
+  keepRows(Dead);
   return true;
 }
 
@@ -346,43 +345,16 @@ bool TypeMap::add(const float *Embedding, TypeRef T,
                   std::string_view FileTag) {
   if (DedupIndexStale)
     rebuildDedupIndex();
-  // Encode the candidate into the store's representation first; dedup
-  // compares encoded rows, so post-rounding collisions also collapse.
-  std::vector<uint16_t> EncF16;
-  std::vector<int8_t> EncI8;
-  float Scale = 0.f;
-  const void *Row = Embedding;
-  size_t RowBytes = static_cast<size_t>(D) * 4;
-  if (Store == MarkerStore::F16) {
-    EncF16.resize(static_cast<size_t>(D));
-    for (int K = 0; K != D; ++K)
-      EncF16[static_cast<size_t>(K)] = f32ToF16Bits(Embedding[K]);
-    Row = EncF16.data();
-    RowBytes = static_cast<size_t>(D) * 2;
-  } else if (Store == MarkerStore::Int8) {
-    EncI8.resize(static_cast<size_t>(D));
-    Scale = encodeI8Row(Embedding, EncI8.data());
-    Row = EncI8.data();
-    RowBytes = static_cast<size_t>(D);
-  }
-  auto StoredRow = [this](size_t I) -> const void * {
-    size_t Base = I * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      return Flat.data() + Base;
-    case MarkerStore::F16:
-      return FlatF16.data() + Base;
-    case MarkerStore::Int8:
-      return FlatI8.data() + Base;
-    }
-    return nullptr;
-  };
-  std::vector<int> &Bucket = DedupIndex[rowHash(Row, RowBytes, Scale, T)];
+  // Encode the candidate into a fresh tail row first; dedup compares
+  // encoded rows, so post-rounding collisions also collapse.
+  const size_t N = Types.size();
+  Rows.resize((N + 1) * RowBytes);
+  uint8_t *Row = Rows.data() + N * RowBytes;
+  withCodec(Store, [&](auto C) { C.encode(Embedding, D, Row); });
+  std::vector<int> &Bucket = DedupIndex[rowHash(Row, RowBytes, T)];
   for (int I : Bucket)
-    if (Types[static_cast<size_t>(I)] == T &&
-        (Store != MarkerStore::Int8 ||
-         Scales[static_cast<size_t>(I)] == Scale) &&
-        std::memcmp(StoredRow(static_cast<size_t>(I)), Row, RowBytes) == 0) {
+    if (sameMarker(static_cast<size_t>(I), Row, T)) {
+      Rows.resize(N * RowBytes);
       if (Dead[static_cast<size_t>(I)]) {
         // Resurrect the tombstoned row in place: the marker layout (row
         // index, bytes, order) is exactly what it was before the removal,
@@ -396,55 +368,42 @@ bool TypeMap::add(const float *Embedding, TypeRef T,
       ++Dropped;
       return false;
     }
-  Bucket.push_back(static_cast<int>(Types.size()));
-  switch (Store) {
-  case MarkerStore::F32:
-    Flat.insert(Flat.end(), Embedding, Embedding + D);
-    break;
-  case MarkerStore::F16:
-    FlatF16.insert(FlatF16.end(), EncF16.begin(), EncF16.end());
-    break;
-  case MarkerStore::Int8:
-    FlatI8.insert(FlatI8.end(), EncI8.begin(), EncI8.end());
-    Scales.push_back(Scale);
-    break;
-  }
+  Bucket.push_back(static_cast<int>(N));
   Types.push_back(T);
   FileOf.push_back(-1);
   Dead.push_back(0);
-  tagRow(Types.size() - 1, fileIdFor(FileTag));
+  tagRow(N, fileIdFor(FileTag));
   return true;
 }
 
-void TypeMap::quantize(MarkerStore NewStore) {
+bool TypeMap::quantize(MarkerStore NewStore, std::string *Err) {
   if (NewStore == Store)
-    return;
-  assert(Store == MarkerStore::F32 &&
-         "quantize converts a freshly built f32 map; re-quantization of an "
-         "already-quantized store is lossy-on-lossy and unsupported");
-  assert(NumDead == 0 && "compact() before quantize()");
-  size_t N = Types.size();
-  if (NewStore == MarkerStore::F16) {
-    // Software RNE encode always (support/Float16.h), so the artifact
-    // bytes do not depend on the host's F16C availability.
-    FlatF16.resize(Flat.size());
-    for (size_t I = 0; I != Flat.size(); ++I)
-      FlatF16[I] = f32ToF16Bits(Flat[I]);
-  } else {
-    FlatI8.resize(Flat.size());
-    Scales.resize(N);
-    for (size_t I = 0; I != N; ++I)
-      Scales[I] =
-          encodeI8Row(Flat.data() + I * static_cast<size_t>(D),
-                      FlatI8.data() + I * static_cast<size_t>(D));
+    return true;
+  if (Store != MarkerStore::F32) {
+    if (Err)
+      *Err = std::string("cannot requantize a ") + markerStoreName(Store) +
+             " type map to " + markerStoreName(NewStore) +
+             "; quantization is one-way (start from the f32 artifact)";
+    return false;
   }
-  Flat.clear();
-  Flat.shrink_to_fit();
+  assert(NumDead == 0 && "compact() before quantize()");
+  const size_t NewBytes = rowBytesOf(NewStore, D);
+  std::vector<uint8_t> NewRows(Types.size() * NewBytes);
+  std::vector<float> Coords(static_cast<size_t>(D));
+  withCodec(NewStore, [&](auto C) {
+    for (size_t I = 0; I != Types.size(); ++I) {
+      decodeEmbedding(I, Coords.data());
+      C.encode(Coords.data(), D, NewRows.data() + I * NewBytes);
+    }
+  });
+  Rows = std::move(NewRows);
+  RowBytes = NewBytes;
   Store = NewStore;
   // Rounding can merge rows that were distinct in f32; the index keys are
   // stale either way.
   DedupIndex.clear();
   DedupIndexStale = true;
+  return true;
 }
 
 size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
@@ -503,15 +462,16 @@ size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
 
   // Greedy k-center within each type: seed with the type's first marker,
   // then repeatedly take the marker farthest (L1) from the chosen set.
-  std::vector<int> Kept;
-  Kept.reserve(MaxMarkers);
+  std::vector<char> Drop(Types.size(), 1);
+  std::vector<float> C(static_cast<size_t>(D));
   for (size_t G = 0; G != NumTypes; ++G) {
     const std::vector<int> &Items = Groups[TypeOrder[G]];
     size_t Want = std::min(Alloc[G], Items.size());
     if (Want == 0)
       continue;
     if (Want == Items.size()) {
-      Kept.insert(Kept.end(), Items.begin(), Items.end());
+      for (int I : Items)
+        Drop[static_cast<size_t>(I)] = 0;
       continue;
     }
     std::vector<float> MinDist(Items.size(),
@@ -519,16 +479,15 @@ size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
     std::vector<char> Chosen(Items.size(), 0);
     size_t Last = 0;
     Chosen[0] = 1;
-    Kept.push_back(Items[0]);
+    Drop[static_cast<size_t>(Items[0])] = 0;
     for (size_t Picked = 1; Picked != Want; ++Picked) {
-      const float *C =
-          embedding(static_cast<size_t>(Items[Last]));
+      decodeEmbedding(static_cast<size_t>(Items[Last]), C.data());
       size_t Best = SIZE_MAX;
       float BestDist = -1.f;
       for (size_t I = 0; I != Items.size(); ++I) {
         if (Chosen[I])
           continue;
-        float Dist = l1DistanceTo(C, static_cast<size_t>(Items[I]));
+        float Dist = l1DistanceTo(C.data(), static_cast<size_t>(Items[I]));
         if (Dist < MinDist[I])
           MinDist[I] = Dist;
         // Strict > keeps ties on the lowest index — deterministic.
@@ -540,36 +499,14 @@ size_t TypeMap::subsampleCoreset(size_t MaxMarkers) {
       if (Best == SIZE_MAX)
         break;
       Chosen[Best] = 1;
-      Kept.push_back(Items[Best]);
+      Drop[static_cast<size_t>(Items[Best])] = 0;
       Last = Best;
     }
   }
 
-  // Rebuild in original marker order so survivors keep their relative
-  // layout (and the result is independent of the per-type pick order).
-  std::sort(Kept.begin(), Kept.end());
-  std::vector<float> NewFlat;
-  NewFlat.reserve(Kept.size() * static_cast<size_t>(D));
-  std::vector<TypeRef> NewTypes;
-  NewTypes.reserve(Kept.size());
-  std::vector<int32_t> NewFileOf;
-  NewFileOf.reserve(Kept.size());
-  for (int I : Kept) {
-    const float *Row = embedding(static_cast<size_t>(I));
-    NewFlat.insert(NewFlat.end(), Row, Row + D);
-    NewTypes.push_back(Types[static_cast<size_t>(I)]);
-    NewFileOf.push_back(FileOf[static_cast<size_t>(I)]);
-  }
-  Flat = std::move(NewFlat);
-  Types = std::move(NewTypes);
-  FileOf = std::move(NewFileOf);
-  Dead.assign(Types.size(), 0);
-  RowsOfFile.clear();
-  for (size_t I = 0; I != FileOf.size(); ++I)
-    if (FileOf[I] >= 0)
-      RowsOfFile[FileOf[I]].push_back(static_cast<int>(I));
-  DedupIndex.clear();
-  DedupIndexStale = true;
+  // Survivors keep their original relative order (so the result is
+  // independent of the per-type pick order).
+  keepRows(Drop);
   return Types.size();
 }
 
@@ -579,71 +516,74 @@ void TypeMap::save(ArchiveWriter &W,
          "tombstones are in-memory session state: compact() before save()");
   W.writeI32(D);
   W.writeU64(Types.size());
+  const size_t Coords = Types.size() * static_cast<size_t>(D);
   switch (Store) {
   case MarkerStore::F32:
-    // Exactly the historical byte stream — f32 artifacts stay
-    // bit-identical across this change.
-    W.writeF32Array(Flat.data(), Flat.size());
+    W.writeF32Array(reinterpret_cast<const float *>(Rows.data()), Coords);
     break;
   case MarkerStore::F16:
-    W.writeU16Array(FlatF16.data(), FlatF16.size());
+    W.writeU16Array(reinterpret_cast<const uint16_t *>(Rows.data()), Coords);
     break;
   case MarkerStore::Int8:
-    W.writeF32Array(Scales.data(), Scales.size());
-    W.writeBytes(FlatI8.data(), FlatI8.size());
+    for (size_t I = 0; I != Types.size(); ++I)
+      W.writeF32(I8Row::scale(row(I), D));
+    for (size_t I = 0; I != Types.size(); ++I)
+      W.writeBytes(row(I), static_cast<size_t>(D));
     break;
   }
   for (TypeRef T : Types)
     W.writeI32(TypeIds.at(T));
 }
 
-bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
-                   std::string *Err, MarkerStore S) {
+bool TypeMap::load(const ArchiveReader &R, const std::vector<TypeRef> &ById,
+                   std::string *Err) {
+  // Exactly one τmap chunk is present; its tag names the store. Probing
+  // for the quantized tags first keeps the common f32 miss cheap and
+  // makes the "missing chunk" error name the canonical tag.
+  const MarkerStore S = R.hasChunk(tagOf(MarkerStore::F16)) ? MarkerStore::F16
+                        : R.hasChunk(tagOf(MarkerStore::Int8))
+                            ? MarkerStore::Int8
+                            : MarkerStore::F32;
+  ArchiveCursor C = R.chunk(tagOf(S), Err);
   int32_t Dim = C.readI32();
   uint64_t Count = C.readU64();
-  // Bound the marker count against the payload before any allocation, so
-  // no adversarial count/dim pair can overflow the byte-size comparison
-  // (same policy as nn::readTensor). Every marker costs its coordinate
-  // bytes plus a 4-byte type id (plus the int8 scale).
-  uint64_t CoordBytes = S == MarkerStore::F32   ? 4
-                        : S == MarkerStore::F16 ? 2
-                                                : 1;
   if (!C.ok() || Dim <= 0) {
     if (Err && Err->empty())
       *Err = "malformed type-map snapshot";
     return false;
   }
-  uint64_t PerMarker = static_cast<uint64_t>(Dim) * CoordBytes + 4 +
-                       (S == MarkerStore::Int8 ? 4 : 0);
-  if (Count > C.remaining() / PerMarker) {
+  // Bound the marker count against the payload before any allocation, so
+  // no adversarial count/dim pair can overflow the byte-size comparison
+  // (same policy as nn::readTensor). Every marker costs its row bytes
+  // plus a 4-byte type id.
+  const size_t NewBytes = rowBytesOf(S, Dim);
+  if (Count > C.remaining() / (NewBytes + 4)) {
     if (Err && Err->empty())
       *Err = "malformed type-map snapshot";
     return false;
   }
-  size_t Coords = static_cast<size_t>(Count) * static_cast<size_t>(Dim);
-  std::vector<float> NewFlat;
-  std::vector<uint16_t> NewF16;
-  std::vector<int8_t> NewI8;
-  std::vector<float> NewScales;
+  const size_t N = static_cast<size_t>(Count);
+  const size_t Coords = N * static_cast<size_t>(Dim);
+  std::vector<uint8_t> NewRows(N * NewBytes);
   switch (S) {
   case MarkerStore::F32:
-    NewFlat.resize(Coords);
-    C.readF32Array(NewFlat.data(), NewFlat.size());
+    C.readF32Array(reinterpret_cast<float *>(NewRows.data()), Coords);
     break;
   case MarkerStore::F16:
-    NewF16.resize(Coords);
-    C.readU16Array(NewF16.data(), NewF16.size());
+    C.readU16Array(reinterpret_cast<uint16_t *>(NewRows.data()), Coords);
     break;
   case MarkerStore::Int8:
-    NewScales.resize(static_cast<size_t>(Count));
-    C.readF32Array(NewScales.data(), NewScales.size());
-    NewI8.resize(Coords);
-    C.readBytes(NewI8.data(), NewI8.size());
+    for (size_t I = 0; I != N; ++I) {
+      float Scale = C.readF32();
+      std::memcpy(NewRows.data() + I * NewBytes + Dim, &Scale, 4);
+    }
+    for (size_t I = 0; I != N; ++I)
+      C.readBytes(NewRows.data() + I * NewBytes, static_cast<size_t>(Dim));
     break;
   }
   std::vector<TypeRef> NewTypes;
-  NewTypes.reserve(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I != Count; ++I) {
+  NewTypes.reserve(N);
+  for (size_t I = 0; I != N; ++I) {
     int Idx = C.readI32();
     if (!C.ok() || Idx < 0 || static_cast<size_t>(Idx) >= ById.size()) {
       if (Err && Err->empty())
@@ -654,10 +594,8 @@ bool TypeMap::load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
   }
   D = Dim;
   Store = S;
-  Flat = std::move(NewFlat);
-  FlatF16 = std::move(NewF16);
-  FlatI8 = std::move(NewI8);
-  Scales = std::move(NewScales);
+  RowBytes = NewBytes;
+  Rows = std::move(NewRows);
   Types = std::move(NewTypes);
   // Tags and tombstones are never serialized: a loaded snapshot starts
   // with every marker live and untagged.
@@ -718,21 +656,17 @@ inline void pushBounded(NeighborList &H, int K, std::pair<int, float> Cand) {
 /// The blocked exact engine: answers queries [QBegin, QEnd) of \p Qs over
 /// the live rows in [RowBegin, RowEnd) into Out[0, QEnd - QBegin), each
 /// ascending under neighborLess. Queries go kQueryTile at a time, with
-/// one bounded heap per query of the tile reused across tiles.
-void scanRows(const TypeMap &Map, const float *Qs, int64_t QBegin,
-              int64_t QEnd, int K, size_t RowBegin, size_t RowEnd,
-              NeighborList *Out) {
-  if (K <= 0)
-    return; // Out entries stay empty, like the legacy Keep=0.
-  const nn::simd::KernelTable &KT = nn::simd::active();
-  const int64_t D = Map.dim();
-  // Hoist the store dispatch out of the tile bodies: raw arrays + the
-  // active kernel table, fetched once.
-  const MarkerStore Store = Map.store();
-  const float *F32 = Map.rawF32();
-  const uint16_t *F16 = Map.rawF16();
-  const int8_t *I8 = Map.rawI8();
-  const float *Scales = Map.rawI8Scales();
+/// one bounded heap per query of the tile reused across tiles. Codec is
+/// the map's row codec, chosen once per scan by scanRows, so the tile
+/// body calls one kernel directly.
+template <typename Codec>
+void scanRowsWith(const TypeMap &Map, const float *Qs, int64_t QBegin,
+                  int64_t QEnd, int K, size_t RowBegin, size_t RowEnd,
+                  NeighborList *Out) {
+  const KernelTable &KT = nn::simd::active();
+  const int D = Map.dim();
+  const uint8_t *Rows = Map.row(0);
+  const size_t Stride = Map.rowBytes();
   std::vector<NeighborList> Heaps(static_cast<size_t>(kQueryTile));
   for (int64_t QB = QBegin; QB < QEnd; QB += kQueryTile) {
     const size_t NumQ =
@@ -746,31 +680,11 @@ void scanRows(const TypeMap &Map, const float *Qs, int64_t QBegin,
       for (size_t Q = 0; Q != NumQ; ++Q) {
         const float *Query = Qs + (QB + static_cast<int64_t>(Q)) * D;
         NeighborList &H = Heaps[Q];
-        switch (Store) {
-        case MarkerStore::F32:
-          for (size_t I = MB; I != ME; ++I)
-            if (Map.isLive(I))
-              pushBounded(H, K,
-                          {static_cast<int>(I),
-                           KT.L1(Query, F32 + I * static_cast<size_t>(D), D)});
-          break;
-        case MarkerStore::F16:
-          for (size_t I = MB; I != ME; ++I)
-            if (Map.isLive(I))
-              pushBounded(
-                  H, K,
-                  {static_cast<int>(I),
-                   KT.L1F16(Query, F16 + I * static_cast<size_t>(D), D)});
-          break;
-        case MarkerStore::Int8:
-          for (size_t I = MB; I != ME; ++I)
-            if (Map.isLive(I))
-              pushBounded(H, K,
-                          {static_cast<int>(I),
-                           KT.L1I8(Query, I8 + I * static_cast<size_t>(D),
-                                   Scales[I], D)});
-          break;
-        }
+        for (size_t I = MB; I != ME; ++I)
+          if (Map.isLive(I))
+            pushBounded(H, K,
+                        {static_cast<int>(I),
+                         Codec::l1(KT, Query, Rows + I * Stride, D)});
       }
     }
     for (size_t Q = 0; Q != NumQ; ++Q) {
@@ -778,6 +692,17 @@ void scanRows(const TypeMap &Map, const float *Qs, int64_t QBegin,
       Out[static_cast<size_t>(QB - QBegin) + Q] = Heaps[Q];
     }
   }
+}
+
+void scanRows(const TypeMap &Map, const float *Qs, int64_t QBegin,
+              int64_t QEnd, int K, size_t RowBegin, size_t RowEnd,
+              NeighborList *Out) {
+  if (K <= 0)
+    return; // Out entries stay empty, like the legacy Keep=0.
+  withCodec(Map.store(), [&](auto C) {
+    scanRowsWith<decltype(C)>(Map, Qs, QBegin, QEnd, K, RowBegin, RowEnd,
+                              Out);
+  });
 }
 
 } // namespace

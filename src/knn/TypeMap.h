@@ -10,13 +10,19 @@
 /// data, not model weights, previously unseen types can be added without
 /// retraining — the key open-vocabulary property of Typilus.
 ///
-/// Markers live in one of three storage formats (τmap compaction): exact
-/// f32, IEEE binary16 (half the bytes, ~1e-3 relative rounding), or int8
-/// with one f32 scale per marker (quarter the bytes). Distances dispatch
-/// through the runtime SIMD kernel table (nn/Simd.h), which scans f16 and
-/// int8 rows without materialising a decoded copy. `quantize` converts a
-/// freshly built f32 map; `subsampleCoreset` bounds the marker count first
-/// while keeping every type represented.
+/// Every marker is one fixed-stride byte row in a single array, encoded in
+/// one of three stores (τmap compaction): D × f32 (exact), D × IEEE
+/// binary16 (half the bytes, ~1e-3 relative rounding), or D × int8 codes
+/// followed by the row's f32 scale (quarter the bytes). One row codec in
+/// TypeMap.cpp is the only code that knows the encodings: it encodes and
+/// decodes a row and measures L1 to it through the runtime SIMD kernel
+/// table (nn/Simd.h), which scans f16 and int8 rows without materialising
+/// a decoded copy. Everything else (dedup, resurrection, compaction,
+/// reserve) moves opaque rows. `quantize` converts a freshly built f32
+/// map; `subsampleCoreset` bounds the marker count first while keeping
+/// every type represented. The map owns its artifact chunk tag and the
+/// format version that tag needs (snapshotTag/snapshotVersion); only
+/// save/load lay out the payload per store.
 ///
 /// The two indexes (exact scan, HNSW graph) share one KnnIndex interface:
 /// a `queryBatch` that also answers rows appended since the build, and one
@@ -45,6 +51,7 @@
 #include "typesys/Type.h"
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,25 +99,13 @@ inline KnnIndexKind defaultKnnIndexKind(size_t Markers) {
 /// A store of D-dimensional type markers.
 class TypeMap {
 public:
-  explicit TypeMap(int Dim) : D(Dim) {}
+  explicit TypeMap(int Dim);
 
   /// Pre-allocates room for \p TotalMarkers markers *in total* (bulk
   /// fills). Total, not incremental: calling it twice with the same bound
   /// is idempotent instead of doubling the reservation.
   void reserve(size_t TotalMarkers) {
-    size_t Coords = TotalMarkers * static_cast<size_t>(D);
-    switch (Store) {
-    case MarkerStore::F32:
-      Flat.reserve(Coords);
-      break;
-    case MarkerStore::F16:
-      FlatF16.reserve(Coords);
-      break;
-    case MarkerStore::Int8:
-      FlatI8.reserve(Coords);
-      Scales.reserve(TotalMarkers);
-      break;
-    }
+    Rows.reserve(TotalMarkers * RowBytes);
     Types.reserve(TotalMarkers);
     FileOf.reserve(TotalMarkers);
     Dead.reserve(TotalMarkers);
@@ -177,27 +172,14 @@ public:
   size_t size() const { return Types.size(); }
   int dim() const { return D; }
   MarkerStore store() const { return Store; }
-  /// Bytes held by the marker coordinate arrays (artifact sizing).
-  size_t storageBytes() const {
-    return Flat.size() * 4 + FlatF16.size() * 2 + FlatI8.size() +
-           Scales.size() * 4;
-  }
-
-  /// Direct row access — F32 store only (the trainer-side fast path).
-  const float *embedding(size_t I) const {
-    return Flat.data() + I * static_cast<size_t>(D);
-  }
-  /// Raw store arrays for index inner loops: the blocked scan hoists the
-  /// per-row store dispatch out of its tile bodies and feeds these
-  /// directly to the SIMD kernel table. Only the array matching store()
-  /// is populated; the others are empty.
-  const float *rawF32() const { return Flat.data(); }
-  const uint16_t *rawF16() const { return FlatF16.data(); }
-  const int8_t *rawI8() const { return FlatI8.data(); }
-  const float *rawI8Scales() const { return Scales.data(); }
-  /// Coordinate \p Dim of marker \p I, decoded from whatever store holds
-  /// it.
-  float coord(size_t I, int Dim) const;
+  /// Bytes held by the marker rows (artifact sizing).
+  size_t storageBytes() const { return Rows.size(); }
+  /// Bytes per marker row: D coordinates in store()'s encoding (int8 rows
+  /// end with their f32 scale).
+  size_t rowBytes() const { return RowBytes; }
+  /// The stored bytes of marker \p I (rowBytes() of them) — what index
+  /// inner loops scan and what dedup compares.
+  const uint8_t *row(size_t I) const { return Rows.data() + I * RowBytes; }
   /// Decodes marker \p I into \p Out (length D).
   void decodeEmbedding(size_t I, float *Out) const;
   /// L1 distance from f32 query \p Q to marker \p I, computed over the
@@ -206,12 +188,13 @@ public:
   float l1DistanceTo(const float *Q, size_t I) const;
   TypeRef type(size_t I) const { return Types[I]; }
 
-  /// Converts an F32 map to \p NewStore in place (no-op when already
-  /// there). Quantization is a one-way, whole-map step taken after the
-  /// map is filled and subsampled, before the index is built; the f16
-  /// encoder is the software round-to-nearest-even path, so the encoded
-  /// bytes are host-independent.
-  void quantize(MarkerStore NewStore);
+  /// Converts an F32 map to \p NewStore in place (a no-op returning true
+  /// when already there). Quantization is a one-way, whole-map step taken
+  /// after the map is filled and subsampled, before the index is built;
+  /// the f16 encoder is the software round-to-nearest-even path, so the
+  /// encoded bytes are host-independent. \returns false and sets \p Err
+  /// when asked to requantize an already-quantized map (lossy on lossy).
+  bool quantize(MarkerStore NewStore, std::string *Err = nullptr);
 
   /// Caps the map at \p MaxMarkers markers (F32 store only; a no-op when
   /// already within the bound or \p MaxMarkers is 0 = unlimited). Budget
@@ -224,17 +207,22 @@ public:
   /// their relative order. \returns the new size.
   size_t subsampleCoreset(size_t MaxMarkers);
 
+  /// Chunk tag of the snapshot save() writes; it names the store, so a
+  /// reader knows the payload layout before parsing it ("tmap" is the f32
+  /// stream, "tm16"/"tmq8" the quantized forms).
+  const char *snapshotTag() const;
+  /// The artifact format version that introduced snapshotTag().
+  uint32_t snapshotVersion() const;
   /// Appends dim + every marker (stored-format coordinates, dense
-  /// type-table index) to the open chunk. The payload layout follows
-  /// store(): f32 maps write exactly the historical byte stream. File
-  /// tags and tombstones are session state and are never written —
-  /// compact() first; saving a map with tombstones is a programming error.
+  /// type-table index) to the open chunk. f32 and f16 write their rows in
+  /// order; int8 writes every scale, then every row's codes. File tags and
+  /// tombstones are session state and are never written — compact()
+  /// first; saving a map with tombstones is a programming error.
   void save(ArchiveWriter &W, const std::map<TypeRef, int> &TypeIds) const;
-  /// Replaces *this with a snapshot written by save(); \p ById is the
-  /// loaded type table and \p S the store the snapshot was written with
-  /// (the caller knows it from the chunk tag).
-  bool load(ArchiveCursor &C, const std::vector<TypeRef> &ById,
-            std::string *Err, MarkerStore S = MarkerStore::F32);
+  /// Replaces *this with the snapshot save() wrote into \p R — whichever
+  /// store's chunk it holds; \p ById is the loaded type table.
+  bool load(const ArchiveReader &R, const std::vector<TypeRef> &ById,
+            std::string *Err);
 
 private:
   /// Marker indices by stored-row-bytes+type hash; collisions resolved by
@@ -244,16 +232,14 @@ private:
   std::unordered_map<uint64_t, std::vector<int>> DedupIndex;
   bool DedupIndexStale = false;
 
-  /// FNV-1a over a stored row's bytes (plus the int8 scale) mixed with
-  /// the interned type pointer (stable within a process, which is all
-  /// the index needs).
-  uint64_t rowHash(const void *Row, size_t NumBytes, float Scale,
-                   TypeRef T) const;
-  uint64_t storedHash(size_t I) const;
   void rebuildDedupIndex();
-
-  /// Encodes one f32 row for the Int8 store; \returns the row's scale.
-  float encodeI8Row(const float *Src, int8_t *Dst) const;
+  /// True when marker \p I is (\p T, the encoded \p Row).
+  bool sameMarker(size_t I, const uint8_t *Row, TypeRef T) const {
+    return Types[I] == T && std::memcmp(row(I), Row, RowBytes) == 0;
+  }
+  /// Drops the rows with Drop[I] set, preserving the others' order, and
+  /// rebuilds the per-row bookkeeping (compact() and subsampleCoreset()).
+  void keepRows(const std::vector<char> &Drop);
 
   /// Interns \p FileTag into FileTags/FileIdOf; -1 for an empty tag.
   int fileIdFor(std::string_view FileTag);
@@ -262,10 +248,8 @@ private:
 
   int D;
   MarkerStore Store = MarkerStore::F32;
-  std::vector<float> Flat;        ///< F32 store: D coords per marker.
-  std::vector<uint16_t> FlatF16;  ///< F16 store: binary16 bit patterns.
-  std::vector<int8_t> FlatI8;     ///< Int8 store: D codes per marker.
-  std::vector<float> Scales;      ///< Int8 store: one scale per marker.
+  size_t RowBytes;
+  std::vector<uint8_t> Rows; ///< Marker i at [i·RowBytes, (i+1)·RowBytes).
   std::vector<TypeRef> Types;
   std::vector<int32_t> FileOf;    ///< Owning file id per marker; -1 none.
   std::vector<char> Dead;         ///< 1 = tombstoned (queries skip it).
@@ -371,8 +355,8 @@ std::unique_ptr<KnnIndex> loadKnnIndex(KnnIndexKind Kind,
 /// query×marker tiled scan: each marker tile is streamed once through
 /// every query of a query block, each query keeps a fixed-size bounded
 /// max-heap of the best k seen so far (no O(N) allocation per query),
-/// and the tile bodies dispatch through the active SIMD kernel table
-/// with the store switch hoisted out of the inner loops. Ties break
+/// and the tile body is instantiated per row codec — picked once per
+/// scan — so each row costs one active-kernel-table call. Ties break
 /// (distance, index) exactly like the historical partial_sort, so
 /// results are bit-identical to that scan for every store (the tests
 /// keep it as their oracle). The same scan answers every index's delta

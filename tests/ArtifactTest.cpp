@@ -839,6 +839,31 @@ TEST(ArtifactTest, RequantizationIsRejected) {
   EXPECT_NE(Err.find("one-way"), std::string::npos) << Err;
 }
 
+// A kNN predictor's options report its τmap's store. setKnnOptions cannot
+// make them name another (the CLI's `save --tmap-store` passes the parsed
+// options through setKnnOptions before setMarkerStore converts the map).
+TEST(ArtifactTest, KnnOptionsStoreIsTheTypeMapStore) {
+  Workbench WB = makeTinyWorkbench();
+  ModelConfig MC = tinyConfig(EncoderKind::Graph, LossKind::Typilus);
+  std::unique_ptr<TypeModel> M = trainTiny(WB, MC);
+  Predictor P = makePredictor(WB, *M);
+
+  KnnOptions KO = P.knnOptions();
+  KO.Store = MarkerStore::Int8;
+  P.setKnnOptions(KO);
+  EXPECT_EQ(P.typeMap().store(), MarkerStore::F32);
+  EXPECT_EQ(P.knnOptions().Store, MarkerStore::F32);
+
+  std::string Err;
+  ASSERT_TRUE(P.setMarkerStore(MarkerStore::F16, &Err)) << Err;
+  EXPECT_EQ(P.knnOptions().Store, MarkerStore::F16);
+  // A refused requantization leaves the options on the map's store too.
+  P.setKnnOptions(KO);
+  EXPECT_FALSE(P.setMarkerStore(MarkerStore::Int8, &Err));
+  EXPECT_EQ(P.typeMap().store(), MarkerStore::F16);
+  EXPECT_EQ(P.knnOptions().Store, MarkerStore::F16);
+}
+
 // Coreset subsampling survives the round trip: the loaded map has the
 // subsampled marker count and predicts identically to the in-process
 // subsampled predictor.

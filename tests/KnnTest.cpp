@@ -39,6 +39,29 @@ struct MapFixture {
   }
 };
 
+/// The decoded coordinates of marker \p I.
+std::vector<float> decoded(const TypeMap &Map, size_t I) {
+  std::vector<float> Row(static_cast<size_t>(Map.dim()));
+  Map.decodeEmbedding(I, Row.data());
+  return Row;
+}
+
+/// The snapshot chunk payload \p Map saves (type ids in \p TypeIds).
+std::string savedPayload(const TypeMap &Map,
+                         const std::map<TypeRef, int> &TypeIds) {
+  ArchiveWriter W(2);
+  W.beginChunk(Map.snapshotTag());
+  Map.save(W, TypeIds);
+  W.endChunk();
+  ArchiveReader R;
+  std::string Err;
+  EXPECT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
+  ArchiveCursor C = R.chunk(Map.snapshotTag(), &Err);
+  std::string Payload(C.remaining(), '\0');
+  C.readBytes(Payload.data(), Payload.size());
+  return Payload;
+}
+
 } // namespace
 
 TEST(ExactIndexTest, FindsSelfAtDistanceZero) {
@@ -202,9 +225,8 @@ TEST(TypeMapTest, DedupSurvivesSnapshotRoundTrip) {
   ArchiveReader R;
   std::string Err;
   ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
-  ArchiveCursor C = R.chunk("tmap", &Err);
   TypeMap Loaded(2);
-  ASSERT_TRUE(Loaded.load(C, ById, &Err)) << Err;
+  ASSERT_TRUE(Loaded.load(R, ById, &Err)) << Err;
   ASSERT_EQ(Loaded.size(), 1u);
   // The loaded map dedupes against its snapshotted markers.
   EXPECT_FALSE(Loaded.add(A, U.parse("int")));
@@ -218,11 +240,11 @@ TEST(TypeMapTest, ReserveKeepsContentsIntact) {
   Map.add(A, U.parse("int"));
   Map.reserve(1000);
   EXPECT_EQ(Map.size(), 1u);
-  EXPECT_FLOAT_EQ(Map.embedding(0)[1], 2.f);
+  EXPECT_FLOAT_EQ(decoded(Map, 0)[1], 2.f);
   float B[3] = {4, 5, 6};
   Map.add(B, U.parse("str"));
   EXPECT_EQ(Map.size(), 2u);
-  EXPECT_FLOAT_EQ(Map.embedding(1)[2], 6.f);
+  EXPECT_FLOAT_EQ(decoded(Map, 1)[2], 6.f);
 }
 
 TEST(TypeMapTest, ReserveIsTotalAndIdempotent) {
@@ -250,8 +272,7 @@ namespace {
 /// L1 between a query and the *decoded* coordinates of marker I — the
 /// reference l1DistanceTo must agree with on every store.
 float decodedL1(const TypeMap &Map, const float *Q, size_t I) {
-  std::vector<float> Row(static_cast<size_t>(Map.dim()));
-  Map.decodeEmbedding(I, Row.data());
+  std::vector<float> Row = decoded(Map, I);
   float Sum = 0;
   for (int D = 0; D != Map.dim(); ++D)
     Sum += std::fabs(Q[static_cast<size_t>(D)] - Row[static_cast<size_t>(D)]);
@@ -266,13 +287,14 @@ TEST(QuantizedMapTest, F16CoordsAreRoundToNearestEven) {
   Q.quantize(MarkerStore::F16);
   EXPECT_EQ(Q.store(), MarkerStore::F16);
   ASSERT_EQ(Q.size(), F.Map.size());
-  for (size_t I = 0; I != Q.size(); ++I)
-    for (int D = 0; D != 8; ++D) {
-      float Orig = F.Map.embedding(I)[D];
+  for (size_t I = 0; I != Q.size(); ++I) {
+    std::vector<float> Orig = decoded(F.Map, I), Got = decoded(Q, I);
+    for (size_t D = 0; D != 8; ++D) {
       // Exactly one binary16 rounding, nothing else.
-      EXPECT_EQ(Q.coord(I, D), f16BitsToF32(f32ToF16Bits(Orig)));
-      EXPECT_NEAR(Q.coord(I, D), Orig, 1e-3f * std::max(1.f, std::fabs(Orig)));
+      EXPECT_EQ(Got[D], f16BitsToF32(f32ToF16Bits(Orig[D])));
+      EXPECT_NEAR(Got[D], Orig[D], 1e-3f * std::max(1.f, std::fabs(Orig[D])));
     }
+  }
 }
 
 TEST(QuantizedMapTest, Int8CoordsWithinHalfScaleStep) {
@@ -281,14 +303,15 @@ TEST(QuantizedMapTest, Int8CoordsWithinHalfScaleStep) {
   Q.quantize(MarkerStore::Int8);
   EXPECT_EQ(Q.store(), MarkerStore::Int8);
   for (size_t I = 0; I != Q.size(); ++I) {
+    std::vector<float> Orig = decoded(F.Map, I), Got = decoded(Q, I);
     float MaxAbs = 0;
-    for (int D = 0; D != 8; ++D)
-      MaxAbs = std::max(MaxAbs, std::fabs(F.Map.embedding(I)[D]));
+    for (float X : Orig)
+      MaxAbs = std::max(MaxAbs, std::fabs(X));
     float Scale = MaxAbs / 127.f;
-    for (int D = 0; D != 8; ++D)
+    for (size_t D = 0; D != 8; ++D)
       // Round-to-nearest against a per-marker scale: the decode error is
       // at most half a quantization step.
-      EXPECT_NEAR(Q.coord(I, D), F.Map.embedding(I)[D], 0.5f * Scale + 1e-6f);
+      EXPECT_NEAR(Got[D], Orig[D], 0.5f * Scale + 1e-6f);
   }
 }
 
@@ -327,27 +350,70 @@ TEST(QuantizedMapTest, SnapshotRoundTripIsExact) {
     }
 
     ArchiveWriter W(2);
-    W.beginChunk("tmap");
+    W.beginChunk(Q.snapshotTag());
     Q.save(W, TypeIds);
     W.endChunk();
     ArchiveReader R;
     std::string Err;
     ASSERT_TRUE(R.openBytes(W.bytes(), &Err)) << Err;
-    ArchiveCursor C = R.chunk("tmap", &Err);
     TypeMap Loaded(8);
-    ASSERT_TRUE(Loaded.load(C, ById, &Err, S)) << Err;
-    ASSERT_TRUE(C.atEnd()) << "trailing bytes in a "
-                           << markerStoreName(S) << " snapshot";
+    ASSERT_TRUE(Loaded.load(R, ById, &Err)) << Err;
+    // No trailing bytes in the snapshot: the payload is dim, count, one
+    // row and one type id per marker, and re-saving the loaded map writes
+    // it again byte for byte.
+    const std::string Payload = savedPayload(Q, TypeIds);
+    ASSERT_EQ(Payload.size(), 12 + Q.size() * (Q.rowBytes() + 4))
+        << markerStoreName(S) << " snapshot";
+    ASSERT_EQ(savedPayload(Loaded, TypeIds), Payload)
+        << markerStoreName(S) << " snapshot";
     ASSERT_EQ(Loaded.size(), Q.size());
     EXPECT_EQ(Loaded.store(), S);
     for (size_t I = 0; I != Q.size(); ++I) {
       EXPECT_EQ(Loaded.type(I), ById[static_cast<size_t>(TypeIds.at(Q.type(I)))]);
-      for (int D = 0; D != 8; ++D)
-        // Bit-exact: quantized coordinates serialize as their stored
-        // encoding, never through a decode/re-encode.
-        EXPECT_EQ(Loaded.coord(I, D), Q.coord(I, D))
-            << markerStoreName(S) << " marker " << I << " dim " << D;
+      // Bit-exact: quantized coordinates serialize as their stored
+      // encoding, never through a decode/re-encode.
+      EXPECT_EQ(decoded(Loaded, I), decoded(Q, I))
+          << markerStoreName(S) << " marker " << I;
     }
+  }
+}
+
+TEST(QuantizedMapTest, SnapshotPayloadBytesArePinned) {
+  // The payload is the artifact contract: three markers at D = 4 (the
+  // last all-zero, int8 scale 0) must save to exactly these bytes — dim,
+  // count, the rows (int8: every scale, then every row's codes), then
+  // the type ids.
+  const struct {
+    MarkerStore Store;
+    const char *Tag;
+    const char *Hex;
+  } Golden[] = {
+      {MarkerStore::F32, "tmap",
+       "0400000003000000000000000000803f000000c00000003f000000000000803e"
+       "00008040000080bf0000404000000000000000000000000000000000000000000"
+       "100000000000000"},
+      {MarkerStore::F16, "tm16",
+       "040000000300000000000000003c00c0003800000034004400bc004200000000"
+       "00000000000000000100000000000000"},
+      {MarkerStore::Int8, "tmq8",
+       "0400000003000000000000000402813c0402013d0000000040812000087fe05f"
+       "00000000000000000100000000000000"},
+  };
+  for (const auto &G : Golden) {
+    TypeUniverse U;
+    TypeMap Map(4);
+    const float Rows[3][4] = {
+        {1.f, -2.f, 0.5f, 0.f}, {0.25f, 4.f, -1.f, 3.f}, {0.f, 0.f, 0.f, 0.f}};
+    Map.add(Rows[0], U.parse("int"));
+    Map.add(Rows[1], U.parse("str"));
+    Map.add(Rows[2], U.parse("int"));
+    ASSERT_TRUE(Map.quantize(G.Store));
+    EXPECT_STREQ(Map.snapshotTag(), G.Tag);
+    std::string Hex;
+    for (unsigned char B :
+         savedPayload(Map, {{U.parse("int"), 0}, {U.parse("str"), 1}}))
+      Hex += strformat("%02x", B);
+    EXPECT_EQ(Hex, G.Hex) << markerStoreName(G.Store);
   }
 }
 
@@ -433,8 +499,7 @@ TEST(CoresetTest, DeterministicAcrossRuns) {
   ASSERT_EQ(A.Map.size(), B.Map.size());
   for (size_t I = 0; I != A.Map.size(); ++I) {
     EXPECT_EQ(A.Map.type(I)->str(), B.Map.type(I)->str());
-    for (int D = 0; D != 8; ++D)
-      EXPECT_EQ(A.Map.embedding(I)[D], B.Map.embedding(I)[D]);
+    EXPECT_EQ(decoded(A.Map, I), decoded(B.Map, I));
   }
 }
 
@@ -445,9 +510,7 @@ TEST(CoresetTest, NoOpWithinBoundOrUnlimited) {
   EXPECT_EQ(F.Map.size(), 40u);
   // Survivors after a real cut still dedupe correctly on insert.
   F.Map.subsampleCoreset(20);
-  std::vector<float> Row(8);
-  for (int D = 0; D != 8; ++D)
-    Row[static_cast<size_t>(D)] = F.Map.embedding(0)[D];
+  std::vector<float> Row = decoded(F.Map, 0);
   EXPECT_FALSE(F.Map.add(Row.data(), F.Map.type(0)));
 }
 
@@ -533,42 +596,48 @@ TEST(TypeMapMutationTest, FileTagsAndRangeBookkeeping) {
 }
 
 TEST(TypeMapMutationTest, RemoveReAddResurrectsBitIdentically) {
-  TaggedMapFixture F(3, 12, 4, 8, 22);
-  // Snapshot the full marker layout.
-  std::vector<TypeRef> TypesBefore;
-  std::vector<float> CoordsBefore;
-  for (size_t I = 0; I != F.Map.size(); ++I) {
-    TypesBefore.push_back(F.Map.type(I));
-    for (int D = 0; D != 8; ++D)
-      CoordsBefore.push_back(F.Map.embedding(I)[D]);
+  // Resurrection matches on the encoded row (int8: codes and scale), so
+  // every store must restore the exact stored bytes.
+  for (MarkerStore S :
+       {MarkerStore::F32, MarkerStore::F16, MarkerStore::Int8}) {
+    TaggedMapFixture F(3, 12, 4, 8, 22);
+    ASSERT_TRUE(F.Map.quantize(S));
+    // Snapshot the full marker layout.
+    std::vector<TypeRef> TypesBefore;
+    std::vector<std::vector<uint8_t>> RowsBefore;
+    for (size_t I = 0; I != F.Map.size(); ++I) {
+      TypesBefore.push_back(F.Map.type(I));
+      RowsBefore.emplace_back(F.Map.row(I), F.Map.row(I) + F.Map.rowBytes());
+    }
+
+    ASSERT_EQ(F.Map.removeMarkersForFile(F.Files[1]), 12u);
+    // Re-add the identical content: every add resurrects (returns true)
+    // instead of appending.
+    for (size_t I = 12; I != 24; ++I)
+      EXPECT_TRUE(F.Map.add(F.Points[I].data(), F.MarkTypes[I], F.Files[1]))
+          << markerStoreName(S) << " row " << I << " did not resurrect";
+
+    ASSERT_EQ(F.Map.size(), 36u) << "resurrection must not append";
+    EXPECT_EQ(F.Map.liveSize(), 36u);
+    EXPECT_EQ(F.Map.deadMarkers(), 0u);
+    for (size_t I = 0; I != F.Map.size(); ++I) {
+      EXPECT_EQ(F.Map.type(I), TypesBefore[I]) << "row " << I;
+      EXPECT_EQ(F.Map.fileTag(I), F.Tags[I]) << "row " << I;
+      EXPECT_EQ(std::vector<uint8_t>(F.Map.row(I),
+                                     F.Map.row(I) + F.Map.rowBytes()),
+                RowsBefore[I])
+          << markerStoreName(S) << " row " << I;
+    }
+    std::vector<int> Rows = F.Map.markersForFile(F.Files[1]);
+    ASSERT_EQ(Rows.size(), 12u);
+    EXPECT_EQ(Rows.front(), 12);
+    EXPECT_EQ(Rows.back(), 23);
+
+    // A live duplicate still drops (first-writer ownership).
+    EXPECT_FALSE(
+        F.Map.add(F.Points[0].data(), F.MarkTypes[0], "elsewhere.py"));
+    EXPECT_EQ(F.Map.fileTag(0), F.Files[0]);
   }
-
-  ASSERT_EQ(F.Map.removeMarkersForFile(F.Files[1]), 12u);
-  // Re-add the identical content: every add resurrects (returns true)
-  // instead of appending.
-  for (size_t I = 12; I != 24; ++I)
-    EXPECT_TRUE(F.Map.add(F.Points[I].data(), F.MarkTypes[I], F.Files[1]))
-        << "row " << I << " did not resurrect";
-
-  ASSERT_EQ(F.Map.size(), 36u) << "resurrection must not append";
-  EXPECT_EQ(F.Map.liveSize(), 36u);
-  EXPECT_EQ(F.Map.deadMarkers(), 0u);
-  for (size_t I = 0; I != F.Map.size(); ++I) {
-    EXPECT_EQ(F.Map.type(I), TypesBefore[I]) << "row " << I;
-    EXPECT_EQ(F.Map.fileTag(I), F.Tags[I]) << "row " << I;
-    for (int D = 0; D != 8; ++D)
-      EXPECT_EQ(F.Map.embedding(I)[D],
-                CoordsBefore[I * 8 + static_cast<size_t>(D)])
-          << "row " << I << " dim " << D;
-  }
-  std::vector<int> Rows = F.Map.markersForFile(F.Files[1]);
-  ASSERT_EQ(Rows.size(), 12u);
-  EXPECT_EQ(Rows.front(), 12);
-  EXPECT_EQ(Rows.back(), 23);
-
-  // A live duplicate still drops (first-writer ownership).
-  EXPECT_FALSE(F.Map.add(F.Points[0].data(), F.MarkTypes[0], "elsewhere.py"));
-  EXPECT_EQ(F.Map.fileTag(0), F.Files[0]);
 }
 
 TEST(TypeMapMutationTest, TombstoneThenCompactEqualsFreshBuild) {
@@ -588,9 +657,7 @@ TEST(TypeMapMutationTest, TombstoneThenCompactEqualsFreshBuild) {
   for (size_t I = 0; I != Fresh.size(); ++I) {
     EXPECT_EQ(F.Map.type(I), Fresh.type(I)) << "row " << I;
     EXPECT_EQ(F.Map.fileTag(I), Fresh.fileTag(I)) << "row " << I;
-    for (int D = 0; D != 8; ++D)
-      EXPECT_EQ(F.Map.embedding(I)[D], Fresh.embedding(I)[D])
-          << "row " << I << " dim " << D;
+    EXPECT_EQ(decoded(F.Map, I), decoded(Fresh, I)) << "row " << I;
   }
   // Per-file bookkeeping matches the fresh build's.
   for (const std::string &File : F.Files)
@@ -622,25 +689,22 @@ TEST(TypeMapMutationTest, CompactWorksOnQuantizedStores) {
     for (size_t I = 0; I != Q.size(); ++I)
       EXPECT_EQ(Q.fileTag(I), F.Tags[I]);
 
-    std::vector<float> Before;
+    std::vector<std::vector<float>> Before;
     std::vector<TypeRef> TypesBefore;
     for (size_t I = 0; I != Q.size(); ++I)
       if (F.Tags[I] != F.Files[0]) {
         TypesBefore.push_back(Q.type(I));
-        for (int D = 0; D != 8; ++D)
-          Before.push_back(Q.coord(I, D));
+        Before.push_back(decoded(Q, I));
       }
 
     ASSERT_EQ(Q.removeMarkersForFile(F.Files[0]), 8u);
     ASSERT_TRUE(Q.compact());
     ASSERT_EQ(Q.size(), 16u);
     EXPECT_EQ(Q.store(), S);
-    size_t Pos = 0;
     for (size_t I = 0; I != Q.size(); ++I) {
       EXPECT_EQ(Q.type(I), TypesBefore[I]) << markerStoreName(S);
-      for (int D = 0; D != 8; ++D)
-        EXPECT_EQ(Q.coord(I, D), Before[Pos++])
-            << markerStoreName(S) << " row " << I << " dim " << D;
+      EXPECT_EQ(decoded(Q, I), Before[I])
+          << markerStoreName(S) << " row " << I;
     }
   }
 }
@@ -889,9 +953,9 @@ TEST(HnswIndexTest, ReturnedDistancesAreTrueL1) {
   ASSERT_FALSE(N.empty());
   for (auto [Idx, Dist] : N) {
     float True = 0;
-    for (int D = 0; D != 8; ++D)
-      True += std::fabs(F.Points[7][static_cast<size_t>(D)] -
-                        F.Map.embedding(static_cast<size_t>(Idx))[D]);
+    std::vector<float> Row = decoded(F.Map, static_cast<size_t>(Idx));
+    for (size_t D = 0; D != 8; ++D)
+      True += std::fabs(F.Points[7][D] - Row[D]);
     EXPECT_NEAR(Dist, True, 1e-4f);
   }
 }

@@ -281,9 +281,7 @@ TEST_P(ShardBitIdentityTest, TrainingTauMapAndPredictionsMatchInMemory) {
   ASSERT_EQ(RefMap.dim(), ShMap.dim());
   EXPECT_EQ(RefMap.droppedDuplicates(), ShMap.droppedDuplicates());
   for (size_t I = 0; I != RefMap.size(); ++I) {
-    EXPECT_EQ(std::memcmp(RefMap.embedding(I), ShMap.embedding(I),
-                          static_cast<size_t>(RefMap.dim()) * sizeof(float)),
-              0)
+    EXPECT_EQ(std::memcmp(RefMap.row(I), ShMap.row(I), RefMap.rowBytes()), 0)
         << "marker " << I;
     EXPECT_EQ(RefMap.type(I)->str(), ShMap.type(I)->str());
   }
@@ -604,9 +602,7 @@ TEST(ShardPrefetchTest, TrainingTauMapAndPredictionsMatchPrefetchOff) {
   ASSERT_EQ(MapOff.dim(), MapOn.dim());
   EXPECT_EQ(MapOff.droppedDuplicates(), MapOn.droppedDuplicates());
   for (size_t I = 0; I != MapOff.size(); ++I) {
-    EXPECT_EQ(std::memcmp(MapOff.embedding(I), MapOn.embedding(I),
-                          static_cast<size_t>(MapOff.dim()) * sizeof(float)),
-              0)
+    EXPECT_EQ(std::memcmp(MapOff.row(I), MapOn.row(I), MapOff.rowBytes()), 0)
         << "marker " << I;
     EXPECT_EQ(MapOff.type(I)->str(), MapOn.type(I)->str());
   }
